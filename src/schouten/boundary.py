@@ -11,7 +11,6 @@ The double weight (m, w, h) -> (m-1, w, h) is preserved; a violation aborts
 matrix assembly because it can only come from a sign or bracket bug.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .multivector import MultiVector, _bracket_mono, bidegree, g_degree
@@ -102,19 +101,22 @@ def boundary_matrix(n, m, w, h, domain=None, codomain=None):
     """
     if domain is None:
         domain = enumerate_basis(n, m, w, h)
-    codomain = codomain if codomain is not None else (
-        enumerate_basis(n, m - 1, w, h) if m >= 2 else enumerate_basis(n, 1, w, h))
+    if m < 2:
+        # d kills 1-chains; represent it as the 0-by-k matrix
+        return BoundaryMatrix(SparseMatrixQ(0, len(domain), {}), domain, None)
+    if codomain is None:
+        codomain = enumerate_basis(n, m - 1, w, h)
     entries = {}
-    if m >= 2:
-        for col, word in enumerate(domain.words):
-            for out_word, c in _boundary_word(n, word):
+    row_of = {}  # output word -> codomain row, once its weight is checked
+    for col, word in enumerate(domain.words):
+        for out_word, c in _boundary_word(n, word):
+            r = row_of.get(out_word)
+            if r is None:
                 if weight_signature(out_word) != (m - 1, w, h):
                     raise WeightEscapeError(
                         "boundary of %r left block (m=%d, w=%d, h=%d)" % (word, m, w, h))
-                entries[(codomain.position(out_word), col)] = Fraction(c)
-    else:
-        # d kills 1-chains; represent it as the 0-by-k matrix
-        return BoundaryMatrix(SparseMatrixQ(0, len(domain), {}), domain, None)
+                r = row_of[out_word] = codomain.position(out_word)
+            entries[(r, col)] = c
     return BoundaryMatrix(SparseMatrixQ(len(codomain), len(domain), entries),
                           domain, codomain)
 

@@ -57,9 +57,37 @@ def canonicalize_word(factors):
     return sign, tuple(fs)
 
 
-# single-factor insertion into a canonical word; equivalent to
-# canonicalize_word(rest[:i] + (gen,) + rest[i:]) but O(m), backend-selected
-from .kernels import place_factor  # noqa: E402
+def place_factor(rest, i, gen):
+    """Insert `gen` at slot i of the canonical word `rest`, re-canonicalizing.
+
+    Equivalent to canonicalize_word(rest[:i] + (gen,) + rest[i:]) but O(m):
+    the factor bubbles left or right to its sorted position, accumulating
+    -(-1)^{xy} per adjacent swap (x, y the g-degrees).  Returns (sign, word);
+    sign 0 when a factor of even g-degree repeats.
+    """
+    x = len(gen[0]) - 1
+    kg = factor_key(gen)
+    sign = 1
+    j = i
+    while j > 0 and factor_key(rest[j - 1]) > kg:
+        if (x * (len(rest[j - 1][0]) - 1)) % 2 == 0:
+            sign = -sign
+        j -= 1
+    if j == i:
+        while j < len(rest) and factor_key(rest[j]) < kg:
+            if (x * (len(rest[j][0]) - 1)) % 2 == 0:
+                sign = -sign
+            j += 1
+    if x % 2 == 0 and ((j > 0 and rest[j - 1] == gen) or (j < len(rest) and rest[j] == gen)):
+        return 0, None
+    return sign, rest[:j] + (gen,) + rest[j:]
+
+
+def _checked_word(n, raw_factors):
+    """canonicalize_word of raw factors after validating each generator."""
+    for alpha, beta in raw_factors:
+        check_generator(n, alpha, beta)
+    return canonicalize_word(raw_factors)
 
 
 def weight_signature(word):
@@ -92,9 +120,7 @@ class Chain:
     @classmethod
     def from_word(cls, n, raw_factors, coeff=1):
         """Build c * (f1 ^^ f2 ^^ ...) from raw factors, canonicalizing."""
-        for alpha, beta in raw_factors:
-            check_generator(n, alpha, beta)
-        sign, word = canonicalize_word(raw_factors)
+        sign, word = _checked_word(n, raw_factors)
         if sign == 0:
             return cls.zero(n)
         return cls(n, {word: sign * Fraction(coeff)})
@@ -354,8 +380,11 @@ def chain_to_text(c):
 
 
 def parse_chain(n, text):
-    """Inverse of chain_to_text; accepts any factor order and blank lines."""
-    total = Chain.zero(n)
+    """Inverse of chain_to_text; accepts any factor order and blank lines.
+
+    Terms accumulate in one dict, so parsing is linear in the line count.
+    """
+    terms = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -366,8 +395,10 @@ def parse_chain(n, text):
         for part in tail.split(";"):
             c, beta, alpha = parse_monomial("1 * " + part.strip())
             factors.append((alpha, beta))
-        total = total + Chain.from_word(n, factors, coeff)
-    return total
+        sign, word = _checked_word(n, factors)
+        if sign:
+            terms[word] = terms.get(word, 0) + sign * coeff
+    return Chain(n, terms)
 
 
 def chain_to_struct(c):

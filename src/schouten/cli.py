@@ -43,7 +43,6 @@ from .contraction import (
     psi,
     verify_psi_structure,
 )
-from .kernels import BACKEND
 
 
 def worker_cap():
@@ -355,7 +354,7 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="schouten",
         description="Exact homology of polynomial multivector fields under "
-                    "the Schouten bracket (backend: %s)." % BACKEND)
+                    "the Schouten bracket.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", help="chain space dimensions of a weight block")

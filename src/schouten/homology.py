@@ -14,6 +14,13 @@ from .linalg import rank_exact
 from .multivector import schouten_bracket
 
 
+class HomologyInvariantError(RuntimeError):
+    """A count that theory pins down came out otherwise (a negative Betti
+    number, a nonempty block beyond max_arity); signals a rank or
+    enumeration bug."""
+    pass
+
+
 @dataclass(frozen=True)
 class HomologyReport:
     n: int
@@ -48,17 +55,24 @@ def betti(n, m, w, h):
     else:
         rank_in = 0
     b = len(basis_m) - rank_out - rank_in
-    assert b >= 0
+    if b < 0:
+        raise HomologyInvariantError(
+            "negative Betti number %d for block (n=%d, m=%d, w=%d, h=%d): "
+            "dim %d, rank_out %d, rank_in %d"
+            % (b, n, m, w, h, len(basis_m), rank_out, rank_in))
     return HomologyReport(n, m, w, h, len(basis_m),
                           len(basis_lo) if basis_lo is not None else 0,
                           len(basis_hi), rank_out, rank_in, b)
 
 
 def dims_table(n, w, h):
-    """dim C_m^{(w,h)} for m = 1..max_arity; asserts emptiness beyond."""
+    """dim C_m^{(w,h)} for m = 1..max_arity; checks emptiness beyond."""
     mm = max_arity(n, w, h)
     for m in range(mm + 1, max_arity_bound(n, w, h) + 1):
-        assert len(enumerate_basis(n, m, w, h)) == 0, "nonempty basis beyond max arity"
+        if len(enumerate_basis(n, m, w, h)):
+            raise HomologyInvariantError(
+                "nonempty basis at m=%d beyond max arity %d (n=%d, w=%d, h=%d)"
+                % (m, mm, n, w, h))
     return [len(enumerate_basis(n, m, w, h)) for m in range(1, mm + 1)]
 
 

@@ -1,19 +1,23 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices store only nonzero Fraction entries.  Rank and kernel run through
-the fraction-free integer echelon kernel (see kernels.py): each row is
-scaled to integers first, which changes neither the rank nor the null
-space.  Everything is deterministic.
+Matrices store only nonzero exact entries: Python ints where the value is
+integral (boundary matrices are integral throughout) and Fractions
+otherwise.  Rank and kernel run through the fraction-free integer echelon
+below: a row holding fractions is scaled to integers first, which changes
+neither the rank nor the null space.  Everything is deterministic.
 """
 
 from fractions import Fraction
-from math import lcm
-
-from . import kernels
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class SparseMatrixQ:
-    """rows x cols rational matrix; entries maps (row, col) -> Fraction."""
+    """rows x cols rational matrix; entries maps (row, col) -> int or Fraction.
+
+    Integral values are stored as ints, so an all-integer matrix reaches the
+    echelon kernel without any Fraction arithmetic.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -23,7 +27,10 @@ class SparseMatrixQ:
         clean = {}
         if entries:
             for (r, c), v in entries.items():
-                v = Fraction(v)
+                if type(v) is not int:
+                    v = Fraction(v)
+                    if v.denominator == 1:
+                        v = v.numerator
                 if v:
                     if not (0 <= r < rows and 0 <= c < cols):
                         raise IndexError("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
@@ -32,26 +39,23 @@ class SparseMatrixQ:
 
     @classmethod
     def identity(cls, k):
-        return cls(k, k, {(i, i): Fraction(1) for i in range(k)})
+        return cls(k, k, {(i, i): 1 for i in range(k)})
 
     def transpose(self):
         return SparseMatrixQ(self.cols, self.rows,
                              {(c, r): v for (r, c), v in self.entries.items()})
 
     def row_dicts(self):
-        """Rows as integer dicts {col: int}, each row scaled by its lcm of
-        denominators (preserves rank and null space)."""
-        rows = [dict() for _ in range(self.rows)]
+        """Rows as integer dicts {col: int}; a row holding fractions is scaled
+        by the lcm of its denominators (preserves rank and null space)."""
+        rows = [{} for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
-        out = []
-        for row in rows:
-            if not row:
-                out.append({})
-                continue
+        for i, row in enumerate(rows):
             scale = lcm(*[v.denominator for v in row.values()])
-            out.append({c: int(v * scale) for c, v in row.items()})
-        return out
+            if scale > 1:
+                rows[i] = {c: int(v * scale) for c, v in row.items()}
+        return rows
 
     def mul_vector(self, v):
         out = [Fraction(0)] * self.rows
@@ -78,17 +82,99 @@ class SparseMatrixQ:
         return not self.entries
 
 
-def rank_exact(M, backend_echelon=None):
+# --- fraction-free integer echelon ------------------------------------------
+
+
+def _primitive(row):
+    """A nonzero integer row divided by its content (gcd of its entries)."""
+    g = gcd(*row.values())
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def echelon(rows):
+    """Row echelon form of integer rows {col: nonzero int}.
+
+    Returns (pivot_cols, ech_rows): ech_rows[i] starts at column
+    pivot_cols[i], pivot columns strictly increasing; rank = len(pivot_cols).
+
+    Pivoting is deterministic: the pivot column is the smallest column that
+    still leads a row; among the rows it leads, the one with fewest nonzeros
+    wins, ties broken by original row order.  Every row is divided by its
+    content, so entries stay small, and each pivot row has a positive
+    leading entry.
+
+    Live rows sit in buckets keyed by leading column.  A pivot on column c
+    can only touch rows that lead at c (every other live row leads further
+    right), so each step works on one bucket and moves its updated rows into
+    the buckets of their new leading columns, all right of c.  A live row is
+    kept up to sign: the sign is fixed only when the row becomes a pivot,
+    since the update of a row is linear in it and the sign of the result is
+    fixed in turn.
+    """
+    buckets = {}  # leading column -> [(original row index, row)]
+    for i, r in enumerate(rows):
+        if r:
+            buckets.setdefault(min(r), []).append((i, _primitive(dict(r))))
+    open_cols = list(buckets)
+    heapify(open_cols)
+    pivots = []
+    ech = []
+    while open_cols:
+        col = heappop(open_cols)
+        bucket = buckets.pop(col)
+        best = min(bucket, key=lambda entry: (len(entry[1]), entry[0]))
+        piv = best[1]
+        if piv[col] < 0:
+            piv = {c: -v for c, v in piv.items()}
+        pivots.append(col)
+        ech.append(piv)
+        if len(bucket) == 1:
+            continue
+        pv = piv[col]
+        tail = [(c, v) for c, v in piv.items() if c != col]
+        for entry in bucket:
+            if entry is best:
+                continue
+            i, r = entry
+            rv = r[col]
+            # r * pv - piv * rv clears col; dividing both multipliers by
+            # their gcd only removes a factor that _primitive divides out
+            g = gcd(pv, rv)
+            a, b = pv // g, rv // g
+            if a == 1:
+                out = dict(r)
+            else:
+                out = {c: v * a for c, v in r.items()}
+            del out[col]
+            for c, v in tail:
+                nv = out.get(c, 0) - v * b
+                if nv:
+                    out[c] = nv
+                else:
+                    out.pop(c, None)
+            if out:
+                out = _primitive(out)
+                lead = min(out)
+                dest = buckets.get(lead)
+                if dest is None:
+                    buckets[lead] = [(i, out)]
+                    heappush(open_cols, lead)
+                else:
+                    dest.append((i, out))
+    return pivots, ech
+
+
+def rank_exact(M):
     """Rank over Q via fraction-free elimination; deterministic."""
-    ech = backend_echelon or kernels.echelon
-    pivots, _ = ech(M.row_dicts())
+    pivots, _ = echelon(M.row_dicts())
     return len(pivots)
 
 
-def kernel_basis(M, backend_echelon=None):
+def kernel_basis(M):
     """A basis of the null space of M, one Fraction vector per free column."""
-    ech = backend_echelon or kernels.echelon
-    pivots, rows = ech(M.row_dicts())
+    pivots, rows = echelon(M.row_dicts())
     pivot_set = set(pivots)
     basis = []
     for free in range(M.cols):

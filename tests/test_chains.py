@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from schouten import kernels
 from schouten.chains import (
     BasisIndex,
     Chain,
@@ -20,6 +19,7 @@ from schouten.chains import (
     max_arity,
     max_arity_bound,
     parse_chain,
+    place_factor,
     vector_to_chain,
     wedge_chain,
     weight_signature,
@@ -111,8 +111,7 @@ def test_place_factor_matches_full_canonicalization():
         gen = raw[-1]
         for i in range(len(base) + 1):
             expect = canonicalize_word(base[:i] + (gen,) + base[i:])
-            assert kernels.place_factor(base, i, gen) == expect
-            assert kernels.place_factor_pure(base, i, gen) == expect
+            assert place_factor(base, i, gen) == expect
             checked += 1
     assert checked > 500
 
@@ -255,6 +254,21 @@ def test_text_round_trip_and_reordering():
     swapped = "3/2 | x[0,1] d[2] ; x[1,0] d[1]"
     straight = "3/2 | x[1,0] d[1] ; x[0,1] d[2]"
     assert parse_chain(2, swapped) == -parse_chain(2, straight)
+
+
+def test_parse_chain_sums_repeated_and_cancelling_lines():
+    a = "x[1,0] d[1] ; x[0,1] d[2]"
+    b = "x[0,0] d[1,2] ; x[1,0] d[2]"
+    text = "\n".join(["2 | " + a, "-2 | " + a, "1/3 | " + b, "1 | " + a,
+                      "-1/3 | " + b, "1/2 | " + b, "0 | " + a])
+    expect = parse_chain(2, "1 | " + a) + parse_chain(2, "1/2 | " + b)
+    assert parse_chain(2, text) == expect
+    assert parse_chain(2, "1 | %s\n-1 | %s" % (a, a)).is_zero()
+
+
+def test_parse_chain_rejects_bad_generator():
+    with pytest.raises(ValueError):
+        parse_chain(2, "1 | x[0,0] d[1]\n1 | x[0,0] d[3]")
 
 
 def test_parse_chain_skips_blank_and_comment_lines():

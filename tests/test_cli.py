@@ -127,6 +127,14 @@ def test_certify_malformed_exit_2(capsys, tmp_path):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_certify_malformed_later_line_exit_2(capsys, tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("1 | x[0,0] d[1] ; x[1,2] d[1,2]\n1 | x[0,0,0] d[1] ; x[1,2] d[1,2]\n")
+    rc = main(["certify", "--n", "2", "--input", str(p)])
+    assert rc == 2
+    assert "malformed" in capsys.readouterr().err
+
+
 def test_check_tampered_certificate_exit_1(capsys, tmp_path, pipi_file):
     cert_path = tmp_path / "cert.json"
     run(capsys, "certify", "--n", "2", "--input", str(pipi_file),

@@ -6,7 +6,9 @@ from itertools import combinations
 
 import pytest
 
+from schouten import homology
 from schouten.homology import (
+    HomologyInvariantError,
     HomologyReport,
     betti,
     dims_table,
@@ -45,6 +47,20 @@ def test_betti_consistency_identity():
     assert rep.dim == rep.betti + rep.rank_out + rep.rank_in
     assert rep.dim == 60
     assert (rep.rank_out, rep.rank_in, rep.betti) == (14, 46, 0)
+
+
+def test_betti_rejects_ranks_that_overshoot(monkeypatch):
+    # a rank above what the dimensions allow must fail loudly, also under
+    # python -O, instead of reporting a negative Betti number
+    monkeypatch.setattr(homology, "rank_exact", lambda M: min(M.rows, M.cols) + 1)
+    with pytest.raises(HomologyInvariantError, match="negative Betti number"):
+        betti(2, 3, 0, 0)
+
+
+def test_dims_table_rejects_words_beyond_max_arity(monkeypatch):
+    monkeypatch.setattr(homology, "max_arity", lambda n, w, h: 1)
+    with pytest.raises(HomologyInvariantError, match="beyond max arity"):
+        dims_table(2, 0, 0)
 
 
 def test_first_betti_always_zero_small():

@@ -1,12 +1,13 @@
-"""Exact sparse linear algebra: rank, kernel, backend agreement."""
+"""Exact sparse linear algebra: rank, kernel, echelon against a reference."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from schouten import kernels
-from schouten.linalg import SparseMatrixQ, kernel_basis, rank_exact
+from schouten.boundary import boundary_matrix
+from schouten.linalg import SparseMatrixQ, echelon, kernel_basis, rank_exact
 
 
 def dense_rank_oracle(M):
@@ -35,6 +36,73 @@ def dense_rank_oracle(M):
         rank += 1
         col += 1
     return rank
+
+
+def _reference_normalize(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    lead = row[min(row)]
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+        lead //= g
+    if lead < 0:
+        row = {c: -v for c, v in row.items()}
+    return row
+
+
+def reference_echelon(rows):
+    """The straightforward O(rows^2) form of the echelon pivot rule: rescan
+    every live row for the smallest leading column, take the first row with
+    fewest nonzeros there, eliminate it from all rows, normalize each."""
+    work = [_reference_normalize(dict(r)) for r in rows if r]
+    pivots = []
+    ech = []
+    while work:
+        col = min(min(r) for r in work)
+        best = -1
+        best_nnz = -1
+        for idx, r in enumerate(work):
+            if min(r) == col:
+                nnz = len(r)
+                if best < 0 or nnz < best_nnz:
+                    best, best_nnz = idx, nnz
+        piv = work.pop(best)
+        pv = piv[col]
+        nxt = []
+        for r in work:
+            rv = r.get(col)
+            if rv is None:
+                nxt.append(r)
+                continue
+            out = {}
+            for c, v in r.items():
+                if c != col:
+                    out[c] = v * pv
+            for c, v in piv.items():
+                if c == col:
+                    continue
+                nv = out.get(c, 0) - v * rv
+                if nv:
+                    out[c] = nv
+                elif c in out:
+                    del out[c]
+            if out:
+                nxt.append(_reference_normalize(out))
+        work = nxt
+        pivots.append(col)
+        ech.append(piv)
+    return pivots, ech
+
+
+def random_integer_rows(rng, rows, cols, density):
+    """Integer rows with small, often repeated entries and many equal row
+    lengths, so that pivot ties on nonzero count are common."""
+    values = (-4, -2, -1, -1, 1, 1, 1, 2, 3, 6)
+    return [{c: rng.choice(values) for c in range(cols) if rng.random() < density}
+            for _ in range(rows)]
 
 
 def random_matrix(rng, rows, cols, density=0.3):
@@ -109,21 +177,57 @@ def test_kernel_vectors_independent():
         assert rank_exact(K) == len(basis)
 
 
-def test_backends_agree_bit_for_bit():
+def test_echelon_matches_reference_bit_for_bit():
     rng = random.Random(37)
+    ties = 0
+    for _ in range(400):
+        rows = random_integer_rows(rng, rng.randint(1, 12), rng.randint(1, 12),
+                                   rng.choice([0.1, 0.3, 0.6, 0.9]))
+        lengths = [len(r) for r in rows if r]
+        ties += len(lengths) - len(set(lengths))
+        assert echelon([dict(r) for r in rows]) == reference_echelon(rows)
+    assert ties > 400
     for _ in range(40):
         M = random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9))
         rows = M.row_dicts()
-        got = kernels.echelon([dict(r) for r in rows])
-        pure = kernels.echelon_pure([dict(r) for r in rows])
-        assert got == pure
+        assert echelon(rows) == reference_echelon(rows)
+
+
+@pytest.mark.parametrize("block", [(3, 3, 1, 1), (2, 5, 1, 1)])
+def test_echelon_matches_reference_on_boundary_matrices(block):
+    rows = boundary_matrix(*block).matrix.row_dicts()
+    got = echelon(rows)
+    assert got == reference_echelon(rows)
+    assert len(got[0]) == {(3, 3, 1, 1): 486, (2, 5, 1, 1): 647}[block]
+
+
+def test_echelon_leaves_input_rows_alone():
+    rows = [{0: 2, 1: -4}, {0: -3, 2: 6}, {1: 5}]
+    before = [dict(r) for r in rows]
+    pivots, ech = echelon(rows)
+    assert rows == before
+    assert pivots == [0, 1, 2]
+    assert all(r[c] > 0 for c, r in zip(pivots, ech))
+
+
+def test_boundary_matrix_entries_are_integers():
+    M = boundary_matrix(2, 3, 1, 1).matrix
+    assert M.entries and all(type(v) is int for v in M.entries.values())
+    assert all(type(v) is int for row in M.row_dicts() for v in row.values())
+
+
+def test_fraction_rows_scaled_to_integers():
+    M = SparseMatrixQ(2, 3, {(0, 0): Fraction(1, 2), (0, 2): Fraction(1, 3),
+                             (1, 1): Fraction(4, 2)})
+    assert M.entries[(1, 1)] == 2 and type(M.entries[(1, 1)]) is int
+    assert M.row_dicts() == [{0: 3, 2: 2}, {1: 2}]
 
 
 def test_echelon_deterministic():
     rng = random.Random(41)
     M = random_matrix(rng, 8, 8, density=0.5)
-    a = kernels.echelon(M.row_dicts())
-    b = kernels.echelon(M.row_dicts())
+    a = echelon(M.row_dicts())
+    b = echelon(M.row_dicts())
     assert a == b
 
 
