@@ -13,8 +13,8 @@ matrix assembly because it can only come from a sign or bracket bug.
 
 from functools import lru_cache
 
-from .multivector import MultiVector, _bracket_mono, bidegree, g_degree
-from .chains import Chain, canonicalize_word, enumerate_basis, place_factor, weight_signature
+from .multivector import _bracket_mono, bidegree
+from .chains import Chain, enumerate_basis, place_factor, weight_signature
 from .linalg import SparseMatrixQ
 
 
@@ -23,33 +23,37 @@ class WeightEscapeError(RuntimeError):
     pass
 
 
+def _act(n, gen, word):
+    """Unsummed (word, integer coefficient) terms of the unit generator
+    `gen` acting on a word: the i-th factor is replaced by each bracket term
+    [gen, word[i]], signed (-1)^{g * sum_{s<i} a_s}, and placed back."""
+    g = len(gen[0]) - 1
+    pref = 0
+    for i, f in enumerate(word):
+        sign = -1 if (g * pref) % 2 else 1
+        rest = word[:i] + word[i + 1:]
+        for key, c in _bracket_mono(n, gen[0], gen[1], f[0], f[1]):
+            s, nw = place_factor(rest, i, key)
+            if s:
+                yield nw, sign * s * c
+        pref += len(f[0]) - 1
+
+
 def left_action(A0, word):
     """The left action of a g-homogeneous multivector A0 on a word."""
     if A0.is_zero():
         return Chain.zero(A0.n)
-    a0 = bidegree(A0)[0]  # raises MixedDegreeError when inhomogeneous
-    n = A0.n
+    bidegree(A0)  # raises MixedDegreeError when inhomogeneous
     terms = {}
-    gdegs = [g_degree(f) for f in word]
-    for i in range(len(word)):
-        sign = -1 if (a0 * sum(gdegs[:i])) % 2 else 1
-        rest = word[:i] + word[i + 1:]
-        for (alpha0, beta0), c0 in A0.terms.items():
-            for key, c in _bracket_mono(n, alpha0, beta0, word[i][0], word[i][1]):
-                s2, nw = place_factor(rest, i, key)
-                if s2 == 0:
-                    continue
-                terms[nw] = terms.get(nw, 0) + sign * s2 * c * c0
-    return Chain(n, terms)
+    for gen, c0 in A0.terms.items():
+        for nw, c in _act(A0.n, gen, word):
+            terms[nw] = terms.get(nw, 0) + c0 * c
+    return Chain(A0.n, terms)
 
 
 @lru_cache(maxsize=None)
 def _boundary_word(n, word):
-    """d(word) as a tuple of (word, integer coefficient) pairs.
-
-    All-integer inner loop: the left action of the head on the tail is
-    expanded inline so no Fraction or container objects are built.
-    """
+    """d(word) as a tuple of (word, integer coefficient) pairs."""
     if len(word) <= 1:
         return ()
     head, tail = word[0], word[1:]
@@ -60,16 +64,8 @@ def _boundary_word(n, word):
         if sign:
             terms[nw] = terms.get(nw, 0) - sign * c
     # + A0 . tail
-    a0 = len(head[0]) - 1
-    pref = 0
-    for i, f in enumerate(tail):
-        sign = -1 if (a0 * pref) % 2 else 1
-        rest = tail[:i] + tail[i + 1:]
-        for key, c in _bracket_mono(n, head[0], head[1], f[0], f[1]):
-            s2, nw = place_factor(rest, i, key)
-            if s2:
-                terms[nw] = terms.get(nw, 0) + sign * s2 * c
-        pref += len(f[0]) - 1
+    for nw, c in _act(n, head, tail):
+        terms[nw] = terms.get(nw, 0) + c
     return tuple((w, c) for w, c in terms.items() if c)
 
 

@@ -16,14 +16,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 import math
 
-from .multivector import (
-    DimensionMismatchError,
-    MultiVector,
-    check_generator,
-    format_monomial,
-    g_degree,
-    parse_monomial,
-)
+from .multivector import DimensionMismatchError, check_generator, parse_monomial
 
 
 def factor_key(gen):
@@ -34,36 +27,29 @@ def factor_key(gen):
 def canonicalize_word(factors):
     """Sort raw unit-coefficient factors into the canonical order.
 
-    Returns (sign, word); sign is 0 and word is None when a factor of even
-    g-degree repeats.
+    Each factor is inserted into the sorted prefix by place_factor.  Returns
+    (sign, word); sign is 0 and word is None when a factor of even g-degree
+    repeats.
     """
-    fs = list(factors)
-    if not fs:
-        raise ValueError("empty factor list")
-    sign = 1
-    # insertion sort, one adjacent transposition at a time
-    for i in range(1, len(fs)):
-        j = i
-        while j > 0 and factor_key(fs[j - 1]) > factor_key(fs[j]):
-            x = g_degree(fs[j - 1])
-            y = g_degree(fs[j])
-            if (x * y) % 2 == 0:
-                sign = -sign
-            fs[j - 1], fs[j] = fs[j], fs[j - 1]
-            j -= 1
-    for f1, f2 in zip(fs, fs[1:]):
-        if f1 == f2 and g_degree(f1) % 2 == 0:
+    sign, word = 1, ()
+    for gen in factors:
+        s, word = place_factor(word, len(word), gen)
+        if s == 0:
             return 0, None
-    return sign, tuple(fs)
+        sign *= s
+    if not word:
+        raise ValueError("empty factor list")
+    return sign, word
 
 
 def place_factor(rest, i, gen):
     """Insert `gen` at slot i of the canonical word `rest`, re-canonicalizing.
 
-    Equivalent to canonicalize_word(rest[:i] + (gen,) + rest[i:]) but O(m):
-    the factor bubbles left or right to its sorted position, accumulating
-    -(-1)^{xy} per adjacent swap (x, y the g-degrees).  Returns (sign, word);
-    sign 0 when a factor of even g-degree repeats.
+    The one place that knows the factor order, the swap sign and the
+    even-repeat rule: the factor bubbles left or right to its sorted
+    position, accumulating -(-1)^{xy} per adjacent swap (x, y the
+    g-degrees), in O(m).  Returns (sign, word); sign 0 when a factor of even
+    g-degree repeats.
     """
     x = len(gen[0]) - 1
     kg = factor_key(gen)
@@ -190,17 +176,6 @@ def wedge_chain(c1, c2):
                 continue
             terms[word] = terms.get(word, 0) + sign * a * b
     return Chain(c1.n, terms)
-
-
-def multivector_wedge_word(A, word):
-    """A ^^ word for a MultiVector A, distributing monomials of A."""
-    terms = {}
-    for (alpha, beta), c in A.terms.items():
-        sign, nw = canonicalize_word(((alpha, beta),) + word)
-        if sign == 0:
-            continue
-        terms[nw] = terms.get(nw, 0) + sign * c
-    return Chain(A.n, terms)
 
 
 # --- basis enumeration ------------------------------------------------------

@@ -8,8 +8,7 @@ stable per command; plain is for humans and may change.
 
 Exit codes: 0 success, 1 a guaranteed-zero came out nonzero / input is not
 a cycle / verification failed, 2 malformed input.  Randomized suites take
---seed (default 7) and record it in the output.  SCHOUTEN_THREADS caps the
-worker pool of the verify command.
+--seed (default 7) and record it in the output.
 """
 
 import argparse
@@ -18,7 +17,6 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .chains import (
@@ -27,10 +25,11 @@ from .chains import (
     enumerate_basis,
     chain_to_vector,
     format_factor,
+    max_arity,
     parse_chain,
     weight_signature,
 )
-from .boundary import boundary, boundary_matrix, matrix_to_text
+from .boundary import boundary, matrix_to_text
 from .homology import HomologyReport, betti, dims_table, euler_characteristic
 from .linalg import SparseMatrixQ
 from .multivector import MultiVector, g_degree, schouten_bracket
@@ -43,14 +42,6 @@ from .contraction import (
     psi,
     verify_psi_structure,
 )
-
-
-def worker_cap():
-    """Worker count from SCHOUTEN_THREADS, default 1, clamped to >= 1."""
-    try:
-        return max(1, int(os.environ.get("SCHOUTEN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(text, output):
@@ -141,32 +132,26 @@ def _random_generator(rng, n, max_beta):
     return alpha, tuple(beta)
 
 
-def _verify_dsq(args):
-    """boundary(boundary(word)) = 0 for every basis word of the block."""
+def _verify_words(args, suite, is_bad):
+    """Run the predicate is_bad(m, word) on every basis word of the blocks
+    m = 2..max_arity, enumerating one block at a time."""
     n, w, h = args.n, args.w, args.h
-    from .chains import max_arity
     failures = []
     checked = 0
-    blocks = []
     for m in range(2, max_arity(n, w, h) + 1):
-        blocks.append((m, enumerate_basis(n, m, w, h)))
-
-    def run_block(item):
-        m, basis = item
-        bad = []
-        for word in basis.words:
-            sq = boundary(boundary(Chain(n, {word: Fraction(1)})))
-            if sq:
-                bad.append(word)
-        return m, len(basis), bad
-
-    with ThreadPoolExecutor(max_workers=worker_cap()) as pool:
-        for m, size, bad in pool.map(run_block, blocks):
-            checked += size
-            for word in bad:
+        for word in enumerate_basis(n, m, w, h).words:
+            checked += 1
+            if is_bad(m, word):
                 failures.append({"m": m, "word": [format_factor(f) for f in word]})
-    return {"suite": "dsq", "n": n, "w": w, "h": h,
+    return {"suite": suite, "n": n, "w": w, "h": h,
             "checked": checked, "failures": failures}
+
+
+def _verify_dsq(args):
+    """boundary(boundary(word)) = 0 for every basis word of the block."""
+    def is_bad(m, word):
+        return bool(boundary(boundary(Chain(args.n, {word: Fraction(1)}))))
+    return _verify_words(args, "dsq", is_bad)
 
 
 def _verify_jacobi(args):
@@ -194,22 +179,12 @@ def _verify_jacobi(args):
 
 
 def _verify_weights(args):
-    """Weight bookkeeping: the boundary of every word of random blocks
-    stays inside the (m-1, w, h) block."""
-    n, w, h = args.n, args.w, args.h
-    failures = []
-    checked = 0
-    from .chains import max_arity
-    for m in range(2, max_arity(n, w, h) + 1):
-        for word in enumerate_basis(n, m, w, h).words:
-            d = boundary(Chain(n, {word: Fraction(1)}))
-            checked += 1
-            for out in d.terms:
-                if weight_signature(out) != (m - 1, w, h):
-                    failures.append({"m": m, "word": [format_factor(f) for f in word]})
-                    break
-    return {"suite": "weights", "n": n, "w": w, "h": h,
-            "checked": checked, "failures": failures}
+    """Weight bookkeeping: the boundary of every word of the blocks stays
+    inside the (m-1, w, h) block."""
+    def is_bad(m, word):
+        d = boundary(Chain(args.n, {word: Fraction(1)}))
+        return any(weight_signature(out) != (m - 1, args.w, args.h) for out in d.terms)
+    return _verify_words(args, "weights", is_bad)
 
 
 def _verify_psi(args):
@@ -288,8 +263,10 @@ def cmd_check_certificate(args):
         sys.stderr.write("malformed certificate: %s\n" % e)
         return 2
     ok = check_certificate(cert)
-    text = "certificate %s: boundary(V) %s U" % (
-        "valid" if ok else "INVALID", "==" if ok else "!=")
+    if ok:
+        text = "certificate valid: boundary(V) == U"
+    else:
+        text = "certificate INVALID: a word lies outside the declared block or boundary(V) != U"
     if args.format == "structured":
         text = _json({"command": "check-certificate", "block": [cert.n, cert.w],
                       "valid": ok})

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .chains import Chain, enumerate_basis, weight_signature
 from .boundary import boundary
-from .multivector import MultiVector
 
 
 class DescentError(RuntimeError):
@@ -86,8 +85,8 @@ class PairStratum:
 
 
 class Stratification:
-    """Bookkeeping of the stratum lattice at weight w: TL diagonals T^l,
-    TR diagonals T^(p), and the horizontal layers of the rectangle."""
+    """Bookkeeping of the stratum lattice at weight w: its TL and TR strata
+    and the height 1 + omega_e of the rectangle below the TR roof."""
 
     def __init__(self, w):
         self.w = w
@@ -109,23 +108,6 @@ class Stratification:
 
     def tr_strata(self):
         return [s for s in self.all_strata() if not s.is_tl]
-
-    def tl_diagonal(self, l):
-        """T^l: TL strata with a1 + b1 = l + 2 + w."""
-        return [s for s in self.tl_strata() if s.a1 + s.b1 == l + 2 + self.w]
-
-    def tr_diagonal(self, p):
-        """T^(p): TR strata with a1 + b1 = p."""
-        return [s for s in self.tr_strata() if s.a1 + s.b1 == p]
-
-    def layer(self, b):
-        """L_b: rectangle strata at height b (a1 <= omega+1, b <= 1+omega_e)."""
-        return [s for s in self.tr_strata()
-                if s.b1 == b and b <= 1 + self.omega_e and s.a1 <= self.omega + 1]
-
-    def roof(self):
-        """TR strata above the rectangle (b1 > 1 + omega_e)."""
-        return [s for s in self.tr_strata() if s.b1 > 1 + self.omega_e]
 
 
 def _check_block(U, w):
@@ -205,12 +187,6 @@ def psi(U):
             if weight_signature(word) != (2, w, w):
                 raise RuntimeError("psi left the (2, %d, %d) block" % (w, w))
     return out
-
-
-def _psi_pow(U, k):
-    for _ in range(k):
-        U = psi(U)
-    return U
 
 
 def leading_scalar(n, w, word):
@@ -382,10 +358,17 @@ def certificate_from_dict(data):
 
 
 def check_certificate(cert):
-    """Independent re-verification: boundary(primitive) == cycle, exactly.
+    """Independent re-verification: every word of the cycle lies in the
+    declared (2, w, w) block, every word of the primitive in (3, w, w), and
+    boundary(primitive) == cycle, exactly.
 
-    Trusts nothing from the producer beyond the chains themselves.
+    Trusts nothing from the producer beyond the chains and the block.
     """
+    w = cert.w
+    if any(weight_signature(word) != (2, w, w) for word in cert.cycle.terms):
+        return False
+    if any(weight_signature(word) != (3, w, w) for word in cert.primitive.terms):
+        return False
     return boundary(cert.primitive) == cert.cycle
 
 

@@ -8,8 +8,8 @@ and the reported Betti numbers are dimensions over Q.
 
 from dataclasses import dataclass
 
-from .chains import Chain, enumerate_basis, max_arity, max_arity_bound
-from .boundary import boundary, boundary_matrix
+from .chains import enumerate_basis, max_arity, max_arity_bound
+from .boundary import boundary_matrix
 from .linalg import rank_exact
 from .multivector import schouten_bracket
 

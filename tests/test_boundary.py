@@ -7,6 +7,7 @@ import pytest
 
 from schouten.boundary import (
     WeightEscapeError,
+    _boundary_word,
     boundary,
     boundary_matrix,
     left_action,
@@ -17,9 +18,17 @@ from schouten.chains import (
     canonicalize_word,
     chain_to_vector,
     enumerate_basis,
+    place_factor,
+    wedge_chain,
     weight_signature,
 )
-from schouten.multivector import MultiVector, bidegree, g_degree, schouten_bracket
+from schouten.multivector import (
+    MultiVector,
+    _bracket_mono,
+    bidegree,
+    g_degree,
+    schouten_bracket,
+)
 
 
 def random_gen(rng, n, max_beta=3):
@@ -100,7 +109,6 @@ def test_boundary_linear():
 def test_left_action_matches_recursion():
     """d(A0 ^^ rest) = -A0 ^^ d(rest) + A0 . rest, with the action public."""
     rng = random.Random(79)
-    from schouten.chains import multivector_wedge_word
     for _ in range(60):
         n = rng.randint(2, 3)
         m = rng.randint(2, 4)
@@ -108,12 +116,79 @@ def test_left_action_matches_recursion():
         head, tail = word[0], word[1:]
         A0 = MultiVector(n, {head: Fraction(1)})
         lhs = boundary(Chain(n, {word: Fraction(1)}))
-        minus = Chain(n, {})
-        if len(tail) >= 2:
-            for tw, tc in boundary(Chain(n, {tail: Fraction(1)})).terms.items():
-                minus = minus + tc * multivector_wedge_word(A0, tw)
+        minus = wedge_chain(Chain.from_multivector(A0),
+                            boundary(Chain(n, {tail: Fraction(1)})))
         rhs = -1 * minus + left_action(A0, tail)
         assert lhs == rhs
+
+
+def reference_left_action(A0, word):
+    """The seed's left_action, kept as the oracle: positions outer,
+    monomials of A0 inner."""
+    a0 = bidegree(A0)[0]
+    n = A0.n
+    terms = {}
+    gdegs = [g_degree(f) for f in word]
+    for i in range(len(word)):
+        sign = -1 if (a0 * sum(gdegs[:i])) % 2 else 1
+        rest = word[:i] + word[i + 1:]
+        for (alpha0, beta0), c0 in A0.terms.items():
+            for key, c in _bracket_mono(n, alpha0, beta0, word[i][0], word[i][1]):
+                s2, nw = place_factor(rest, i, key)
+                if s2 == 0:
+                    continue
+                terms[nw] = terms.get(nw, 0) + sign * s2 * c * c0
+    return Chain(n, terms)
+
+
+def reference_boundary_word(n, word):
+    """The seed's _boundary_word without its cache, kept as the oracle."""
+    if len(word) <= 1:
+        return ()
+    head, tail = word[0], word[1:]
+    terms = {}
+    for w, c in reference_boundary_word(n, tail):
+        sign, nw = place_factor(w, 0, head)
+        if sign:
+            terms[nw] = terms.get(nw, 0) - sign * c
+    a0 = len(head[0]) - 1
+    pref = 0
+    for i, f in enumerate(tail):
+        sign = -1 if (a0 * pref) % 2 else 1
+        rest = tail[:i] + tail[i + 1:]
+        for key, c in _bracket_mono(n, head[0], head[1], f[0], f[1]):
+            s2, nw = place_factor(rest, i, key)
+            if s2:
+                terms[nw] = terms.get(nw, 0) + sign * s2 * c
+        pref += len(f[0]) - 1
+    return tuple((w, c) for w, c in terms.items() if c)
+
+
+def test_boundary_word_matches_reference_term_for_term():
+    rng = random.Random(89)
+    for _ in range(400):
+        n = rng.randint(2, 3)
+        word = random_word(rng, n, rng.randint(1, 5), max_beta=2)
+        assert _boundary_word(n, word) == reference_boundary_word(n, word)
+
+
+def test_left_action_matches_reference():
+    """Same terms in the same order for a unit generator.  left_action
+    sums monomial by monomial of A0, the reference position by position, so
+    for several monomials only the chains are compared, not their order."""
+    rng = random.Random(97)
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        word = random_word(rng, n, rng.randint(1, 4))
+        gen = random_gen(rng, n)
+        unit = MultiVector(n, {gen: Fraction(1)})
+        got = left_action(unit, word)
+        assert list(got.terms.items()) == list(reference_left_action(unit, word).terms.items())
+        same_degree = [g for g in (random_gen(rng, n) for _ in range(6))
+                       if bidegree(MultiVector(n, {g: 1})) == bidegree(unit)]
+        A0 = MultiVector(n, {g: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                             for g in [gen] + same_degree})
+        assert left_action(A0, word) == reference_left_action(A0, word)
 
 
 def test_left_action_rejects_mixed_degree():

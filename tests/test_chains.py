@@ -97,6 +97,53 @@ def test_canonical_sign_matches_transposition_count():
         assert got_sign == sign
 
 
+def reference_canonicalize(factors):
+    """The seed's canonicalize_word, kept as the oracle: an insertion sort
+    with its own swap sign, then a scan for an adjacent even repeat."""
+    fs = list(factors)
+    if not fs:
+        raise ValueError("empty factor list")
+    sign = 1
+    for i in range(1, len(fs)):
+        j = i
+        while j > 0 and factor_key(fs[j - 1]) > factor_key(fs[j]):
+            x = g_degree(fs[j - 1])
+            y = g_degree(fs[j])
+            if (x * y) % 2 == 0:
+                sign = -sign
+            fs[j - 1], fs[j] = fs[j], fs[j - 1]
+            j -= 1
+    for f1, f2 in zip(fs, fs[1:]):
+        if f1 == f2 and g_degree(f1) % 2 == 0:
+            return 0, None
+    return sign, tuple(fs)
+
+
+def random_factor_list(rng, n, m):
+    """m generators drawn from a small pool, so even and odd g-degree
+    repeats both occur often."""
+    pool = [random_gen(rng, n, max_beta=1) for _ in range(rng.randint(1, 2 * m))]
+    return [rng.choice(pool) for _ in range(m)]
+
+
+def test_canonicalize_matches_reference():
+    rng = random.Random(41)
+    killed = odd_repeats = 0
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        raw = random_factor_list(rng, n, rng.randint(1, 6))
+        expect = reference_canonicalize(raw)
+        assert canonicalize_word(raw) == expect
+        assert canonicalize_word(iter(raw)) == expect
+        if expect[0] == 0:
+            killed += 1
+        elif len(set(raw)) < len(raw):
+            odd_repeats += 1  # a surviving repeat has odd g-degree
+    assert killed > 500 and odd_repeats > 200
+    with pytest.raises(ValueError):
+        canonicalize_word([])
+
+
 def test_place_factor_matches_full_canonicalization():
     rng = random.Random(29)
     checked = 0
@@ -104,13 +151,12 @@ def test_place_factor_matches_full_canonicalization():
         n = rng.randint(2, 3)
         m = rng.randint(1, 4)
         raw = [random_gen(rng, n) for _ in range(m + 1)]
-        s, word = canonicalize_word(raw[:-1] + [raw[-1]])
-        base_s, base = canonicalize_word(raw[:-1])
+        base_s, base = reference_canonicalize(raw[:-1])
         if base_s == 0:
             continue
         gen = raw[-1]
         for i in range(len(base) + 1):
-            expect = canonicalize_word(base[:i] + (gen,) + base[i:])
+            expect = reference_canonicalize(base[:i] + (gen,) + base[i:])
             assert place_factor(base, i, gen) == expect
             checked += 1
     assert checked > 500

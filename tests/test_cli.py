@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from schouten.chains import Chain, chain_to_text, wedge_chain
+from schouten import cli
+from schouten.chains import Chain, chain_to_text, enumerate_basis, format_factor, wedge_chain
 from schouten.cli import main
 
 
@@ -88,6 +89,29 @@ def test_verify_structured_reproducible(capsys):
     assert json.loads(out1)["status"] == "pass"
 
 
+@pytest.mark.parametrize("suite", ["dsq", "weights"])
+def test_verify_word_suites_structured_report(capsys, suite):
+    rc, out = run(capsys, "verify", suite, "--n", "2", "--w", "0", "--h", "0",
+                  "--format", "structured")
+    report = {"checked": 571, "failures": [], "h": 0, "n": 2, "suite": suite, "w": 0}
+    expect = {"command": "verify", "reports": [report], "status": "pass"}
+    assert rc == 0
+    assert out == json.dumps(expect, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("suite", ["dsq", "weights"])
+def test_verify_word_suites_report_witnesses(capsys, monkeypatch, suite):
+    # with d replaced by the identity, every word fails both checks
+    monkeypatch.setattr(cli, "boundary", lambda c: c)
+    rc, out = run(capsys, "verify", suite, "--n", "2", "--w", "0", "--h", "0",
+                  "--format", "structured")
+    report = json.loads(out)["reports"][0]
+    first = enumerate_basis(2, 2, 0, 0).words[0]
+    assert rc == 1
+    assert report["checked"] == len(report["failures"]) == 571
+    assert report["failures"][0] == {"m": 2, "word": [format_factor(f) for f in first]}
+
+
 @pytest.fixture
 def pipi_file(tmp_path):
     pi = Chain.from_word(2, [((1, 2), (1, 1))])
@@ -142,6 +166,19 @@ def test_check_tampered_certificate_exit_1(capsys, tmp_path, pipi_file):
     data = json.loads(cert_path.read_text())
     head, _, tail = data["V"][0].partition(" | ")
     data["V"][0] = "%s | %s" % (Fraction(head) + 1, tail)
+    cert_path.write_text(json.dumps(data))
+    rc, out = run(capsys, "check-certificate", "--input", str(cert_path))
+    assert rc == 1
+    assert "INVALID" in out
+
+
+def test_check_forged_block_exit_1(capsys, tmp_path, pipi_file):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "certify", "--n", "2", "--input", str(pipi_file),
+        "--output", str(cert_path))
+    data = json.loads(cert_path.read_text())
+    assert data["block"] == [2, 2]
+    data["block"] = [2, 5]
     cert_path.write_text(json.dumps(data))
     rc, out = run(capsys, "check-certificate", "--input", str(cert_path))
     assert rc == 1
