@@ -17,6 +17,7 @@ from .chains import (
     wedge_chain,
     weight_signature,
     enumerate_basis,
+    basis_dim,
     chain_to_vector,
     vector_to_chain,
     max_arity,

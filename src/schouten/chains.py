@@ -298,6 +298,33 @@ def enumerate_basis(n, m, w, h):
     return BasisIndex(n, m, w, h, words)
 
 
+# cached so that max_arity and dims_table count each block only once
+@lru_cache(maxsize=4096)
+def basis_dim(n, m, w, h):
+    """dim C_m^{(w,h)} over R^n, counted without building a word.
+
+    The chain space is the free super-commutative algebra on the generators
+    x^beta d_alpha, so its weight-graded Hilbert series is the product over
+    bidegree classes (i, j) of (1 + t u^i v^j)^d for even i and
+    (1 - t u^i v^j)^{-d} for odd i, with d = dim_generators(n, i, j) (Fuks,
+    Cohomology of Infinite-Dimensional Lie Algebras, 1986).  Its t^m u^w v^h
+    coefficient is the sum, over the class multisets of _class_multisets,
+    of the product of comb(d, k) (k distinct even factors) and
+    comb(d + k - 1, k) (k odd factors with repeats).  Equals
+    len(enumerate_basis(n, m, w, h)).
+    """
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    total = 0
+    for classes in _class_multisets(n, m, w, h, (0, -1)):
+        term = 1
+        for (i, j), k in classes:
+            d = dim_generators(n, i, j)
+            term *= math.comb(d, k) if i % 2 == 0 else math.comb(d + k - 1, k)
+        total += term
+    return total
+
+
 def max_arity_bound(n, w, h):
     """Hard upper bound on the arity of a nonzero (w, h) word.
 
@@ -313,7 +340,7 @@ def max_arity(n, w, h):
     """Largest m with a nonempty basis (0 if the whole block is trivial)."""
     best = 0
     for m in range(1, max_arity_bound(n, w, h) + 1):
-        if len(enumerate_basis(n, m, w, h)):
+        if basis_dim(n, m, w, h):
             best = m
     return best
 

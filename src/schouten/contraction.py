@@ -350,7 +350,13 @@ def certificate_to_dict(cert):
 
 def certificate_from_dict(data):
     from .chains import parse_chain
-    n, w = data["block"]
+    block = data["block"]
+    if (not isinstance(block, list) or len(block) != 2
+            or any(type(x) is not int for x in block)
+            or block[0] < 1 or block[1] < 0):
+        raise ValueError("block must be [n, w] with integers n >= 1, w >= 0; got %r"
+                         % (block,))
+    n, w = block
     U = parse_chain(n, "\n".join(data["U"]))
     V = parse_chain(n, "\n".join(data["V"]))
     p = tuple(Fraction(c) for c in data["p"])

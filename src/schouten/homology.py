@@ -8,7 +8,7 @@ and the reported Betti numbers are dimensions over Q.
 
 from dataclasses import dataclass
 
-from .chains import enumerate_basis, max_arity, max_arity_bound
+from .chains import basis_dim, enumerate_basis, max_arity, max_arity_bound
 from .boundary import boundary_matrix
 from .linalg import rank_exact
 from .multivector import schouten_bracket
@@ -17,7 +17,7 @@ from .multivector import schouten_bracket
 class HomologyInvariantError(RuntimeError):
     """A count that theory pins down came out otherwise (a negative Betti
     number, a nonempty block beyond max_arity); signals a rank or
-    enumeration bug."""
+    counting bug."""
     pass
 
 
@@ -66,14 +66,17 @@ def betti(n, m, w, h):
 
 
 def dims_table(n, w, h):
-    """dim C_m^{(w,h)} for m = 1..max_arity; checks emptiness beyond."""
+    """dim C_m^{(w,h)} for m = 1..max_arity, counted by basis_dim without
+    enumerating a word; checks that every block beyond, up to
+    max_arity_bound, counts empty."""
+    dims = [basis_dim(n, m, w, h) for m in range(1, max_arity_bound(n, w, h) + 1)]
     mm = max_arity(n, w, h)
-    for m in range(mm + 1, max_arity_bound(n, w, h) + 1):
-        if len(enumerate_basis(n, m, w, h)):
+    for m, d in enumerate(dims[mm:], start=mm + 1):
+        if d:
             raise HomologyInvariantError(
                 "nonempty basis at m=%d beyond max arity %d (n=%d, w=%d, h=%d)"
                 % (m, mm, n, w, h))
-    return [len(enumerate_basis(n, m, w, h)) for m in range(1, mm + 1)]
+    return dims[:mm]
 
 
 def euler_characteristic(n, w, h):

@@ -9,6 +9,7 @@ import pytest
 from schouten.chains import (
     BasisIndex,
     Chain,
+    basis_dim,
     canonicalize_word,
     chain_to_text,
     chain_to_vector,
@@ -272,6 +273,16 @@ def test_max_arity_consistent_with_bound():
         if mm:
             assert len(enumerate_basis(n, mm, w, h)) > 0
         assert len(enumerate_basis(n, mm + 1, w, h)) == 0
+
+
+def test_basis_dim_matches_enumeration():
+    # the class-multiset product formula against the words themselves, on
+    # every arity up to the bound, empty blocks included
+    grid = [(n, w, h) for n in (1, 2) for w in range(3) for h in range(-3, 3)]
+    grid += [(3, 0, h) for h in range(-3, 1)]
+    for (n, w, h) in grid:
+        for m in range(1, max_arity_bound(n, w, h) + 1):
+            assert basis_dim(n, m, w, h) == len(enumerate_basis(n, m, w, h)), (n, m, w, h)
 
 
 def test_max_arity_known_value():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schouten import cli
+from schouten import chains, cli
 from schouten.chains import Chain, chain_to_text, enumerate_basis, format_factor, wedge_chain
 from schouten.cli import main
 
@@ -59,6 +59,13 @@ def test_euler_zero(capsys):
     assert out.splitlines()[1] == "2,1,1,0"
 
 
+def test_euler_n3_counted(capsys):
+    rc, out = run(capsys, "euler", "--n", "3", "--w", "1", "--h", "1",
+                  "--format", "structured")
+    assert rc == 0
+    assert json.loads(out)["euler"] == 0
+
+
 def test_verify_jacobi_pass(capsys):
     rc, out = run(capsys, "verify", "jacobi", "--n", "3", "--seed", "7")
     assert rc == 0
@@ -110,6 +117,28 @@ def test_verify_word_suites_report_witnesses(capsys, monkeypatch, suite):
     assert rc == 1
     assert report["checked"] == len(report["failures"]) == 571
     assert report["failures"][0] == {"m": 2, "word": [format_factor(f) for f in first]}
+
+
+def test_verify_enumerates_each_block_once(capsys, monkeypatch):
+    # max_arity counts instead of enumerating, so verify builds each block
+    # m = 2..max_arity exactly once, cached max_arity or not
+    calls = []
+    real = chains.enumerate_basis
+
+    def counting(n, m, w, h):
+        calls.append(m)
+        return real(n, m, w, h)
+
+    monkeypatch.setattr(cli, "enumerate_basis", counting)
+    monkeypatch.setattr(chains, "enumerate_basis", counting)
+    for clear in (True, False):
+        if clear:
+            chains.max_arity.cache_clear()
+        calls.clear()
+        rc, _ = run(capsys, "verify", "dsq", "--n", "2", "--w", "0", "--h", "0",
+                    "--format", "structured")
+        assert rc == 0
+        assert calls == list(range(2, 9))
 
 
 @pytest.fixture
@@ -183,6 +212,21 @@ def test_check_forged_block_exit_1(capsys, tmp_path, pipi_file):
     rc, out = run(capsys, "check-certificate", "--input", str(cert_path))
     assert rc == 1
     assert "INVALID" in out
+
+
+@pytest.mark.parametrize("block", [[2, "2"], [2, 2.0], [2], [True, 2], [0, 2], [2, -1], {"n": 2}])
+def test_check_mistyped_block_exit_2(capsys, tmp_path, pipi_file, block):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "certify", "--n", "2", "--input", str(pipi_file),
+        "--output", str(cert_path))
+    rc, _ = run(capsys, "check-certificate", "--input", str(cert_path))
+    assert rc == 0
+    data = json.loads(cert_path.read_text())
+    data["block"] = block
+    cert_path.write_text(json.dumps(data))
+    rc = main(["check-certificate", "--input", str(cert_path)])
+    assert rc == 2
+    assert "malformed certificate" in capsys.readouterr().err
 
 
 def test_check_malformed_certificate_exit_2(capsys, tmp_path):

@@ -102,6 +102,16 @@ def test_euler_zero_blocks():
         assert euler_characteristic(2, w, h) == 0
 
 
+def test_n3_counts_pinned():
+    # counted without enumeration; before counting, enumerating n=3 (1,1)
+    # ran out of memory at m=7
+    for (w, h) in [(0, 0), (1, 1), (1, 2)]:
+        assert euler_characteristic(3, w, h) == 0
+    assert dims_table(3, 0, 0)[:3] == [9, 90, 660]
+    # the (3, 3, 2, 2) boundary matrix is 954 x 23373
+    assert dims_table(3, 2, 2)[1:3] == [954, 23373]
+
+
 def test_euler_equals_alternating_betti_sum():
     """Independent check: chi = sum (-1)^m betti_m including the scalar
     block at m = 0, which contributes 1 only at weight (0, 0)."""
