@@ -7,8 +7,10 @@ file.  The structured format is JSON and is the stable surface; csv is
 stable per command; plain is for humans and may change.
 
 Exit codes: 0 success, 1 a guaranteed-zero came out nonzero / input is not
-a cycle / verification failed, 2 malformed input.  Randomized suites take
---seed (default 7) and record it in the output.
+a cycle / verification failed / an internal invariant was violated (one
+line on stderr, no traceback), 2 malformed input or a bad argument, such as
+--n 0 or --m 0 (with a usage message).  Randomized suites take --seed
+(default 7) and record it in the output.
 """
 
 import argparse
@@ -29,8 +31,14 @@ from .chains import (
     parse_chain,
     weight_signature,
 )
-from .boundary import boundary, matrix_to_text
-from .homology import HomologyReport, betti, dims_table, euler_characteristic
+from .boundary import WeightEscapeError, boundary, matrix_to_text
+from .homology import (
+    HomologyInvariantError,
+    HomologyReport,
+    betti,
+    dims_table,
+    euler_characteristic,
+)
 from .linalg import SparseMatrixQ
 from .multivector import MultiVector, g_degree, schouten_bracket
 from .contraction import (
@@ -314,11 +322,22 @@ def cmd_psi_matrix(args):
 # --- argument plumbing ------------------------------------------------------
 
 
+def _positive_int(text):
+    """argparse type of --n and --m: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _add_common(p, *names):
     if "n" in names:
-        p.add_argument("--n", type=int, required=True, help="dimension of R^n")
+        p.add_argument("--n", type=_positive_int, required=True, help="dimension of R^n")
     if "m" in names:
-        p.add_argument("--m", type=int, required=True, help="chain arity")
+        p.add_argument("--m", type=_positive_int, required=True, help="chain arity")
     if "w" in names:
         p.add_argument("--w", type=int, required=True, help="first weight")
     if "h" in names:
@@ -348,7 +367,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="property suites: dsq, jacobi, weights, psi")
     p.add_argument("suite", choices=("dsq", "jacobi", "weights", "psi", "all"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--w", type=int, default=0)
     p.add_argument("--h", type=int, default=0)
     p.add_argument("--seed", type=int, default=7)
@@ -357,7 +376,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="build an exactness certificate for a 2-cycle")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--input", help="cycle file in chain text form (default stdin)")
     p.add_argument("--output")
     p.add_argument("--format", choices=("structured", "csv", "plain"), default="structured")
@@ -374,7 +393,7 @@ def build_parser():
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("psi-matrix", help="matrix of the psi operator on a (2, w, w) block")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--output")
     p.add_argument("--format", choices=("structured", "csv", "plain"), default="plain")
@@ -385,7 +404,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (HomologyInvariantError, WeightEscapeError) as e:
+        # raised by betti, dims and euler on a rank, counting or boundary bug
+        sys.stderr.write("internal invariant violated: %s\n" % e)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,20 +4,26 @@ Homology of the double-weighted chain complex is computed blockwise: for a
 block (n; m, w, h), betti = dim C_m - rank(d: C_m -> C_{m-1})
 - rank(d: C_{m+1} -> C_m).  Coefficients are rationals, so ranks are exact
 and the reported Betti numbers are dimensions over Q.
+
+The two ranks share work through d^2 = 0 ("clearing", Chen & Kerber,
+Persistent Homology Computation with a Twist, 2011): d_out is eliminated
+once, d_out . d_in = 0 is proven entry by entry, and the rows of d_in at
+d_out's pivot columns, which those relations make dependent on the other
+rows, are dropped before d_in is eliminated.
 """
 
 from dataclasses import dataclass
 
 from .chains import basis_dim, enumerate_basis, max_arity, max_arity_bound
 from .boundary import boundary_matrix
-from .linalg import rank_exact
+from .linalg import pivot_columns, product_nonzero, rank_exact
 from .multivector import schouten_bracket
 
 
 class HomologyInvariantError(RuntimeError):
-    """A count that theory pins down came out otherwise (a negative Betti
-    number, a nonempty block beyond max_arity); signals a rank or
-    counting bug."""
+    """A count or identity that theory pins down came out otherwise (a
+    negative Betti number, a nonempty block beyond max_arity, d_out . d_in
+    != 0); signals a rank, counting or boundary bug."""
     pass
 
 
@@ -42,16 +48,37 @@ class HomologyReport:
 
 
 def betti(n, m, w, h):
-    """Full homology report of the block (n; m, w, h)."""
+    """Full homology report of the block (n; m, w, h).
+
+    d_out: C_m -> C_{m-1} is eliminated once, by pivot_columns.  Then
+    d_in: C_{m+1} -> C_m is assembled and d_out . d_in = 0 is checked
+    exactly (HomologyInvariantError otherwise), and the rows of d_in at
+    d_out's pivot columns are zeroed before rank_exact(d_in).  That leaves
+    rank_in unchanged: the echelon rows of d_out, restricted to the pivot
+    columns, form a triangular matrix with a nonzero diagonal, and each of
+    them annihilates d_in, so the rows of d_in at the pivot columns lie in
+    the span of its other rows.
+    """
     basis_m = enumerate_basis(n, m, w, h)
     basis_lo = enumerate_basis(n, m - 1, w, h) if m >= 2 else None
     basis_hi = enumerate_basis(n, m + 1, w, h)
+    d_out = None
+    pivots = []
     if m >= 2 and len(basis_m) and len(basis_lo):
-        rank_out = rank_exact(boundary_matrix(n, m, w, h, basis_m, basis_lo).matrix)
-    else:
-        rank_out = 0
+        d_out = boundary_matrix(n, m, w, h, basis_m, basis_lo).matrix
+        pivots = pivot_columns(d_out)
+    rank_out = len(pivots)
     if len(basis_hi) and len(basis_m):
-        rank_in = rank_exact(boundary_matrix(n, m + 1, w, h, basis_hi, basis_m).matrix)
+        d_in = boundary_matrix(n, m + 1, w, h, basis_hi, basis_m).matrix
+        if d_out is not None:
+            bad = product_nonzero(d_out, d_in)
+            if bad is not None:
+                raise HomologyInvariantError(
+                    "boundary squared is nonzero on block (n=%d, m=%d, w=%d, h=%d): "
+                    "entry (%d, %d) of d_out . d_in is %s" % ((n, m, w, h) + bad))
+            d_out = None
+            d_in.zero_rows(pivots)
+        rank_in = rank_exact(d_in)
     else:
         rank_in = 0
     b = len(basis_m) - rank_out - rank_in
@@ -69,6 +96,8 @@ def dims_table(n, w, h):
     """dim C_m^{(w,h)} for m = 1..max_arity, counted by basis_dim without
     enumerating a word; checks that every block beyond, up to
     max_arity_bound, counts empty."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     dims = [basis_dim(n, m, w, h) for m in range(1, max_arity_bound(n, w, h) + 1)]
     mm = max_arity(n, w, h)
     for m, d in enumerate(dims[mm:], start=mm + 1):

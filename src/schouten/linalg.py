@@ -45,12 +45,17 @@ class SparseMatrixQ:
         return SparseMatrixQ(self.cols, self.rows,
                              {(c, r): v for (r, c), v in self.entries.items()})
 
-    def row_dicts(self):
+    def row_dicts(self, col_map=None):
         """Rows as integer dicts {col: int}; a row holding fractions is scaled
-        by the lcm of its denominators (preserves rank and null space)."""
+        by the lcm of its denominators (preserves rank and null space).
+        With col_map, column c is stored under col_map[c] instead."""
         rows = [{} for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
+        if col_map is None:
+            for (r, c), v in self.entries.items():
+                rows[r][c] = v
+        else:
+            for (r, c), v in self.entries.items():
+                rows[r][col_map[c]] = v
         for i, row in enumerate(rows):
             scale = lcm(*[v.denominator for v in row.values()])
             if scale > 1:
@@ -80,6 +85,13 @@ class SparseMatrixQ:
 
     def is_zero(self):
         return not self.entries
+
+    def zero_rows(self, rows):
+        """Set the given rows to zero in place; the shape is kept."""
+        drop = set(rows)
+        entries = self.entries
+        for key in [key for key in entries if key[0] in drop]:
+            del entries[key]
 
 
 # --- fraction-free integer echelon ------------------------------------------
@@ -170,6 +182,61 @@ def rank_exact(M):
     """Rank over Q via fraction-free elimination; deterministic."""
     pivots, _ = echelon(M.row_dicts())
     return len(pivots)
+
+
+def pivot_columns(M):
+    """The pivot columns of an echelon form of M, in M's own column indices;
+    their number is the rank of M.
+
+    The echelon runs with the columns taken in ascending order of nonzero
+    count, ties by index: a static Markowitz-style order, in which sparse
+    columns are pivoted first and the eliminations fill in less.
+    """
+    counts = [0] * M.cols
+    for _, c in M.entries:
+        counts[c] += 1
+    order = sorted(range(M.cols), key=counts.__getitem__)
+    position = [0] * M.cols
+    for p, c in enumerate(order):
+        position[c] = p
+    pivots, _ = echelon(M.row_dicts(position))
+    return [order[p] for p in pivots]
+
+
+def product_nonzero(A, B):
+    """A nonzero entry (row, col, value) of A @ B, or None when A @ B = 0.
+
+    Neither the product nor a copy of B is built.  A is grouped by column,
+    and B's entries are streamed once: B[k, c] adds B[k, c] * A[:, k] to
+    the accumulator of column c, and a column is checked and dropped as soon
+    as its last entry has been added.  So at most one accumulator per open
+    column is held: one, when B's entries come column by column, as
+    boundary_matrix assembles them.  Every column of the product is checked
+    whole, whatever the order of B's entries.
+    """
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch %dx%d @ %dx%d"
+                         % (A.rows, A.cols, B.rows, B.cols))
+    a_cols = {}
+    for (r, k), a in A.entries.items():
+        a_cols.setdefault(k, []).append((r, a))
+    left = [0] * B.cols  # entries of each column of B not yet streamed
+    for _, c in B.entries:
+        left[c] += 1
+    open_cols = {}
+    for (k, c), b in B.entries.items():
+        acc = open_cols.get(c)
+        if acc is None:
+            acc = open_cols[c] = {}
+        for r, a in a_cols.get(k, ()):
+            acc[r] = acc.get(r, 0) + a * b
+        left[c] -= 1
+        if not left[c]:
+            del open_cols[c]
+            for r, v in acc.items():
+                if v:
+                    return r, c, v
+    return None
 
 
 def kernel_basis(M):

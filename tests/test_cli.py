@@ -52,6 +52,26 @@ def test_betti_nonzero_unguaranteed_block_is_fine(capsys):
     assert "betti=2" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["euler", "--n", "0", "--w", "0", "--h", "0"],
+    ["dims", "--n", "0", "--w", "0", "--h", "0"],
+    ["verify", "dsq", "--n", "0"],
+    ["betti", "--n", "0", "--m", "2", "--w", "0", "--h", "0"],
+    ["betti", "--n", "2", "--m", "0", "--w", "0", "--h", "0"],
+    ["basis", "--n", "0", "--m", "1", "--w", "0", "--h", "0"],
+    ["psi-matrix", "--n", "0", "--w", "0"],
+    ["certify", "--n", "-1"],
+], ids=["euler-n0", "dims-n0", "verify-dsq-n0", "betti-n0", "betti-m0", "basis-n0",
+        "psi-matrix-n0", "certify-n-1"])
+def test_nonpositive_n_or_m_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: schouten %s" % argv[0])
+    assert "must be at least 1" in err and "Traceback" not in err
+
+
 def test_euler_zero(capsys):
     rc, out = run(capsys, "euler", "--n", "2", "--w", "1", "--h", "1",
                   "--format", "csv")

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from schouten import homology
+from schouten import cli, homology
+from schouten.boundary import boundary_matrix
 from schouten.homology import (
     HomologyInvariantError,
     HomologyReport,
@@ -16,6 +17,7 @@ from schouten.homology import (
     is_poisson,
 )
 from schouten.chains import enumerate_basis, max_arity
+from schouten.linalg import rank_exact
 from schouten.multivector import MultiVector
 
 
@@ -30,6 +32,13 @@ def test_dims_table_n2_weight_zero():
 
 def test_dims_table_empty_block():
     assert dims_table(1, 1, 0) == []
+
+
+def test_dims_and_euler_reject_n_below_one():
+    with pytest.raises(ValueError):
+        euler_characteristic(0, 0, 0)
+    with pytest.raises(ValueError):
+        dims_table(0, 1, 1)
 
 
 def test_dims_match_enumeration():
@@ -61,6 +70,75 @@ def test_dims_table_rejects_words_beyond_max_arity(monkeypatch):
     monkeypatch.setattr(homology, "max_arity", lambda n, w, h: 1)
     with pytest.raises(HomologyInvariantError, match="beyond max arity"):
         dims_table(2, 0, 0)
+
+
+def reference_betti(n, m, w, h):
+    """betti before clearing: both boundary matrices ranked in full."""
+    basis_m = enumerate_basis(n, m, w, h)
+    basis_lo = enumerate_basis(n, m - 1, w, h) if m >= 2 else None
+    basis_hi = enumerate_basis(n, m + 1, w, h)
+    if m >= 2 and len(basis_m) and len(basis_lo):
+        rank_out = rank_exact(boundary_matrix(n, m, w, h, basis_m, basis_lo).matrix)
+    else:
+        rank_out = 0
+    if len(basis_hi) and len(basis_m):
+        rank_in = rank_exact(boundary_matrix(n, m + 1, w, h, basis_hi, basis_m).matrix)
+    else:
+        rank_in = 0
+    return HomologyReport(n, m, w, h, len(basis_m),
+                          len(basis_lo) if basis_lo is not None else 0,
+                          len(basis_hi), rank_out, rank_in,
+                          len(basis_m) - rank_out - rank_in)
+
+
+# (n, w, h) -> largest m compared; None is the whole tower up to max_arity.
+# The n=2 (1,2) and (2,2) towers are cut at m = 4: their higher blocks run
+# to 10570 and 40622 words, minutes of elimination for the reference.
+CLEARING_GRID = {(n, w, h): (4 if (n, w, h) in ((2, 1, 2), (2, 2, 2)) else None)
+                 for n in (1, 2) for (w, h) in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2))}
+
+
+@pytest.mark.parametrize("nwh", sorted(CLEARING_GRID), ids="n{0[0]}-w{0[1]}-h{0[2]}".format)
+def test_betti_with_clearing_matches_reference(nwh):
+    n, w, h = nwh
+    top = CLEARING_GRID[nwh] or max_arity(n, w, h)
+    for m in range(1, top + 1):
+        assert betti(n, m, w, h) == reference_betti(n, m, w, h)
+
+
+# the nine blocks of the homology-wide benchmark workload
+WIDE_BLOCKS = [(3, 2, 0, 0), (3, 2, 1, 1), (3, 2, 2, 2), (3, 2, 1, 2), (3, 1, 0, 0),
+               (3, 1, 1, 1), (3, 1, 2, 2), (3, 1, 1, 2), (3, 3, 0, 0)]
+
+
+@pytest.mark.parametrize("block", WIDE_BLOCKS, ids="m{0[1]}-w{0[2]}-h{0[3]}".format)
+def test_betti_with_clearing_matches_reference_wide(block):
+    assert betti(*block) == reference_betti(*block)
+
+
+def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
+    # negate one entry of d_in = d(C_4 -> C_3) in a row whose column of
+    # d_out = d(C_3 -> C_2) is nonzero, so that d_out . d_in != 0
+    real = homology.boundary_matrix
+    out_cols = {c for _, c in real(2, 3, 1, 1).matrix.entries}
+
+    def corrupted(n, m, w, h, domain=None, codomain=None):
+        bm = real(n, m, w, h, domain, codomain)
+        if m == 4:
+            entries = bm.matrix.entries
+            key = next(k for k in entries if k[0] in out_cols)
+            entries[key] = -entries[key]
+        return bm
+
+    monkeypatch.setattr(homology, "boundary_matrix", corrupted)
+    with pytest.raises(HomologyInvariantError, match="boundary squared"):
+        betti(2, 3, 1, 1)
+    rc = cli.main(["betti", "--n", "2", "--m", "3", "--w", "1", "--h", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal invariant violated: boundary squared")
+    assert "(n=2, m=3, w=1, h=1)" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_first_betti_always_zero_small():

@@ -7,7 +7,14 @@ from math import gcd
 import pytest
 
 from schouten.boundary import boundary_matrix
-from schouten.linalg import SparseMatrixQ, echelon, kernel_basis, rank_exact
+from schouten.linalg import (
+    SparseMatrixQ,
+    echelon,
+    kernel_basis,
+    pivot_columns,
+    product_nonzero,
+    rank_exact,
+)
 
 
 def dense_rank_oracle(M):
@@ -238,3 +245,74 @@ def test_zero_and_degenerate_shapes():
     Z2 = SparseMatrixQ(5, 0, {})
     assert rank_exact(Z2) == 0
     assert kernel_basis(Z2) == []
+
+
+def _rows_to_matrix(rows, cols):
+    return SparseMatrixQ(len(rows), cols,
+                         {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
+
+
+def test_pivot_columns_select_independent_columns():
+    rng = random.Random(37)
+    for _ in range(200):
+        cols = rng.randint(1, 12)
+        M = _rows_to_matrix(random_integer_rows(rng, rng.randint(1, 12), cols,
+                                                rng.choice([0.1, 0.3, 0.6, 0.9])), cols)
+        piv = pivot_columns(M)
+        assert len(piv) == rank_exact(M)
+        assert len(set(piv)) == len(piv)
+        assert all(0 <= c < M.cols for c in piv)
+        position = {c: i for i, c in enumerate(piv)}
+        sub = SparseMatrixQ(M.rows, len(piv), {(r, position[c]): v
+                                               for (r, c), v in M.entries.items()
+                                               if c in position})
+        assert rank_exact(sub) == len(piv)
+
+
+def test_pivot_columns_on_boundary_matrix():
+    M = boundary_matrix(2, 5, 1, 1).matrix
+    piv = pivot_columns(M)
+    assert len(piv) == rank_exact(M) == 647
+    assert len(set(piv)) == 647
+
+
+def test_product_nonzero_agrees_with_matmul():
+    rng = random.Random(43)
+    zero_seen = 0
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        A = random_matrix(rng, rng.randint(1, 6), k, density=rng.choice([0.1, 0.3]))
+        B = random_matrix(rng, k, rng.randint(1, 6), density=rng.choice([0.1, 0.3]))
+        # B's entries in a random order, so columns arrive interleaved
+        items = list(B.entries.items())
+        rng.shuffle(items)
+        B.entries = dict(items)
+        P = A.matmul(B)
+        got = product_nonzero(A, B)
+        if P.is_zero():
+            zero_seen += 1
+            assert got is None
+        else:
+            r, c, v = got
+            assert P.entries[(r, c)] == v != 0
+    assert zero_seen > 20
+    with pytest.raises(ValueError):
+        product_nonzero(SparseMatrixQ(2, 3), SparseMatrixQ(2, 2))
+
+
+def test_product_nonzero_catches_one_corrupted_entry():
+    d_out = boundary_matrix(2, 3, 1, 1).matrix
+    d_in = boundary_matrix(2, 4, 1, 1).matrix
+    assert product_nonzero(d_out, d_in) is None
+    out_cols = {c for _, c in d_out.entries}
+    for key in [k for k in d_in.entries if k[0] in out_cols][::97]:
+        corrupt = SparseMatrixQ(d_in.rows, d_in.cols, d_in.entries)
+        corrupt.entries[key] += 1
+        r, c, v = product_nonzero(d_out, corrupt)
+        assert c == key[1] and v == d_out.entries[(r, key[0])]
+
+
+def test_zero_rows_keeps_shape():
+    M = SparseMatrixQ(3, 2, {(0, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
+    M.zero_rows([2, 0])
+    assert (M.rows, M.cols, M.entries) == (3, 2, {(1, 1): 2})
