@@ -1,20 +1,33 @@
 """The homology boundary operator on chains and its per-block matrices.
 
-On words the operator is defined recursively through the left action,
+The paper defines the operator on words recursively through the left action,
 
     d(A0 ^^ A1 ^^ ... ^^ Am) = -A0 ^^ d(A1 ^^ ... ^^ Am) + A0 . (A1 ^^ ... ^^ Am)
     A0 . (A1 ^^ ... ^^ Am)   = sum_i (-1)^{a0 * sum_{s<i} a_s}
                                A1 ^^ ... ^^ [A0, Ai] ^^ ... ^^ Am
 
-with a_s the g-degrees, d(single generator) = 0, hence d(A ^^ B) = [A, B].
-The double weight (m, w, h) -> (m-1, w, h) is preserved; a violation aborts
-matrix assembly because it can only come from a sign or bracket bug.
+with a_s the g-degrees and d(single generator) = 0.  Unrolled, this is the
+closed Chevalley-Eilenberg form (Chevalley & Eilenberg 1948), a sum over the
+pairs k < i of the factors of A0 ^^ ... ^^ Am:
+
+    d(A0 ^^ ... ^^ Am) = sum_{k<i} (-1)^k (-1)^{a_k * sum_{k<s<i} a_s}
+                         (the word without A_k and A_i, with [A_k, A_i]
+                          placed at slot i - 1)
+
+so d(A ^^ B) = [A, B].  It is computed on int words of the block's
+Alphabet: each bracket [A_k, A_i] is read from the alphabet's bracket table
+(filled on first use) and put in place by place_factor.  Nothing is
+memoized per word.  The double weight (m, w, h) -> (m-1, w, h) is
+preserved; a term outside the block aborts matrix assembly, because it can
+only come from a sign or bracket bug.
 """
 
-from functools import lru_cache
+from fractions import Fraction
+from math import lcm
 
 from .multivector import _bracket_mono, bidegree
-from .chains import Chain, enumerate_basis, place_factor, weight_signature
+from .chains import (Chain, alphabet, canonicalize_word, enumerate_basis, place_factor,
+                     weight_signature)
 from .linalg import SparseMatrixQ
 
 
@@ -23,59 +36,95 @@ class WeightEscapeError(RuntimeError):
     pass
 
 
-def _act(n, gen, word):
-    """Unsummed (word, integer coefficient) terms of the unit generator
-    `gen` acting on a word: the i-th factor is replaced by each bracket term
-    [gen, word[i]], signed (-1)^{g * sum_{s<i} a_s}, and placed back."""
-    g = len(gen[0]) - 1
-    pref = 0
-    for i, f in enumerate(word):
-        sign = -1 if (g * pref) % 2 else 1
-        rest = word[:i] + word[i + 1:]
-        for key, c in _bracket_mono(n, gen[0], gen[1], f[0], f[1]):
-            s, nw = place_factor(rest, i, key)
-            if s:
-                yield nw, sign * s * c
-        pref += len(f[0]) - 1
+def _bracket(A, a, b):
+    """[gens[a], gens[b]] of the alphabet A as (rank, int) pairs, entered
+    in its bracket table."""
+    (alpha_a, beta_a), (alpha_b, beta_b) = A.gens[a], A.gens[b]
+    terms = tuple((A.rank[key], c)
+                  for key, c in _bracket_mono(A.n, alpha_a, beta_a, alpha_b, beta_b))
+    A.brackets[a * len(A.gens) + b] = terms
+    return terms
+
+
+def _word_boundary(A, word):
+    """d(word) for an int word of the alphabet A, by the pairwise formula,
+    as {int word: int}; coefficients that cancel stay as 0."""
+    parity = A.parity
+    table = A.brackets
+    size = len(A.gens)
+    terms = {}
+    m = len(word)
+    for k in range(m - 1):
+        a = word[k]
+        odd_a = parity[a]
+        row = a * size
+        sign_k = -1 if k & 1 else 1
+        between = 0  # sum of the g-degrees strictly between k and i, mod 2
+        for i in range(k + 1, m):
+            b = word[i]
+            br = table.get(row + b)
+            if br is None:
+                br = _bracket(A, a, b)
+            if br:
+                s = -sign_k if odd_a and between else sign_k
+                rest = word[:k] + word[k + 1:i] + word[i + 1:]
+                for r, c in br:
+                    t, out = place_factor(rest, i - 1, r, parity)
+                    if t:
+                        terms[out] = terms.get(out, 0) + s * t * c
+            between ^= parity[b]
+    return terms
 
 
 def left_action(A0, word):
-    """The left action of a g-homogeneous multivector A0 on a word."""
+    """The left action of a g-homogeneous multivector A0 on a word: the
+    i-th factor is replaced by each bracket term [A0, word[i]], signed
+    (-1)^{a0 * sum_{s<i} a_s}, and the factors are put back in order."""
     if A0.is_zero():
         return Chain.zero(A0.n)
     bidegree(A0)  # raises MixedDegreeError when inhomogeneous
+    n = A0.n
     terms = {}
-    for gen, c0 in A0.terms.items():
-        for nw, c in _act(A0.n, gen, word):
-            terms[nw] = terms.get(nw, 0) + c0 * c
-    return Chain(A0.n, terms)
-
-
-@lru_cache(maxsize=None)
-def _boundary_word(n, word):
-    """d(word) as a tuple of (word, integer coefficient) pairs."""
-    if len(word) <= 1:
-        return ()
-    head, tail = word[0], word[1:]
-    terms = {}
-    # -A0 ^^ d(tail)
-    for w, c in _boundary_word(n, tail):
-        sign, nw = place_factor(w, 0, head)
-        if sign:
-            terms[nw] = terms.get(nw, 0) - sign * c
-    # + A0 . tail
-    for nw, c in _act(n, head, tail):
-        terms[nw] = terms.get(nw, 0) + c
-    return tuple((w, c) for w, c in terms.items() if c)
+    for (alpha0, beta0), c0 in A0.terms.items():
+        g = len(alpha0) - 1
+        pref = 0
+        for i, f in enumerate(word):
+            c_i = -c0 if (g * pref) % 2 else c0
+            for key, c in _bracket_mono(n, alpha0, beta0, f[0], f[1]):
+                s, nw = canonicalize_word(word[:i] + (key,) + word[i + 1:])
+                if s:
+                    terms[nw] = terms.get(nw, 0) + c_i * s * c
+            pref += len(f[0]) - 1
+    return Chain(n, terms)
 
 
 def boundary(chain):
-    """The boundary operator, extended linearly over words."""
-    terms = {}
+    """The boundary operator, extended linearly over words.
+
+    Each word goes to an int word of its block's alphabet.  The images are
+    summed as integers over the common denominator of the coefficients, and
+    each output word is decoded once.
+    """
+    n = chain.n
+    scale = lcm(*[c.denominator for c in chain.terms.values()])
+    sums = {}  # (w, h) -> (alphabet, {int word: scaled coefficient})
     for word, coeff in chain.terms.items():
-        for w, c in _boundary_word(chain.n, word):
-            terms[w] = terms.get(w, 0) + c * coeff
-    return Chain(chain.n, terms)
+        _, w, h = weight_signature(word)
+        block = sums.get((w, h))
+        if block is None:
+            block = sums[(w, h)] = (alphabet(n, w, h), {})
+        A, acc = block
+        k = coeff.numerator * (scale // coeff.denominator)
+        for out, c in _word_boundary(A, tuple(A.rank[gen] for gen in word)).items():
+            if c:
+                acc[out] = acc.get(out, 0) + c * k
+    terms = {}
+    for A, acc in sums.values():
+        gens = A.gens
+        for out, v in acc.items():
+            if v:
+                terms[tuple(gens[r] for r in out)] = Fraction(v, scale)
+    return Chain(n, terms)
 
 
 class BoundaryMatrix:
@@ -93,7 +142,8 @@ def boundary_matrix(n, m, w, h, domain=None, codomain=None):
     """Assemble the boundary matrix of the (n; m, w, h) block.
 
     Degenerate blocks yield explicit 0-by-k or k-by-0 matrices.  Pre-built
-    bases may be passed in to share enumeration work between blocks.
+    bases may be passed in to share enumeration work between blocks.  A
+    boundary term that is no word of the codomain raises WeightEscapeError.
     """
     if domain is None:
         domain = enumerate_basis(n, m, w, h)
@@ -102,17 +152,27 @@ def boundary_matrix(n, m, w, h, domain=None, codomain=None):
         return BoundaryMatrix(SparseMatrixQ(0, len(domain), {}), domain, None)
     if codomain is None:
         codomain = enumerate_basis(n, m - 1, w, h)
+    if any((B.n, B.w, B.h) != (n, w, h) for B in (domain, codomain)):
+        raise ValueError("a basis outside the weight block (n=%d, w=%d, h=%d)" % (n, w, h))
+    A = domain.alphabet
+
+    def escape(word):
+        return WeightEscapeError("boundary of %r left block (m=%d, w=%d, h=%d)"
+                                 % (tuple(A.gens[f] for f in word), m, w, h))
+
+    row_of = codomain.index
     entries = {}
-    row_of = {}  # output word -> codomain row, once its weight is checked
-    for col, word in enumerate(domain.words):
-        for out_word, c in _boundary_word(n, word):
-            r = row_of.get(out_word)
-            if r is None:
-                if weight_signature(out_word) != (m - 1, w, h):
-                    raise WeightEscapeError(
-                        "boundary of %r left block (m=%d, w=%d, h=%d)" % (word, m, w, h))
-                r = row_of[out_word] = codomain.position(out_word)
-            entries[(r, col)] = c
+    for col, word in enumerate(domain.codes):
+        try:
+            terms = _word_boundary(A, word)
+        except IndexError:  # a bracket term ranked beyond the alphabet
+            raise escape(word) from None
+        for out, c in terms.items():
+            if c:
+                r = row_of.get(out)
+                if r is None:
+                    raise escape(word)
+                entries[(r, col)] = c
     return BoundaryMatrix(SparseMatrixQ(len(codomain), len(domain), entries),
                           domain, codomain)
 

@@ -7,6 +7,11 @@ of g-degrees x, y multiplies the sign by -(-1)^{xy}, so factors of even
 g-degree behave antisymmetrically (no repeats) while factors of odd g-degree
 commute (repeats allowed).
 
+Inside the kernels a word is an int word: the tuple of the ranks of its
+factors in an Alphabet, where ranks follow the factor order, so words
+compare and hash as plain int tuples.  Chains and BasisIndex.words keep
+generator tuples.
+
 A chain is a rational combination of canonical words.  Serialized form, one
 term per line:  ``coeff | x[..] d[..] ; x[..] d[..] ; ...``
 """
@@ -27,46 +32,52 @@ def factor_key(gen):
 def canonicalize_word(factors):
     """Sort raw unit-coefficient factors into the canonical order.
 
-    Each factor is inserted into the sorted prefix by place_factor.  Returns
-    (sign, word); sign is 0 and word is None when a factor of even g-degree
-    repeats.
+    The distinct factors are ranked locally in factor order, and each one is
+    inserted into the sorted prefix of the int word by place_factor.
+    Returns (sign, word); sign is 0 and word is None when a factor of even
+    g-degree repeats.
     """
+    factors = list(factors)
+    if not factors:
+        raise ValueError("empty factor list")
+    order = sorted(set(factors), key=factor_key)
+    rank = {gen: r for r, gen in enumerate(order)}
+    parity = [(len(gen[0]) - 1) & 1 for gen in order]
     sign, word = 1, ()
     for gen in factors:
-        s, word = place_factor(word, len(word), gen)
+        s, word = place_factor(word, len(word), rank[gen], parity)
         if s == 0:
             return 0, None
         sign *= s
-    if not word:
-        raise ValueError("empty factor list")
-    return sign, word
+    return sign, tuple(order[r] for r in word)
 
 
-def place_factor(rest, i, gen):
-    """Insert `gen` at slot i of the canonical word `rest`, re-canonicalizing.
+def place_factor(rest, i, r, parity):
+    """Insert the factor r at slot i of the canonical int word `rest`,
+    re-canonicalizing; parity[r] is the g-degree of r mod 2.
 
-    The one place that knows the factor order, the swap sign and the
+    The one place that knows the factor order (ints ranked in factor
+    order compare as their generators do), the swap sign and the
     even-repeat rule: the factor bubbles left or right to its sorted
     position, accumulating -(-1)^{xy} per adjacent swap (x, y the
-    g-degrees), in O(m).  Returns (sign, word); sign 0 when a factor of even
-    g-degree repeats.
+    g-degrees), in O(m).  Returns (sign, word); sign 0 when a factor of
+    even g-degree repeats.
     """
-    x = len(gen[0]) - 1
-    kg = factor_key(gen)
+    x = parity[r]
     sign = 1
     j = i
-    while j > 0 and factor_key(rest[j - 1]) > kg:
-        if (x * (len(rest[j - 1][0]) - 1)) % 2 == 0:
+    while j > 0 and rest[j - 1] > r:
+        if not (x and parity[rest[j - 1]]):
             sign = -sign
         j -= 1
     if j == i:
-        while j < len(rest) and factor_key(rest[j]) < kg:
-            if (x * (len(rest[j][0]) - 1)) % 2 == 0:
+        while j < len(rest) and rest[j] < r:
+            if not (x and parity[rest[j]]):
                 sign = -sign
             j += 1
-    if x % 2 == 0 and ((j > 0 and rest[j - 1] == gen) or (j < len(rest) and rest[j] == gen)):
+    if not x and ((j > 0 and rest[j - 1] == r) or (j < len(rest) and rest[j] == r)):
         return 0, None
-    return sign, rest[:j] + (gen,) + rest[j:]
+    return sign, rest[:j] + (r,) + rest[j:]
 
 
 def _checked_word(n, raw_factors):
@@ -247,28 +258,102 @@ def _class_multisets(n, m, w, h, min_class):
                     yield [((i, j), count)] + rest
 
 
+class Alphabet:
+    """The generators of the weight block (n, w, h) as small integers.
+
+    A word of the block holds generators of bidegree (i, j) with
+    i <= min(n - 1, w) and j <= h + n + w: at most n + w of its other
+    factors can have j = -1 (the n constant fields d_l, which are even and
+    so distinct, and factors with i >= 1, each of which takes 1 of w), and
+    every other factor takes at least 0 of h.  So one alphabet serves every
+    arity of the block, and every bracket of two factors of one word lies in
+    it.  The generators are ranked in factor order: gens[r] is the generator
+    of rank r, rank its inverse, parity[r] its g-degree mod 2, classes[(i, j)]
+    the range of ranks of bidegree (i, j).  An int word is the tuple of
+    the ranks of its factors; int words sort as their generator words do.
+
+    brackets is the bracket table, filled lazily by the boundary module:
+    brackets[a * len(gens) + b] is [gens[a], gens[b]] as (rank, int) pairs.
+    """
+
+    __slots__ = ("n", "gens", "rank", "parity", "classes", "brackets")
+
+    def __init__(self, n, w, h):
+        self.n = n
+        gens = []
+        self.classes = {}
+        for i in range(min(n - 1, w) + 1):
+            for j in range(-1, h + n + w + 1):
+                lo = len(gens)
+                gens.extend(generators_of_bidegree(n, i, j))
+                self.classes[(i, j)] = range(lo, len(gens))
+        self.gens = tuple(gens)
+        self.rank = {gen: r for r, gen in enumerate(gens)}
+        self.parity = [(len(alpha) - 1) & 1 for alpha, _ in gens]
+        self.brackets = {}
+
+
+_ALPHABETS = {}  # (n, w, h) -> Alphabet, oldest first
+_ALPHABET_SLOTS = 4
+
+
+def alphabet(n, w, h):
+    """The Alphabet of the weight block (n, w, h), from a small cache that
+    drops its oldest entry when full.  The ranks depend on (n, w, h) alone,
+    so int words of a dropped and rebuilt alphabet still agree."""
+    key = (n, w, h)
+    A = _ALPHABETS.get(key)
+    if A is None:
+        if len(_ALPHABETS) >= _ALPHABET_SLOTS:
+            del _ALPHABETS[next(iter(_ALPHABETS))]
+        A = _ALPHABETS[key] = Alphabet(n, w, h)
+    return A
+
+
 class BasisIndex:
-    """Ordered basis of the chain space block (n; m, w, h)."""
+    """Ordered basis of the chain space block (n; m, w, h).
 
-    __slots__ = ("n", "m", "w", "h", "words", "index")
+    The basis is held as sorted int words of the block's alphabet
+    (`codes`); `words` decodes them to generator tuples and `position`
+    takes a generator tuple, both on first use.
+    """
 
-    def __init__(self, n, m, w, h, words):
+    __slots__ = ("n", "m", "w", "h", "alphabet", "codes", "_index", "_words")
+
+    def __init__(self, n, m, w, h, alphabet, codes):
         self.n = n
         self.m = m
         self.w = w
         self.h = h
-        self.words = tuple(words)
-        self.index = {word: i for i, word in enumerate(self.words)}
+        self.alphabet = alphabet
+        self.codes = codes
+        self._index = None
+        self._words = None
 
     def __len__(self):
-        return len(self.words)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.words)
 
+    @property
+    def words(self):
+        if self._words is None:
+            gens = self.alphabet.gens
+            self._words = tuple(tuple(gens[r] for r in code) for code in self.codes)
+        return self._words
+
+    @property
+    def index(self):
+        """int word -> position."""
+        if self._index is None:
+            self._index = {code: i for i, code in enumerate(self.codes)}
+        return self._index
+
     def position(self, word):
+        rank = self.alphabet.rank
         try:
-            return self.index[word]
+            return self.index[tuple(rank[gen] for gen in word)]
         except KeyError:
             raise KeyError("word %r lies outside the (m=%d, w=%d, h=%d) block"
                            % (word, self.m, self.w, self.h))
@@ -278,24 +363,26 @@ def enumerate_basis(n, m, w, h):
     """All canonical words of arity m and double weight (w, h) over R^n.
 
     A word is a multiset of generators with even-g-degree generators distinct
-    and odd-g-degree generators free to repeat.  The result may be empty.
+    and odd-g-degree generators free to repeat.  The words are built as int
+    words of the block's alphabet and sorted as plain int tuples, which is
+    the canonical order.  The result may be empty.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    words = []
+    A = alphabet(n, w, h)
+    codes = []
     for classes in _class_multisets(n, m, w, h, (0, -1)):
         pools = []
         for (i, j), count in classes:
-            gens = generators_of_bidegree(n, i, j)
+            ranks = A.classes[(i, j)]
             if i % 2 == 0:
-                pools.append(list(combinations(gens, count)))
+                pools.append(list(combinations(ranks, count)))
             else:
-                pools.append(list(combinations_with_replacement(gens, count)))
+                pools.append(list(combinations_with_replacement(ranks, count)))
         for pick in product(*pools):
-            word = tuple(g for group in pick for g in group)
-            words.append(word)
-    words.sort(key=lambda word: tuple(factor_key(f) for f in word))
-    return BasisIndex(n, m, w, h, words)
+            codes.append(sum(pick, ()))
+    codes.sort()
+    return BasisIndex(n, m, w, h, A, codes)
 
 
 # cached so that max_arity and dims_table count each block only once
@@ -402,11 +489,3 @@ def parse_chain(n, text):
             terms[word] = terms.get(word, 0) + sign * coeff
     return Chain(n, terms)
 
-
-def chain_to_struct(c):
-    """Structured (JSON-ready) form: sorted list of {coeff, factors}."""
-    return [
-        {"coeff": _format_coeff(coeff),
-         "factors": [{"beta": list(beta), "alpha": list(alpha)} for alpha, beta in word]}
-        for word, coeff in c.sorted_terms()
-    ]

@@ -23,8 +23,9 @@ cycle U this turns into an explicit primitive V with boundary(V) = U.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, enumerate_basis, weight_signature
+from .chains import Chain, canonicalize_word, enumerate_basis, weight_signature
 from .boundary import boundary
+from .multivector import check_generator
 
 
 class DescentError(RuntimeError):
@@ -143,18 +144,27 @@ def _scale_gen(gen, l):
     return (alpha, tuple(nb))
 
 
+def _check_generators(U):
+    """check_generator on each distinct factor of the chain U, once.  The
+    other factors phi_op and capital_phi build, d_l and x_l times a checked
+    generator, are valid by construction."""
+    for alpha, beta in dict.fromkeys(f for word in U.terms for f in word):
+        check_generator(U.n, alpha, beta)
+
+
 def phi_op(U):
     """sum_l d_l ^^ (x_l U) for a 1-chain U."""
     n = U.n
     if U.arity() not in (None, 1):
         raise ValueError("phi_op expects a 1-chain")
+    _check_generators(U)
     terms = {}
     for word, c in U.terms.items():
         gen = word[0]
         for l in range(1, n + 1):
-            ch = Chain.from_word(n, [_coordinate_gen(n, l), _scale_gen(gen, l)], c)
-            for wrd, cc in ch.terms.items():
-                terms[wrd] = terms.get(wrd, 0) + cc
+            sign, wrd = canonicalize_word([_coordinate_gen(n, l), _scale_gen(gen, l)])
+            if sign:
+                terms[wrd] = terms.get(wrd, 0) + sign * c
     return Chain(n, terms)
 
 
@@ -163,6 +173,7 @@ def capital_phi(U):
     n = U.n
     if U.arity() not in (None, 2):
         raise ValueError("capital_phi expects a 2-chain")
+    _check_generators(U)
     terms = {}
     for word, c in U.terms.items():
         f1, f2 = word
@@ -172,9 +183,9 @@ def capital_phi(U):
                 raw = [_coordinate_gen(n, l), f1, _scale_gen(f2, l)]
             else:
                 raw = [_coordinate_gen(n, l), _scale_gen(f1, l), f2]
-            ch = Chain.from_word(n, raw, c)
-            for wrd, cc in ch.terms.items():
-                terms[wrd] = terms.get(wrd, 0) + cc
+            sign, wrd = canonicalize_word(raw)
+            if sign:
+                terms[wrd] = terms.get(wrd, 0) + sign * c
     return Chain(n, terms)
 
 

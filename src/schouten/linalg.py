@@ -37,14 +37,6 @@ class SparseMatrixQ:
                     clean[(r, c)] = v
         self.entries = clean
 
-    @classmethod
-    def identity(cls, k):
-        return cls(k, k, {(i, i): 1 for i in range(k)})
-
-    def transpose(self):
-        return SparseMatrixQ(self.cols, self.rows,
-                             {(c, r): v for (r, c), v in self.entries.items()})
-
     def row_dicts(self, col_map=None):
         """Rows as integer dicts {col: int}; a row holding fractions is scaled
         by the lcm of its denominators (preserves rank and null space).
@@ -61,27 +53,6 @@ class SparseMatrixQ:
             if scale > 1:
                 rows[i] = {c: int(v * scale) for c, v in row.items()}
         return rows
-
-    def mul_vector(self, v):
-        out = [Fraction(0)] * self.rows
-        for (r, c), a in self.entries.items():
-            if v[c]:
-                out[r] += a * v[c]
-        return out
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch %dx%d @ %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        entries = {}
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                key = (r, c)
-                entries[key] = entries.get(key, 0) + a * b
-        return SparseMatrixQ(self.rows, other.cols, entries)
 
     def is_zero(self):
         return not self.entries

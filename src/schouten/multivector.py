@@ -191,7 +191,9 @@ def wedge_mv(A, B):
     return MultiVector(A.n, terms)
 
 
-@lru_cache(maxsize=None)
+# bounded: the boundary kernel calls this once per entry of an alphabet's
+# bracket table, so the cache mostly serves the recursion below
+@lru_cache(maxsize=1 << 15)
 def _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b):
     """Schouten bracket of two unit monomials, as ((alpha, beta), int) pairs.
 

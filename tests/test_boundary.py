@@ -7,7 +7,8 @@ import pytest
 
 from schouten.boundary import (
     WeightEscapeError,
-    _boundary_word,
+    _bracket,
+    _word_boundary,
     boundary,
     boundary_matrix,
     left_action,
@@ -15,13 +16,14 @@ from schouten.boundary import (
 )
 from schouten.chains import (
     Chain,
+    alphabet,
     canonicalize_word,
     chain_to_vector,
     enumerate_basis,
-    place_factor,
     wedge_chain,
     weight_signature,
 )
+from schouten.linalg import product_nonzero
 from schouten.multivector import (
     MultiVector,
     _bracket_mono,
@@ -134,7 +136,7 @@ def reference_left_action(A0, word):
         rest = word[:i] + word[i + 1:]
         for (alpha0, beta0), c0 in A0.terms.items():
             for key, c in _bracket_mono(n, alpha0, beta0, word[i][0], word[i][1]):
-                s2, nw = place_factor(rest, i, key)
+                s2, nw = canonicalize_word(rest[:i] + (key,) + rest[i:])
                 if s2 == 0:
                     continue
                 terms[nw] = terms.get(nw, 0) + sign * s2 * c * c0
@@ -142,13 +144,14 @@ def reference_left_action(A0, word):
 
 
 def reference_boundary_word(n, word):
-    """The seed's _boundary_word without its cache, kept as the oracle."""
+    """The seed's recursive _boundary_word without its cache, kept as the
+    oracle: d(head ^^ tail) = -head ^^ d(tail) + head . tail."""
     if len(word) <= 1:
         return ()
     head, tail = word[0], word[1:]
     terms = {}
     for w, c in reference_boundary_word(n, tail):
-        sign, nw = place_factor(w, 0, head)
+        sign, nw = canonicalize_word((head,) + w)
         if sign:
             terms[nw] = terms.get(nw, 0) - sign * c
     a0 = len(head[0]) - 1
@@ -157,11 +160,20 @@ def reference_boundary_word(n, word):
         sign = -1 if (a0 * pref) % 2 else 1
         rest = tail[:i] + tail[i + 1:]
         for key, c in _bracket_mono(n, head[0], head[1], f[0], f[1]):
-            s2, nw = place_factor(rest, i, key)
+            s2, nw = canonicalize_word(rest[:i] + (key,) + rest[i:])
             if s2:
                 terms[nw] = terms.get(nw, 0) + sign * s2 * c
         pref += len(f[0]) - 1
     return tuple((w, c) for w, c in terms.items() if c)
+
+
+def word_boundary(n, word):
+    """The pairwise int-word kernel on a generator word, decoded, as a dict
+    without the cancelled terms."""
+    _, w, h = weight_signature(word)
+    A = alphabet(n, w, h)
+    out = _word_boundary(A, tuple(A.rank[g] for g in word))
+    return {tuple(A.gens[r] for r in code): c for code, c in out.items() if c}
 
 
 def test_boundary_word_matches_reference_term_for_term():
@@ -169,7 +181,31 @@ def test_boundary_word_matches_reference_term_for_term():
     for _ in range(400):
         n = rng.randint(2, 3)
         word = random_word(rng, n, rng.randint(1, 5), max_beta=2)
-        assert _boundary_word(n, word) == reference_boundary_word(n, word)
+        assert word_boundary(n, word) == dict(reference_boundary_word(n, word))
+
+
+# the 13 benchmark blocks and six more, up to arity 7 and n = 4
+ORACLE_BLOCKS = [
+    (2, 4, 1, 1), (2, 5, 1, 1), (2, 4, 2, 2), (2, 3, 1, 2),
+    (3, 2, 0, 0), (3, 2, 1, 1), (3, 2, 2, 2), (3, 2, 1, 2),
+    (3, 1, 0, 0), (3, 1, 1, 1), (3, 1, 2, 2), (3, 1, 1, 2), (3, 3, 0, 0),
+    (2, 6, 1, 1), (2, 7, 1, 1), (3, 3, 1, 1), (3, 3, 2, 2), (4, 2, 1, 1),
+    (1, 3, 0, 1),
+]
+
+
+def test_word_boundary_matches_reference_on_blocks():
+    """The pairwise kernel equals the recursion on every word of each
+    block, and boundary_matrix holds the same coefficients."""
+    for (n, m, w, h) in ORACLE_BLOCKS:
+        bm = boundary_matrix(n, m, w, h)
+        columns = {}
+        for (r, c), v in bm.matrix.entries.items():
+            columns.setdefault(c, {})[bm.codomain.words[r]] = v
+        for col, word in enumerate(bm.domain.words):
+            expect = dict(reference_boundary_word(n, word))
+            assert word_boundary(n, word) == expect, (n, m, w, h, word)
+            assert columns.get(col, {}) == expect, (n, m, w, h, word)
 
 
 def test_left_action_matches_reference():
@@ -254,7 +290,46 @@ def test_composite_matrix_is_zero():
     n, w, h = 2, 1, 1
     b3 = boundary_matrix(n, 3, w, h)
     b2 = boundary_matrix(n, 2, w, h, domain=b3.codomain)
-    assert b2.matrix.matmul(b3.matrix).is_zero()
+    assert product_nonzero(b2.matrix, b3.matrix) is None
+
+
+def _reached_bracket(n, m, w, h):
+    """A domain basis of the block and a pair (a, b) of factors of one of
+    its words with a nonzero bracket, whose table entry is filled."""
+    domain = enumerate_basis(n, m, w, h)
+    A = domain.alphabet
+    for word in domain.codes:
+        for k in range(len(word)):
+            for i in range(k + 1, len(word)):
+                if _bracket(A, word[k], word[i]):
+                    return domain, word[k], word[i]
+    raise AssertionError("no nonzero bracket in the block")
+
+
+@pytest.mark.parametrize("leave", ["block", "alphabet"])
+def test_corrupt_bracket_entry_raises_weight_escape(monkeypatch, leave):
+    n, m, w, h = 2, 3, 1, 1
+    domain, a, b = _reached_bracket(n, m, w, h)
+    A = domain.alphabet
+    (r, c), *rest = A.brackets[a * len(A.gens) + b]
+    if leave == "block":
+        # an odd generator (never killed by a repeat) of another bidegree:
+        # the word leaves the (w, h) block
+        r = next(x for x in range(len(A.gens)) if A.parity[x]
+                 and weight_signature((A.gens[x],)) != weight_signature((A.gens[r],)))
+    else:
+        r = len(A.gens)
+    monkeypatch.setitem(A.brackets, a * len(A.gens) + b, tuple([(r, c)] + rest))
+    with pytest.raises(WeightEscapeError):
+        boundary_matrix(n, m, w, h, domain)
+
+
+def test_boundary_matrix_rejects_bases_of_another_block():
+    domain = enumerate_basis(2, 3, 1, 1)
+    with pytest.raises(ValueError):
+        boundary_matrix(2, 3, 1, 2, domain)
+    with pytest.raises(ValueError):
+        boundary_matrix(2, 3, 1, 1, domain, enumerate_basis(2, 2, 1, 2))
 
 
 def test_matrix_text_format():

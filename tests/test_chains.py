@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from schouten import chains
 from schouten.chains import (
     BasisIndex,
     Chain,
+    _class_multisets,
+    alphabet,
     basis_dim,
     canonicalize_word,
     chain_to_text,
@@ -156,9 +159,15 @@ def test_place_factor_matches_full_canonicalization():
         if base_s == 0:
             continue
         gen = raw[-1]
+        # place_factor works on int words: rank the factors in factor order
+        order = sorted(set(base) | {gen}, key=factor_key)
+        rank = {g: r for r, g in enumerate(order)}
+        parity = [g_degree(g) % 2 for g in order]
+        code = tuple(rank[g] for g in base)
         for i in range(len(base) + 1):
             expect = reference_canonicalize(base[:i] + (gen,) + base[i:])
-            assert place_factor(base, i, gen) == expect
+            s, placed = place_factor(code, i, rank[gen], parity)
+            assert (s, placed and tuple(order[r] for r in placed)) == expect
             checked += 1
     assert checked > 500
 
@@ -249,6 +258,48 @@ def test_enumeration_against_brute_force(n, m, w, h):
     expect = brute_force_basis(n, m, w, h)
     assert set(basis.words) == expect
     assert len(basis) == len(expect)
+
+
+def reference_enumerate(n, m, w, h):
+    """The seed's enumerate_basis, kept as the oracle: generator pools per
+    class multiset, the words sorted by factor_key."""
+    words = []
+    for classes in _class_multisets(n, m, w, h, (0, -1)):
+        pools = []
+        for (i, j), count in classes:
+            gens = generators_of_bidegree(n, i, j)
+            if i % 2 == 0:
+                pools.append(list(itertools.combinations(gens, count)))
+            else:
+                pools.append(list(itertools.combinations_with_replacement(gens, count)))
+        for pick in itertools.product(*pools):
+            words.append(tuple(g for group in pick for g in group))
+    words.sort(key=lambda word: tuple(factor_key(f) for f in word))
+    return words
+
+
+@pytest.mark.parametrize("n,m,w,h", [
+    (2, 4, 1, 1), (2, 5, 1, 1), (2, 4, 2, 2), (2, 3, 1, 2), (3, 2, 1, 2),
+    (3, 3, 0, 0), (3, 2, 2, 2), (2, 8, 0, 0), (1, 3, 0, 1), (4, 2, 1, 1),
+    (2, 3, 1, -1), (2, 2, 0, -3), (3, 1, 2, 2),
+])
+def test_enumeration_order_matches_reference(n, m, w, h):
+    basis = enumerate_basis(n, m, w, h)
+    expect = reference_enumerate(n, m, w, h)
+    assert list(basis.words) == expect
+    assert list(basis.codes) == sorted(basis.codes)
+    assert [basis.position(word) for word in expect] == list(range(len(expect)))
+
+
+def test_alphabet_cache_is_bounded_and_ranks_are_stable():
+    first = alphabet(2, 1, 1)
+    for block in [(1, 0, 0), (2, 0, 0), (2, 0, 1), (3, 0, 0), (3, 1, 1), (2, 2, 2)]:
+        alphabet(*block)
+    assert len(chains._ALPHABETS) <= chains._ALPHABET_SLOTS
+    again = alphabet(2, 1, 1)
+    assert again is not first
+    assert again.gens == first.gens
+    assert again.rank == first.rank
 
 
 def test_known_small_dimensions():

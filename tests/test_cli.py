@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,20 @@ def test_certify_and_check_round_trip(capsys, tmp_path, pipi_file):
     rc, out = run(capsys, "check-certificate", "--input", str(cert_path))
     assert rc == 0
     assert "valid" in out
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["pipi_n2", "cycle_2_1"])
+def test_certificates_pinned_byte_for_byte(capsys, tmp_path, name):
+    """certify on the n=2 pi^^pi square and on a seeded (2, 1) cycle
+    writes exactly the certificate files kept in tests/data."""
+    out = tmp_path / "cert.json"
+    rc = main(["certify", "--n", "2", "--input", str(DATA / (name + ".txt")),
+               "--output", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (DATA / (name + ".cert.json")).read_bytes()
 
 
 def test_certify_non_cycle_exit_1(capsys, tmp_path):

@@ -11,6 +11,8 @@ from schouten.chains import Chain, enumerate_basis, wedge_chain
 from schouten.contraction import (
     TL,
     TR,
+    _coordinate_gen,
+    _scale_gen,
     CertificateError,
     PairStratum,
     Stratification,
@@ -115,6 +117,68 @@ def test_phi_op_raises_on_wrong_arity():
         phi_op(Chain(2, {word: Fraction(1)}))
     with pytest.raises(ValueError):
         capital_phi(Chain(2, {(((1,), (0, 0)),): Fraction(1)}))
+
+
+def reference_phi_op(U):
+    """The parent's phi_op, kept as the oracle: one Chain.from_word, which
+    validates every factor, per word and l."""
+    n = U.n
+    terms = {}
+    for word, c in U.terms.items():
+        gen = word[0]
+        for l in range(1, n + 1):
+            ch = Chain.from_word(n, [_coordinate_gen(n, l), _scale_gen(gen, l)], c)
+            for wrd, cc in ch.terms.items():
+                terms[wrd] = terms.get(wrd, 0) + cc
+    return Chain(n, terms)
+
+
+def reference_capital_phi(U):
+    """The parent's capital_phi, kept as the oracle."""
+    n = U.n
+    terms = {}
+    for word, c in U.terms.items():
+        f1, f2 = word
+        tr = classify_type(word) == TR
+        for l in range(1, n + 1):
+            if tr:
+                raw = [_coordinate_gen(n, l), f1, _scale_gen(f2, l)]
+            else:
+                raw = [_coordinate_gen(n, l), _scale_gen(f1, l), f2]
+            ch = Chain.from_word(n, raw, c)
+            for wrd, cc in ch.terms.items():
+                terms[wrd] = terms.get(wrd, 0) + cc
+    return Chain(n, terms)
+
+
+def test_phi_operators_match_reference():
+    rng = random.Random(109)
+    for n in (1, 2, 3):
+        for w in (0, 1, 2):
+            ones = enumerate_basis(n, 1, w, rng.randint(-1, 2)).words
+            twos = enumerate_basis(n, 2, w, w).words
+            for _ in range(5):
+                U1 = Chain(n, {word: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                               for word in rng.sample(ones, min(len(ones), 6))})
+                U2 = Chain(n, {word: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                               for word in rng.sample(twos, min(len(twos), 12))})
+                assert phi_op(U1) == reference_phi_op(U1)
+                assert capital_phi(U2) == reference_capital_phi(U2)
+
+
+@pytest.mark.parametrize("bad", [((1,), (0, 0, 0)), ((3,), (0, 0)), ((2, 1), (0, 0)),
+                                 ((1,), (-1, 0))],
+                         ids=["beta-length", "direction-range", "direction-order",
+                              "negative-exponent"])
+def test_phi_operators_reject_invalid_generator(bad):
+    good = ((1,), (1, 0))
+    for op, ref, word in [(phi_op, reference_phi_op, (bad,)),
+                          (capital_phi, reference_capital_phi, (good, bad))]:
+        U = Chain(2, {word: Fraction(1)})
+        with pytest.raises(ValueError) as expect:
+            ref(U)
+        with pytest.raises(type(expect.value)):
+            op(U)
 
 
 def test_operators_preserve_block():
