@@ -6,6 +6,9 @@ atomically (temp file + rename) so a failing run never leaves a partial
 file.  The structured format is JSON and is the stable surface; csv is
 stable per command; plain is for humans and may change.
 
+Each command imports what it runs: contraction is loaded only by certify,
+check-certificate, psi-matrix and the psi suite of verify.
+
 Exit codes: 0 success, 1 a guaranteed-zero came out nonzero / input is not
 a cycle / verification failed / an internal invariant was violated (one
 line on stderr, no traceback), 2 malformed input or a bad argument, such as
@@ -16,9 +19,7 @@ line on stderr, no traceback), 2 malformed input or a bad argument, such as
 import argparse
 import json
 import os
-import random
 import sys
-import tempfile
 from fractions import Fraction
 
 from .chains import (
@@ -41,15 +42,6 @@ from .homology import (
 )
 from .linalg import SparseMatrixQ
 from .multivector import MultiVector, g_degree, schouten_bracket
-from .contraction import (
-    CertificateError,
-    certificate_from_dict,
-    certificate_to_dict,
-    certify_exact,
-    check_certificate,
-    psi,
-    verify_psi_structure,
-)
 
 
 def _emit(text, output):
@@ -58,6 +50,7 @@ def _emit(text, output):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
+    import tempfile
     d = os.path.dirname(os.path.abspath(output))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".schouten-")
     try:
@@ -165,6 +158,7 @@ def _verify_dsq(args):
 def _verify_jacobi(args):
     """Graded antisymmetry and the super Jacobi identity on random
     homogeneous monomials."""
+    import random
     rng = random.Random(args.seed)
     n = args.n
     failures = []
@@ -196,6 +190,7 @@ def _verify_weights(args):
 
 
 def _verify_psi(args):
+    from .contraction import verify_psi_structure
     rep = verify_psi_structure(args.n, args.w)
     failures = [{"word": [format_factor(f) for f in v["word"]],
                  "type": v["type"], "stray_strata": [list(s) for s in v["stray_strata"]]}
@@ -246,6 +241,7 @@ def _read_input(args):
 
 
 def cmd_certify(args):
+    from .contraction import CertificateError, certificate_to_dict, certify_exact
     try:
         U = parse_chain(args.n, _read_input(args))
     except (OSError, ValueError, KeyError) as e:
@@ -265,6 +261,7 @@ def cmd_certify(args):
 
 
 def cmd_check_certificate(args):
+    from .contraction import certificate_from_dict, check_certificate
     try:
         cert = certificate_from_dict(json.loads(_read_input(args)))
     except (OSError, ValueError, KeyError, TypeError) as e:
@@ -301,6 +298,7 @@ def cmd_basis(args):
 def cmd_psi_matrix(args):
     """Matrix of psi on the canonical basis of the (2, w, w) block,
     coordinate-list format."""
+    from .contraction import psi
     n, w = args.n, args.w
     basis = enumerate_basis(n, 2, w, w)
     entries = {}

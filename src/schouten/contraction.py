@@ -20,12 +20,12 @@ strata yields nonzero constants c_i with (psi+c_1)...(psi+c_m) U = 0; for a
 cycle U this turns into an explicit primitive V with boundary(V) = U.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import Chain, canonicalize_word, enumerate_basis, weight_signature
 from .boundary import boundary
 from .multivector import check_generator
+from .record import Record
 
 
 class DescentError(RuntimeError):
@@ -61,24 +61,22 @@ def stratum_of(word):
     return (len(alpha1), sum(beta1))
 
 
-@dataclass(frozen=True)
-class PairStratum:
+class PairStratum(Record):
     """One lattice point (a1, b1) of the pair decomposition at weight w,
     labelling X^{a1}_{b1} ^^ X^{2+w-a1}_{2+w-b1}."""
-    a1: int
-    b1: int
-    w: int
 
-    def __post_init__(self):
-        w = self.w
-        if not 1 <= 2 * self.a1 <= 2 + w:
+    __slots__ = ("a1", "b1", "w")
+
+    def __init__(self, a1, b1, w):
+        if not 1 <= 2 * a1 <= 2 + w:
             raise ValueError("representative needs 1 <= a1 <= 1 + w/2, got a1=%d, w=%d"
-                             % (self.a1, w))
-        if not 0 <= self.b1 <= 2 + w:
-            raise ValueError("b1=%d outside 0..%d" % (self.b1, 2 + w))
-        if 2 * self.a1 == 2 + w and 2 * self.b1 > 2 + w:
+                             % (a1, w))
+        if not 0 <= b1 <= 2 + w:
+            raise ValueError("b1=%d outside 0..%d" % (b1, 2 + w))
+        if 2 * a1 == 2 + w and 2 * b1 > 2 + w:
             raise ValueError("mirrored duplicate (a1=%d, b1=%d) is not a representative"
-                             % (self.a1, self.b1))
+                             % (a1, b1))
+        super().__init__(a1, b1, w)
 
     @property
     def is_tl(self):
@@ -297,16 +295,14 @@ def annihilating_polynomial(U):
     return p
 
 
-@dataclass(frozen=True)
-class ExactnessCertificate:
+class ExactnessCertificate(Record):
     """A cycle U, a primitive V with boundary(V) = U, and the annihilating
-    polynomial data p(t) = p(0) + t*g(t) behind the construction."""
-    n: int
-    w: int
-    cycle: Chain
-    primitive: Chain
-    annihilator: tuple  # Fraction coefficients, constant first
-    quotient: tuple     # g(t) coefficients, constant first
+    polynomial data p(t) = p(0) + t*g(t) behind the construction: the
+    Chains cycle and primitive, and the tuples annihilator (p) and quotient
+    (g) of Fraction coefficients, constant first.  Chains are mutable, so a
+    certificate has no hash."""
+
+    __slots__ = ("n", "w", "cycle", "primitive", "annihilator", "quotient")
 
 
 def certify_exact(U):

@@ -7,17 +7,17 @@ and the reported Betti numbers are dimensions over Q.
 
 The two ranks share work through d^2 = 0 ("clearing", Chen & Kerber,
 Persistent Homology Computation with a Twist, 2011): d_out is eliminated
-once, d_out . d_in = 0 is proven entry by entry, and the rows of d_in at
+once, d_out . d_in = 0 is proven on the rows of d_out that became its
+echelon pivots (they span its row space), and the rows of d_in at
 d_out's pivot columns, which those relations make dependent on the other
 rows, are dropped before d_in is eliminated.
 """
 
-from dataclasses import dataclass
-
-from .chains import basis_dim, enumerate_basis, max_arity, max_arity_bound
+from .chains import block_dims, enumerate_basis, max_arity
 from .boundary import boundary_matrix
 from .linalg import pivot_columns, product_nonzero, rank_exact
 from .multivector import schouten_bracket
+from .record import Record
 
 
 class HomologyInvariantError(RuntimeError):
@@ -27,18 +27,13 @@ class HomologyInvariantError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    n: int
-    m: int
-    w: int
-    h: int
-    dim: int
-    dim_lower: int
-    dim_upper: int
-    rank_out: int  # rank of d: C_m -> C_{m-1}
-    rank_in: int   # rank of d: C_{m+1} -> C_m
-    betti: int
+class HomologyReport(Record):
+    """The block (n; m, w, h) with dim C_m, dim C_{m-1} (dim_lower), dim
+    C_{m+1} (dim_upper), rank_out = rank of d: C_m -> C_{m-1}, rank_in =
+    rank of d: C_{m+1} -> C_m, and the Betti number."""
+
+    __slots__ = ("n", "m", "w", "h", "dim", "dim_lower", "dim_upper",
+                 "rank_out", "rank_in", "betti")
 
     def csv_row(self):
         return "%d,%d,%d,%d,%d,%d,%d,%d" % (
@@ -50,34 +45,37 @@ class HomologyReport:
 def betti(n, m, w, h):
     """Full homology report of the block (n; m, w, h).
 
-    d_out: C_m -> C_{m-1} is eliminated once, by pivot_columns.  Then
+    d_out: C_m -> C_{m-1} is eliminated once, by pivot_columns, which also
+    names the rows of d_out that became the echelon pivots.  Then
     d_in: C_{m+1} -> C_m is assembled and d_out . d_in = 0 is checked
-    exactly (HomologyInvariantError otherwise), and the rows of d_in at
-    d_out's pivot columns are zeroed before rank_exact(d_in).  That leaves
-    rank_in unchanged: the echelon rows of d_out, restricted to the pivot
-    columns, form a triangular matrix with a nonzero diagonal, and each of
-    them annihilates d_in, so the rows of d_in at the pivot columns lie in
-    the span of its other rows.
+    exactly on those rows of d_out (HomologyInvariantError otherwise).
+    That is a proof for all of d_out: the pivot rows span its row space,
+    so every other row is a combination of them and annihilates d_in too.
+    Finally the rows of d_in at d_out's pivot columns are zeroed before
+    rank_exact(d_in).  That leaves rank_in unchanged: the echelon rows of
+    d_out, restricted to the pivot columns, form a triangular matrix with a
+    nonzero diagonal, and each of them annihilates d_in, so the rows of
+    d_in at the pivot columns lie in the span of its other rows.
     """
     basis_m = enumerate_basis(n, m, w, h)
     basis_lo = enumerate_basis(n, m - 1, w, h) if m >= 2 else None
     basis_hi = enumerate_basis(n, m + 1, w, h)
     d_out = None
-    pivots = []
+    pivot_cols = pivot_rows = ()
     if m >= 2 and len(basis_m) and len(basis_lo):
         d_out = boundary_matrix(n, m, w, h, basis_m, basis_lo).matrix
-        pivots = pivot_columns(d_out)
-    rank_out = len(pivots)
+        pivot_cols, pivot_rows = pivot_columns(d_out)
+    rank_out = len(pivot_cols)
     if len(basis_hi) and len(basis_m):
         d_in = boundary_matrix(n, m + 1, w, h, basis_hi, basis_m).matrix
         if d_out is not None:
-            bad = product_nonzero(d_out, d_in)
+            bad = product_nonzero(d_out, d_in, pivot_rows)
             if bad is not None:
                 raise HomologyInvariantError(
                     "boundary squared is nonzero on block (n=%d, m=%d, w=%d, h=%d): "
                     "entry (%d, %d) of d_out . d_in is %s" % ((n, m, w, h) + bad))
             d_out = None
-            d_in.zero_rows(pivots)
+            d_in.zero_rows(pivot_cols)
         rank_in = rank_exact(d_in)
     else:
         rank_in = 0
@@ -93,12 +91,12 @@ def betti(n, m, w, h):
 
 
 def dims_table(n, w, h):
-    """dim C_m^{(w,h)} for m = 1..max_arity, counted by basis_dim without
-    enumerating a word; checks that every block beyond, up to
-    max_arity_bound, counts empty."""
+    """dim C_m^{(w,h)} for m = 1..max_arity, read from the block's Hilbert
+    series (block_dims) without enumerating a word; checks that the series
+    has no nonzero term beyond max_arity, which stops at max_arity_bound."""
     if n < 1:
         raise ValueError("need n >= 1")
-    dims = [basis_dim(n, m, w, h) for m in range(1, max_arity_bound(n, w, h) + 1)]
+    dims = list(block_dims(n, w, h)[1:])
     mm = max_arity(n, w, h)
     for m, d in enumerate(dims[mm:], start=mm + 1):
         if d:
@@ -111,12 +109,13 @@ def dims_table(n, w, h):
 def euler_characteristic(n, w, h):
     """sum_m (-1)^m dim C_m^{(w,h)} over the complete finite m-range.
 
-    The m = 0 term is the scalars: a 1-dimensional space living in the
-    (0, 0) block and absent from every other block.  Without it the
-    alternating sum of the (0, 0) block would come out -1 instead of 0.
+    The m = 0 term is the scalars, the constant term of the Hilbert series:
+    a 1-dimensional space living in the (0, 0) block and absent from every
+    other block.  Without it the alternating sum of the (0, 0) block would
+    come out -1 instead of 0.
     """
     dims = dims_table(n, w, h)
-    dim0 = 1 if (w, h) == (0, 0) else 0
+    dim0 = block_dims(n, w, h)[0]
     return dim0 + sum((-1) ** m * d for m, d in enumerate(dims, start=1))
 
 

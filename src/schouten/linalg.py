@@ -79,8 +79,12 @@ def _primitive(row):
 def echelon(rows):
     """Row echelon form of integer rows {col: nonzero int}.
 
-    Returns (pivot_cols, ech_rows): ech_rows[i] starts at column
-    pivot_cols[i], pivot columns strictly increasing; rank = len(pivot_cols).
+    Returns (pivot_cols, ech_rows, pivot_rows): ech_rows[i] starts at
+    column pivot_cols[i], pivot columns strictly increasing; rank =
+    len(pivot_cols).  pivot_rows[i] is the index in `rows` of the row that
+    became ech_rows[i].  ech_rows[i] is a nonzero multiple of that row plus
+    a combination of ech_rows[:i], so the pivot rows span the same space as
+    the echelon rows: the row space of `rows`.
 
     Pivoting is deterministic: the pivot column is the smallest column that
     still leads a row; among the rows it leads, the one with fewest nonzeros
@@ -104,6 +108,7 @@ def echelon(rows):
     heapify(open_cols)
     pivots = []
     ech = []
+    pivot_rows = []
     while open_cols:
         col = heappop(open_cols)
         bucket = buckets.pop(col)
@@ -113,6 +118,7 @@ def echelon(rows):
             piv = {c: -v for c, v in piv.items()}
         pivots.append(col)
         ech.append(piv)
+        pivot_rows.append(best[0])
         if len(bucket) == 1:
             continue
         pv = piv[col]
@@ -146,18 +152,18 @@ def echelon(rows):
                     heappush(open_cols, lead)
                 else:
                     dest.append((i, out))
-    return pivots, ech
+    return pivots, ech, pivot_rows
 
 
 def rank_exact(M):
     """Rank over Q via fraction-free elimination; deterministic."""
-    pivots, _ = echelon(M.row_dicts())
-    return len(pivots)
+    return len(echelon(M.row_dicts())[0])
 
 
 def pivot_columns(M):
-    """The pivot columns of an echelon form of M, in M's own column indices;
-    their number is the rank of M.
+    """(cols, rows): the pivot columns of an echelon form of M, in M's own
+    column indices, and the rows of M that became the pivot rows.  Both
+    number the rank of M, and the rows span M's row space.
 
     The echelon runs with the columns taken in ascending order of nonzero
     count, ties by index: a static Markowitz-style order, in which sparse
@@ -170,12 +176,13 @@ def pivot_columns(M):
     position = [0] * M.cols
     for p, c in enumerate(order):
         position[c] = p
-    pivots, _ = echelon(M.row_dicts(position))
-    return [order[p] for p in pivots]
+    pivots, _, rows = echelon(M.row_dicts(position))
+    return [order[p] for p in pivots], rows
 
 
-def product_nonzero(A, B):
+def product_nonzero(A, B, rows=None):
     """A nonzero entry (row, col, value) of A @ B, or None when A @ B = 0.
+    With `rows`, only those rows of A are multiplied: A[rows] @ B.
 
     Neither the product nor a copy of B is built.  A is grouped by column,
     and B's entries are streamed once: B[k, c] adds B[k, c] * A[:, k] to
@@ -188,9 +195,11 @@ def product_nonzero(A, B):
     if A.cols != B.rows:
         raise ValueError("shape mismatch %dx%d @ %dx%d"
                          % (A.rows, A.cols, B.rows, B.cols))
+    keep = None if rows is None else set(rows)
     a_cols = {}
     for (r, k), a in A.entries.items():
-        a_cols.setdefault(k, []).append((r, a))
+        if keep is None or r in keep:
+            a_cols.setdefault(k, []).append((r, a))
     left = [0] * B.cols  # entries of each column of B not yet streamed
     for _, c in B.entries:
         left[c] += 1
@@ -212,7 +221,7 @@ def product_nonzero(A, B):
 
 def kernel_basis(M):
     """A basis of the null space of M, one Fraction vector per free column."""
-    pivots, rows = echelon(M.row_dicts())
+    pivots, rows, _ = echelon(M.row_dicts())
     pivot_set = set(pivots)
     basis = []
     for free in range(M.cols):

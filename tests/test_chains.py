@@ -1,6 +1,7 @@
 """Canonical words, chain arithmetic, basis enumeration, serialization."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from schouten.chains import (
     _class_multisets,
     alphabet,
     basis_dim,
+    block_dims,
     canonicalize_word,
     chain_to_text,
     chain_to_vector,
@@ -334,6 +336,43 @@ def test_basis_dim_matches_enumeration():
     for (n, w, h) in grid:
         for m in range(1, max_arity_bound(n, w, h) + 1):
             assert basis_dim(n, m, w, h) == len(enumerate_basis(n, m, w, h)), (n, m, w, h)
+
+
+def reference_basis_dim(n, m, w, h):
+    """The seed's basis_dim, kept as the oracle: over the class multisets,
+    the product of comb(d, k) (k distinct even factors) and
+    comb(d + k - 1, k) (k odd factors with repeats)."""
+    total = 0
+    for classes in _class_multisets(n, m, w, h, (0, -1)):
+        term = 1
+        for (i, j), k in classes:
+            d = dim_generators(n, i, j)
+            term *= math.comb(d, k) if i % 2 == 0 else math.comb(d + k - 1, k)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("nwh", [(n, w, h) for n in (1, 2) for w in range(-1, 4)
+                                 for h in range(-3, 4)]
+                         + [(3, 0, 0), (3, 1, 1), (3, 2, 2), (3, 1, 2), (3, 0, -2),
+                            (4, 1, 1)],
+                         ids="n{0[0]}-w{0[1]}-h{0[2]}".format)
+def test_block_dims_match_class_multiset_count(nwh):
+    n, w, h = nwh
+    bound = max_arity_bound(n, w, h)
+    dims = block_dims(n, w, h)
+    assert len(dims) <= bound + 1 and (len(dims) == 1 or dims[-1])
+    assert dims[0] == (1 if (w, h) == (0, 0) else 0)
+    expect = [reference_basis_dim(n, m, w, h) for m in range(1, bound + 2)]
+    assert [basis_dim(n, m, w, h) for m in range(1, bound + 2)] == expect
+    assert max_arity(n, w, h) == max((m for m, d in enumerate(expect, start=1) if d),
+                                     default=0)
+
+
+def test_block_dims_cache_is_bounded():
+    for w in range(40):
+        block_dims(1, w, 0)
+    assert block_dims.cache_info().currsize <= block_dims.cache_info().maxsize
 
 
 def test_max_arity_known_value():

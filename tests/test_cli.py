@@ -142,7 +142,8 @@ def test_verify_word_suites_report_witnesses(capsys, monkeypatch, suite):
 
 def test_verify_enumerates_each_block_once(capsys, monkeypatch):
     # max_arity counts instead of enumerating, so verify builds each block
-    # m = 2..max_arity exactly once, cached max_arity or not
+    # m = 2..max_arity exactly once, with the block's Hilbert series cached
+    # or not
     calls = []
     real = chains.enumerate_basis
 
@@ -154,7 +155,7 @@ def test_verify_enumerates_each_block_once(capsys, monkeypatch):
     monkeypatch.setattr(chains, "enumerate_basis", counting)
     for clear in (True, False):
         if clear:
-            chains.max_arity.cache_clear()
+            chains.block_dims.cache_clear()
         calls.clear()
         rc, _ = run(capsys, "verify", "dsq", "--n", "2", "--w", "0", "--h", "0",
                     "--format", "structured")

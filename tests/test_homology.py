@@ -17,7 +17,7 @@ from schouten.homology import (
     is_poisson,
 )
 from schouten.chains import enumerate_basis, max_arity
-from schouten.linalg import rank_exact
+from schouten.linalg import pivot_columns, rank_exact
 from schouten.multivector import MultiVector
 
 
@@ -139,6 +139,32 @@ def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
     assert err.startswith("internal invariant violated: boundary squared")
     assert "(n=2, m=3, w=1, h=1)" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_boundary_squared_check_on_pivot_rows_catches_corrupted_entries(monkeypatch):
+    # betti checks d_out . d_in = 0 only on d_out's pivot rows (201 of 238
+    # here); one corrupted d_in entry in a row k whose d_out column is
+    # nonzero must still raise, also where that column meets non-pivot rows
+    real = homology.boundary_matrix
+    d_out = real(2, 4, 1, 1).matrix
+    _, pivot_rows = pivot_columns(d_out)
+    column_rows = {}
+    for r, c in d_out.entries:
+        column_rows.setdefault(c, set()).add(r)
+    d_in = real(2, 5, 1, 1).matrix
+    keys = [k for k in sorted(d_in.entries) if k[0] in column_rows][::599]
+    assert len(pivot_rows) < d_out.rows
+    assert any(column_rows[k[0]] - set(pivot_rows) for k in keys)
+    for key in keys:
+        def corrupted(n, m, w, h, domain=None, codomain=None):
+            bm = real(n, m, w, h, domain, codomain)
+            if m == 5:
+                bm.matrix.entries[key] += 1
+            return bm
+
+        monkeypatch.setattr(homology, "boundary_matrix", corrupted)
+        with pytest.raises(HomologyInvariantError, match="boundary squared"):
+            betti(2, 4, 1, 1)
 
 
 def test_first_betti_always_zero_small():

@@ -1,7 +1,14 @@
-"""Source hygiene: invariants in the package must survive `python -O`."""
+"""Source hygiene: invariants in the package must survive `python -O`, and
+each command imports only the modules it runs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import schouten
 
@@ -30,3 +37,68 @@ def test_boundary_module_has_no_memo():
                 if name in ("lru_cache", "cache"):
                     found.append("%s:%d" % (node.name, node.lineno))
     assert not found, "memoized functions in boundary.py: %s" % found
+
+
+def _fresh(code):
+    """Run code in a fresh interpreter that sees this package; returns the
+    JSON its last stdout line prints."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+# modules loaded by the code after `before` was taken
+NEW_MODULES = "json.dumps(sorted(set(sys.modules) - before))"
+
+
+def test_import_schouten_loads_no_submodule():
+    new = _fresh("import sys, json; before = set(sys.modules); import schouten; "
+                 "print(%s)" % NEW_MODULES)
+    assert [m for m in new if m.startswith("schouten.")] == []
+
+
+@pytest.mark.parametrize("argv", [None, ["dims", "--n", "2", "--w", "1", "--h", "1"],
+                                  ["euler", "--n", "2", "--w", "1", "--h", "1"]],
+                         ids=["import", "dims", "euler"])
+def test_cli_counting_loads_neither_contraction_nor_dataclasses(argv):
+    run = "" if argv is None else "cli.main(%r); " % argv
+    new = _fresh("import sys, json; before = set(sys.modules); from schouten import cli; "
+                 + run + "print(%s)" % NEW_MODULES)
+    assert "schouten.cli" in new
+    assert "schouten.contraction" not in new
+    assert "dataclasses" not in new
+
+
+def test_no_module_of_the_package_loads_dataclasses():
+    new = _fresh("import sys, json; before = set(sys.modules); "
+                 "import schouten.cli, schouten.contraction, schouten.homology; "
+                 "print(%s)" % NEW_MODULES)
+    assert "schouten.contraction" in new
+    assert "dataclasses" not in new
+
+
+def test_lazy_exports_resolve():
+    # schouten.cli first: importing the submodule schouten.boundary must not
+    # shadow the exported function schouten.boundary
+    got = _fresh("""
+import importlib, json, schouten, schouten.cli
+names = sorted(schouten._EXPORTS)
+ok = [name for name in names if getattr(schouten, name) is getattr(
+      importlib.import_module("schouten." + schouten._EXPORTS[name]), name)]
+try:
+    schouten.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+from schouten import betti, boundary
+print(json.dumps({"names": names, "ok": ok, "dir": dir(schouten), "unknown": unknown,
+                  "from": [betti.__module__, boundary.__name__, boundary.__module__],
+                  "module": schouten.homology.__name__}))
+""")
+    assert len(got["names"]) == 39
+    assert got["ok"] == got["names"]
+    assert set(got["names"]) <= set(got["dir"])
+    assert got["unknown"] == "AttributeError"
+    assert got["from"] == ["schouten.homology", "boundary", "schouten.boundary"]
+    assert got["module"] == "schouten.homology"

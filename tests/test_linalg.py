@@ -95,26 +95,28 @@ def _reference_normalize(row):
 def reference_echelon(rows):
     """The straightforward O(rows^2) form of the echelon pivot rule: rescan
     every live row for the smallest leading column, take the first row with
-    fewest nonzeros there, eliminate it from all rows, normalize each."""
-    work = [_reference_normalize(dict(r)) for r in rows if r]
+    fewest nonzeros there, eliminate it from all rows, normalize each.
+    Also returns the input index of each pivot row."""
+    work = [(i, _reference_normalize(dict(r))) for i, r in enumerate(rows) if r]
     pivots = []
     ech = []
+    pivot_rows = []
     while work:
-        col = min(min(r) for r in work)
+        col = min(min(r) for _, r in work)
         best = -1
         best_nnz = -1
-        for idx, r in enumerate(work):
+        for idx, (_, r) in enumerate(work):
             if min(r) == col:
                 nnz = len(r)
                 if best < 0 or nnz < best_nnz:
                     best, best_nnz = idx, nnz
-        piv = work.pop(best)
+        row_index, piv = work.pop(best)
         pv = piv[col]
         nxt = []
-        for r in work:
+        for i, r in work:
             rv = r.get(col)
             if rv is None:
-                nxt.append(r)
+                nxt.append((i, r))
                 continue
             out = {}
             for c, v in r.items():
@@ -129,11 +131,12 @@ def reference_echelon(rows):
                 elif c in out:
                     del out[c]
             if out:
-                nxt.append(_reference_normalize(out))
+                nxt.append((i, _reference_normalize(out)))
         work = nxt
         pivots.append(col)
         ech.append(piv)
-    return pivots, ech
+        pivot_rows.append(row_index)
+    return pivots, ech, pivot_rows
 
 
 def random_integer_rows(rng, rows, cols, density):
@@ -243,9 +246,10 @@ def test_echelon_matches_reference_on_boundary_matrices(block):
 def test_echelon_leaves_input_rows_alone():
     rows = [{0: 2, 1: -4}, {0: -3, 2: 6}, {1: 5}]
     before = [dict(r) for r in rows]
-    pivots, ech = echelon(rows)
+    pivots, ech, pivot_rows = echelon(rows)
     assert rows == before
     assert pivots == [0, 1, 2]
+    assert pivot_rows == [0, 2, 1]
     assert all(r[c] > 0 for c, r in zip(pivots, ech))
 
 
@@ -290,22 +294,30 @@ def test_pivot_columns_select_independent_columns():
         cols = rng.randint(1, 12)
         M = _rows_to_matrix(random_integer_rows(rng, rng.randint(1, 12), cols,
                                                 rng.choice([0.1, 0.3, 0.6, 0.9])), cols)
-        piv = pivot_columns(M)
-        assert len(piv) == rank_exact(M)
-        assert len(set(piv)) == len(piv)
+        piv, prow = pivot_columns(M)
+        assert len(piv) == len(prow) == rank_exact(M)
+        assert len(set(piv)) == len(piv) and len(set(prow)) == len(prow)
         assert all(0 <= c < M.cols for c in piv)
+        assert all(0 <= r < M.rows for r in prow)
         position = {c: i for i, c in enumerate(piv)}
         sub = SparseMatrixQ(M.rows, len(piv), {(r, position[c]): v
                                                for (r, c), v in M.entries.items()
                                                if c in position})
         assert rank_exact(sub) == len(piv)
+        # the pivot rows are independent, so (rank many) they span the rows
+        position = {r: i for i, r in enumerate(prow)}
+        rows_only = SparseMatrixQ(len(prow), M.cols, {(position[r], c): v
+                                                      for (r, c), v in M.entries.items()
+                                                      if r in position})
+        assert rank_exact(rows_only) == len(prow)
 
 
 def test_pivot_columns_on_boundary_matrix():
     M = boundary_matrix(2, 5, 1, 1).matrix
-    piv = pivot_columns(M)
+    piv, prow = pivot_columns(M)
     assert len(piv) == rank_exact(M) == 647
-    assert len(set(piv)) == 647
+    assert len(set(piv)) == len(set(prow)) == 647
+    assert M.rows == 848
 
 
 def test_product_nonzero_agrees_with_matmul():
@@ -348,3 +360,32 @@ def test_zero_rows_keeps_shape():
     M = SparseMatrixQ(3, 2, {(0, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
     M.zero_rows([2, 0])
     assert (M.rows, M.cols, M.entries) == (3, 2, {(1, 1): 2})
+
+
+def test_product_on_pivot_rows_decides_the_whole_product():
+    # A[pivot rows] @ B = 0 exactly when A @ B = 0, since the pivot rows
+    # span A's row space; half the B here are built from A's null space
+    rng = random.Random(47)
+    zero_seen = nonzero_seen = 0
+    for _ in range(200):
+        A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 6), density=0.5)
+        null = kernel_basis(A)
+        if null and rng.random() < 0.5:
+            B = SparseMatrixQ(A.cols, len(null), {(r, c): v for c, vec in enumerate(null)
+                                                  for r, v in enumerate(vec) if v})
+            if rng.random() < 0.5:
+                key = (rng.randrange(B.rows), rng.randrange(B.cols))
+                B.entries[key] = B.entries.get(key, 0) + 1
+        else:
+            B = random_matrix(rng, A.cols, rng.randint(1, 5), density=0.3)
+        _, prow = pivot_columns(A)
+        got = product_nonzero(A, B, prow)
+        P = matmul(A, B)
+        if P.is_zero():
+            zero_seen += 1
+            assert got is None
+        else:
+            nonzero_seen += 1
+            r, c, v = got
+            assert r in prow and P.entries[(r, c)] == v != 0
+    assert zero_seen > 40 and nonzero_seen > 40
