@@ -473,9 +473,17 @@ def vector_to_chain(v, basis):
     return Chain(basis.n, {basis.words[i]: Fraction(x) for i, x in enumerate(v) if x})
 
 
-def _format_coeff(c):
+def format_coeff(c):
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+
+
+def parse_coeff(text):
+    """Fraction(text), with a zero denominator reported as ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 def format_factor(gen):
@@ -487,7 +495,7 @@ def chain_to_text(c):
     """Canonical text serialization, one term per line."""
     lines = []
     for word, coeff in c.sorted_terms():
-        lines.append("%s | %s" % (_format_coeff(coeff),
+        lines.append("%s | %s" % (format_coeff(coeff),
                                   " ; ".join(format_factor(f) for f in word)))
     return "\n".join(lines)
 
@@ -503,7 +511,7 @@ def parse_chain(n, text):
         if not line or line.startswith("#"):
             continue
         head, _, tail = line.partition("|")
-        coeff = Fraction(head.strip())
+        coeff = parse_coeff(head.strip())
         factors = []
         for part in tail.split(";"):
             c, beta, alpha = parse_monomial("1 * " + part.strip())

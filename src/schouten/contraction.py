@@ -22,7 +22,8 @@ cycle U this turns into an explicit primitive V with boundary(V) = U.
 
 from fractions import Fraction
 
-from .chains import Chain, canonicalize_word, enumerate_basis, weight_signature
+from .chains import (Chain, canonicalize_word, chain_to_text, enumerate_basis,
+                     format_coeff, parse_chain, parse_coeff, weight_signature)
 from .boundary import boundary
 from .multivector import check_generator
 from .record import Record
@@ -30,7 +31,6 @@ from .record import Record
 
 class DescentError(RuntimeError):
     """Stratum descent failed to terminate within its theoretical bound."""
-    pass
 
 
 class CertificateError(RuntimeError):
@@ -187,24 +187,28 @@ def capital_phi(U):
     return Chain(n, terms)
 
 
+def _check_psi_image(out, w):
+    """psi's block check on its image out; certify_exact runs it on every
+    Krylov power too."""
+    for word in out.terms:
+        if weight_signature(word) != (2, w, w):
+            raise RuntimeError("psi left the (2, %d, %d) block" % (w, w))
+    return out
+
+
 def psi(U):
     """boundary(capital_phi(U)) + phi_op(boundary(U)); block-preserving."""
     out = boundary(capital_phi(U)) + phi_op(boundary(U))
-    if out:
-        w = weight_signature(next(iter(U.terms)))[1] if U else None
-        for word in out.terms:
-            if weight_signature(word) != (2, w, w):
-                raise RuntimeError("psi left the (2, %d, %d) block" % (w, w))
+    if U:
+        _check_psi_image(out, weight_signature(next(iter(U.terms)))[1])
     return out
 
 
 def leading_scalar(n, w, word):
     """The scalar multiple of the word itself inside psi(word):
     n + |B2| for TR, n + |B1| for TL."""
-    (a1, b1), (a2, b2) = word
-    if classify_type(word) == TR:
-        return n + sum(b2)
-    return n + sum(b1)
+    (_, b1), (_, b2) = word
+    return n + sum(b2 if classify_type(word) == TR else b1)
 
 
 def structured_descent(U):
@@ -255,16 +259,19 @@ def structured_descent(U):
 
 
 def _krylov_minimal_polynomial(U, operator):
-    """Minimal monic annihilator of U under the operator, via the Krylov
-    sequence U, TU, T^2 U, ...; coefficients ascending, [1] for U = 0."""
+    """Minimal monic annihilator p of U under the operator, coefficients
+    ascending ([1] for U = 0), and the Krylov vectors U, TU, ...,
+    T^{d-1} U it was found from, d = deg p.  A zero constant term aborts.
+    """
     if not U:
-        return [Fraction(1)]
-    pivots = []  # (pivot_word, reduced_chain, combo list)
+        return [Fraction(1)], []
+    pivots = []  # (pivot_word, reduced_chain, combination of the powers)
+    powers = []
     vec = U
-    combo = [Fraction(1)]
     while True:
         red = vec
-        rep = list(combo)
+        # vec = T^k U with k = len(powers); earlier combos are shorter
+        rep = [Fraction(0)] * len(powers) + [Fraction(1)]
         for pword, pchain, pcombo in pivots:
             coeff = red.terms.get(pword)
             if coeff:
@@ -274,13 +281,12 @@ def _krylov_minimal_polynomial(U, operator):
                     rep[i] -= factor * x
         if not red:
             # rep gives sum rep_k T^k U = 0 with rep[-1] = 1 (monic)
-            return rep
+            if rep[0] == 0:
+                raise CertificateError("annihilator has zero constant term")
+            return rep, powers
         pivots.append((next(iter(red.terms)), red, rep))
+        powers.append(vec)
         vec = operator(vec)
-        combo = [Fraction(0)] + combo
-        # pad earlier combos to the new length
-        pivots = [(pw, pc, co + [Fraction(0)] * (len(combo) - len(co)))
-                  for pw, pc, co in pivots]
 
 
 def annihilating_polynomial(U):
@@ -289,10 +295,7 @@ def annihilating_polynomial(U):
     The nonzero constant term is guaranteed because p divides the structured
     descent product, whose roots are all nonzero; a zero constant term aborts.
     """
-    p = _krylov_minimal_polynomial(U, psi)
-    if len(p) > 1 and p[0] == 0:
-        raise CertificateError("annihilator has zero constant term")
-    return p
+    return _krylov_minimal_polynomial(U, psi)[0]
 
 
 class ExactnessCertificate(Record):
@@ -308,10 +311,10 @@ class ExactnessCertificate(Record):
 def certify_exact(U):
     """Constructive exactness of a 2-cycle in a (w, w) block.
 
-    On cycles psi coincides with boundary . capital_phi, so with
-    p(t) = p0 + t g(t) annihilating U the chain
-    V = -(1/p0) capital_phi(g(boundary . capital_phi)(U)) has boundary V = U.
-    The identity is re-verified exactly before the certificate is emitted.
+    On cycles psi coincides with T = boundary . capital_phi, and every
+    T^k U is a cycle, so one Krylov pass under T finds p(t) = p0 + t g(t)
+    annihilating U and the powers that build V = -(1/p0) capital_phi(g(T) U),
+    with boundary V = U, re-verified exactly before the certificate is emitted.
     """
     n = U.n
     if not U:
@@ -320,19 +323,16 @@ def certify_exact(U):
     _check_block(U, w)
     dU = boundary(U)
     if dU:
-        raise CertificateError("input is not a cycle; boundary has %d terms" % len(dU.terms))
-    p = annihilating_polynomial(U)
-    p0 = p[0]
+        raise CertificateError("input is not a cycle; its boundary is:\n%s"
+                               % chain_to_text(dU))
+    p, powers = _krylov_minimal_polynomial(
+        U, lambda X: _check_psi_image(boundary(capital_phi(X)), w))
     g = p[1:]
-    # W = g(boundary . capital_phi)(U)
     acc = Chain.zero(n)
-    power = U
-    for k, coeff in enumerate(g):
-        if k > 0:
-            power = boundary(capital_phi(power))
+    for coeff, power in zip(g, powers):
         if coeff:
             acc = acc + coeff * power
-    V = (Fraction(-1) / p0) * capital_phi(acc)
+    V = (Fraction(-1) / p[0]) * capital_phi(acc)
     if boundary(V) != U:
         raise CertificateError("primitive verification failed")
     return ExactnessCertificate(n, w, U, V, tuple(p), tuple(g))
@@ -341,22 +341,15 @@ def certify_exact(U):
 def certificate_to_dict(cert):
     """JSON-ready certificate: block, both chains, p coefficients
     (constant first)."""
-    from .chains import chain_to_text
-
-    def frac(x):
-        x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
-
     return {
         "block": [cert.n, cert.w],
         "U": chain_to_text(cert.cycle).splitlines(),
         "V": chain_to_text(cert.primitive).splitlines(),
-        "p": [frac(c) for c in cert.annihilator],
+        "p": [format_coeff(c) for c in cert.annihilator],
     }
 
 
 def certificate_from_dict(data):
-    from .chains import parse_chain
     block = data["block"]
     if (not isinstance(block, list) or len(block) != 2
             or any(type(x) is not int for x in block)
@@ -366,17 +359,21 @@ def certificate_from_dict(data):
     n, w = block
     U = parse_chain(n, "\n".join(data["U"]))
     V = parse_chain(n, "\n".join(data["V"]))
-    p = tuple(Fraction(c) for c in data["p"])
+    p = tuple(parse_coeff(c) for c in data["p"])
     return ExactnessCertificate(n, w, U, V, p, p[1:])
 
 
 def check_certificate(cert):
-    """Independent re-verification: every word of the cycle lies in the
-    declared (2, w, w) block, every word of the primitive in (3, w, w), and
-    boundary(primitive) == cycle, exactly.
+    """Independent re-verification: p is monic with p(0) != 0, every word
+    of the cycle lies in the declared (2, w, w) block, every word of the
+    primitive in (3, w, w), and boundary(primitive) == cycle, exactly.
 
-    Trusts nothing from the producer beyond the chains and the block.
+    Trusts nothing from the producer beyond the chains and the block.  Of
+    p it checks the form only, not that p(psi) annihilates the cycle.
     """
+    p = cert.annihilator
+    if not p or p[0] == 0 or p[-1] != 1:
+        return False
     w = cert.w
     if any(weight_signature(word) != (2, w, w) for word in cert.cycle.terms):
         return False

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from schouten import chains, cli
-from schouten.chains import Chain, chain_to_text, enumerate_basis, format_factor, wedge_chain
+from schouten.boundary import boundary
+from schouten.chains import (Chain, chain_to_text, enumerate_basis, format_factor, parse_chain,
+                             wedge_chain)
 from schouten.cli import main
 
 
@@ -188,15 +190,22 @@ def test_certify_and_check_round_trip(capsys, tmp_path, pipi_file):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["pipi_n2", "cycle_2_1"])
+@pytest.mark.parametrize("name", ["pipi_n2", "cycle_2_1", "cycle_3_2"])
 def test_certificates_pinned_byte_for_byte(capsys, tmp_path, name):
-    """certify on the n=2 pi^^pi square and on a seeded (2, 1) cycle
-    writes exactly the certificate files kept in tests/data."""
+    """certify on the n=2 pi^^pi square, on a seeded (2, 1) cycle and on a
+    seeded 30-term n=3 (2, 2) cycle (annihilator degree 4) writes exactly
+    the certificate files kept in tests/data, and check-certificate
+    accepts each of them."""
+    pinned = DATA / (name + ".cert.json")
+    n = json.loads(pinned.read_text())["block"][0]
     out = tmp_path / "cert.json"
-    rc = main(["certify", "--n", "2", "--input", str(DATA / (name + ".txt")),
+    rc = main(["certify", "--n", str(n), "--input", str(DATA / (name + ".txt")),
                "--output", str(out)])
     assert rc == 0
-    assert out.read_bytes() == (DATA / (name + ".cert.json")).read_bytes()
+    assert out.read_bytes() == pinned.read_bytes()
+    rc, out = run(capsys, "check-certificate", "--input", str(pinned))
+    assert rc == 0
+    assert "valid" in out
 
 
 def test_certify_non_cycle_exit_1(capsys, tmp_path):
@@ -206,6 +215,25 @@ def test_certify_non_cycle_exit_1(capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 1
     assert "not a cycle" in captured.err
+
+
+def test_certify_non_cycle_prints_its_boundary(capsys, tmp_path):
+    p = tmp_path / "noncycle.txt"
+    p.write_text("1 | x[0,0] d[1] ; x[1,2] d[1,2]\n")
+    rc = main(["certify", "--n", "2", "--input", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    dU = boundary(parse_chain(2, p.read_text()))
+    assert dU
+    assert err.rstrip("\n").endswith(chain_to_text(dU))
+
+
+def test_certify_zero_denominator_exit_2(capsys, tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("1/0 | x[0,0] d[1] ; x[1,2] d[1,2]\n")
+    rc = main(["certify", "--n", "2", "--input", str(p)])
+    assert rc == 2
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_certify_malformed_exit_2(capsys, tmp_path):
@@ -263,6 +291,52 @@ def test_check_mistyped_block_exit_2(capsys, tmp_path, pipi_file, block):
     rc = main(["check-certificate", "--input", str(cert_path)])
     assert rc == 2
     assert "malformed certificate" in capsys.readouterr().err
+
+
+def _pinned_with(tmp_path, field, value):
+    """The pinned pi^^pi certificate with one field replaced."""
+    data = json.loads((DATA / "pipi_n2.cert.json").read_text())
+    data[field] = value(data[field]) if callable(value) else value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("V", lambda V: ["1/0 | " + V[0].partition(" | ")[2]] + V[1:]),
+    ("p", lambda p: p[:-1] + ["1/0"]),
+], ids=["V", "p"])
+def test_check_zero_denominator_exit_2(capsys, tmp_path, field, value):
+    rc = main(["check-certificate", "--input", str(_pinned_with(tmp_path, field, value))])
+    assert rc == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [
+    ["0", "47", "-12", "1"],
+    lambda p: ["0"] + p[1:],
+    [],
+    lambda p: [str(2 * Fraction(c)) for c in p],
+], ids=["zero-constant", "zero-constant-kept-rest", "empty", "not-monic"])
+def test_check_tampered_annihilator_exit_1(capsys, tmp_path, p):
+    """U and V are the pinned, valid ones; only p is forged."""
+    rc, out = run(capsys, "check-certificate", "--input",
+                  str(_pinned_with(tmp_path, "p", p)))
+    assert rc == 1
+    assert "INVALID" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "2", "--format", "structured"],
+    ["check-certificate", "--format", "csv"],
+    ["basis", "--n", "2", "--m", "1", "--w", "0", "--h", "0", "--format", "csv"],
+    ["psi-matrix", "--n", "2", "--w", "0", "--format", "csv"],
+], ids=["certify", "check-certificate", "basis", "psi-matrix"])
+def test_format_values_that_do_nothing_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_check_malformed_certificate_exit_2(capsys, tmp_path):

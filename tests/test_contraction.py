@@ -3,11 +3,12 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from schouten.boundary import boundary, boundary_matrix
-from schouten.chains import Chain, enumerate_basis, wedge_chain
+from schouten.chains import Chain, enumerate_basis, parse_chain, wedge_chain
 from schouten.contraction import (
     TL,
     TR,
@@ -334,6 +335,63 @@ def test_certify_random_cycles():
             cert = certify_exact(U)
             assert boundary(cert.primitive) == U
             assert check_certificate(cert)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def seeded_cycles():
+    """Nonzero seeded cycles: random (w, w) cycles for n = 2, the pinned
+    n = 2 and n = 3 cycles of tests/data."""
+    rng = random.Random(131)
+    out = [random_cycle(rng, 2, w) for w in (0, 1, 2) for _ in range(4)]
+    out += [parse_chain(n, (DATA / name).read_text())
+            for n, name in [(2, "pipi_n2.txt"), (2, "cycle_2_1.txt"), (3, "cycle_3_2.txt")]]
+    return [U for U in out if U]
+
+
+def test_certificate_annihilator_is_the_psi_minimal_polynomial():
+    """certify_exact runs its Krylov pass under boundary . capital_phi,
+    which equals psi on cycles: the annihilator is the same."""
+    for U in seeded_cycles():
+        assert certify_exact(U).annihilator == tuple(annihilating_polynomial(U))
+
+
+def test_certify_runs_the_krylov_sequence_once(monkeypatch):
+    """For annihilator degree d: d applications of T = boundary .
+    capital_phi, each block-checked, one capital_phi for V, and the
+    boundaries of U and V."""
+    import schouten.contraction as contraction
+    calls = dict.fromkeys(("capital_phi", "boundary", "_check_psi_image"), 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(contraction, name, counting(name, getattr(contraction, name)))
+    degrees = set()
+    for U in seeded_cycles():
+        d = len(annihilating_polynomial(U)) - 1
+        calls.update(dict.fromkeys(calls, 0))
+        certify_exact(U)
+        if d < 2:
+            continue
+        degrees.add(d)
+        assert calls["capital_phi"] <= d + 1
+        assert calls["boundary"] <= d + 2
+        assert calls["_check_psi_image"] == d
+    assert max(degrees) >= 4
+
+
+def test_krylov_rejects_zero_constant_term():
+    """A nilpotent operator has annihilator t^k, which gives no primitive."""
+    from schouten.contraction import _krylov_minimal_polynomial
+    U = parse_chain(2, (DATA / "pipi_n2.txt").read_text())
+    with pytest.raises(CertificateError):
+        _krylov_minimal_polynomial(U, lambda X: Chain.zero(U.n))
 
 
 def test_certify_squared_bivector():
