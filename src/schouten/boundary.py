@@ -17,7 +17,9 @@ pairs k < i of the factors of A0 ^^ ... ^^ Am:
 so d(A ^^ B) = [A, B].  It is computed on int words of the block's
 Alphabet: each bracket [A_k, A_i] is read from the alphabet's bracket table
 (filled on first use) and put in place by place_factor.  Nothing is
-memoized per word.  The double weight (m, w, h) -> (m-1, w, h) is
+memoized per word.  encode_chain and decode_chain carry a Chain to int
+words with int coefficients and back; the contraction operators run on
+the same encoding.  The double weight (m, w, h) -> (m-1, w, h) is
 preserved; a term outside the block aborts matrix assembly, because it can
 only come from a sign or bracket bug.
 """
@@ -98,33 +100,63 @@ def left_action(A0, word):
     return Chain(n, terms)
 
 
-def boundary(chain):
-    """The boundary operator, extended linearly over words.
+def encode_chain(chain):
+    """The chain as int words, weight block by weight block.
 
-    Each word goes to an int word of its block's alphabet.  The images are
-    summed as integers over the common denominator of the coefficients, and
-    each output word is decoded once.
+    Returns (scale, blocks): scale is the lcm of the coefficient
+    denominators, and blocks maps each (w, h) of the chain to its Alphabet
+    and the {int word: int} dict of its words, each coefficient multiplied
+    by scale.  Every factor must be a valid generator (KeyError otherwise).
     """
     n = chain.n
     scale = lcm(*[c.denominator for c in chain.terms.values()])
-    sums = {}  # (w, h) -> (alphabet, {int word: scaled coefficient})
-    for word, coeff in chain.terms.items():
+    blocks = {}
+    for word, c in chain.terms.items():
         _, w, h = weight_signature(word)
-        block = sums.get((w, h))
+        block = blocks.get((w, h))
         if block is None:
-            block = sums[(w, h)] = (alphabet(n, w, h), {})
-        A, acc = block
-        k = coeff.numerator * (scale // coeff.denominator)
-        for out, c in _word_boundary(A, tuple(A.rank[gen] for gen in word)).items():
+            block = blocks[(w, h)] = (alphabet(n, w, h), {})
+        A, codes = block
+        codes[tuple(A.rank[gen] for gen in word)] = c.numerator * (scale // c.denominator)
+    return scale, blocks
+
+
+def decode_chain(n, blocks, factor=1):
+    """The Chain of the (alphabet, {int word: int}) pairs `blocks`, each
+    coefficient multiplied by the rational `factor`; int words in distinct
+    blocks never coincide, since they differ in weight."""
+    num, den = factor.numerator, factor.denominator
+    terms = {}
+    for A, codes in blocks:
+        gens = A.gens
+        for code, v in codes.items():
+            v *= num
+            q, r = divmod(v, den)
+            terms[tuple(gens[x] for x in code)] = Fraction(v, den) if r else q
+    return Chain(n, terms)
+
+
+def boundary_codes(A, codes):
+    """d of {int word: int} in the alphabet A, as {int word: int} without
+    zero coefficients."""
+    acc = {}
+    for word, k in codes.items():
+        for out, c in _word_boundary(A, word).items():
             if c:
                 acc[out] = acc.get(out, 0) + c * k
-    terms = {}
-    for A, acc in sums.values():
-        gens = A.gens
-        for out, v in acc.items():
-            if v:
-                terms[tuple(gens[r] for r in out)] = Fraction(v, scale)
-    return Chain(n, terms)
+    return {out: v for out, v in acc.items() if v}
+
+
+def boundary(chain):
+    """The boundary operator, extended linearly over words.
+
+    The chain goes to int words of its blocks' alphabets, scaled to
+    integers by the common denominator of its coefficients; the images are
+    summed as integers and each output word is decoded once.
+    """
+    scale, blocks = encode_chain(chain)
+    return decode_chain(chain.n, [(A, boundary_codes(A, codes)) for A, codes in blocks.values()],
+                        Fraction(1, scale))
 
 
 class BoundaryMatrix:

@@ -80,13 +80,6 @@ def place_factor(rest, i, r, parity):
     return sign, rest[:j] + (r,) + rest[j:]
 
 
-def _checked_word(n, raw_factors):
-    """canonicalize_word of raw factors after validating each generator."""
-    for alpha, beta in raw_factors:
-        check_generator(n, alpha, beta)
-    return canonicalize_word(raw_factors)
-
-
 def weight_signature(word):
     """(m, w, h) = (arity, sum(|alpha|-1), sum(|beta|-1)) of a word."""
     m = len(word)
@@ -96,7 +89,13 @@ def weight_signature(word):
 
 
 class Chain:
-    """Rational combination of canonical wedge words over a fixed n."""
+    """Rational combination of canonical wedge words over a fixed n.
+
+    An integral coefficient is stored as an int and any other as a
+    Fraction, as in SparseMatrixQ, so integral chains carry no Fraction
+    arithmetic; dividing two coefficients needs Fraction, since `/` on
+    ints gives a float.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -105,7 +104,11 @@ class Chain:
         clean = {}
         if terms:
             for word, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    if type(c) is not Fraction:
+                        c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     clean[word] = c
         self.terms = clean
@@ -116,8 +119,11 @@ class Chain:
 
     @classmethod
     def from_word(cls, n, raw_factors, coeff=1):
-        """Build c * (f1 ^^ f2 ^^ ...) from raw factors, canonicalizing."""
-        sign, word = _checked_word(n, raw_factors)
+        """Build c * (f1 ^^ f2 ^^ ...) from raw factors, each validated,
+        canonicalizing."""
+        for alpha, beta in raw_factors:
+            check_generator(n, alpha, beta)
+        sign, word = canonicalize_word(raw_factors)
         if sign == 0:
             return cls.zero(n)
         return cls(n, {word: sign * Fraction(coeff)})
@@ -269,14 +275,20 @@ class Alphabet:
     arity of the block, and every bracket of two factors of one word lies in
     it.  The generators are ranked in factor order: gens[r] is the generator
     of rank r, rank its inverse, parity[r] its g-degree mod 2, classes[(i, j)]
-    the range of ranks of bidegree (i, j).  An int word is the tuple of
-    the ranks of its factors; int words sort as their generator words do.
+    the range of ranks of bidegree (i, j) and bidegree[r] the (i, j) of
+    rank r (built on first use).  An int word is the tuple of the ranks of its factors; int
+    words sort as their generator words do.  The ranks of class (0, -1)
+    are those of d_1, ..., d_n, in this order.
 
     brackets is the bracket table, filled lazily by the boundary module:
     brackets[a * len(gens) + b] is [gens[a], gens[b]] as (rank, int) pairs.
+    shifts is the table of x_l times a generator, filled lazily by the
+    contraction module: shifts[r][l - 1] is the rank of x_l gens[r], or
+    None when that generator lies outside the alphabet.
     """
 
-    __slots__ = ("n", "gens", "rank", "parity", "classes", "brackets")
+    __slots__ = ("n", "gens", "rank", "parity", "classes", "brackets", "shifts",
+                 "_bidegree")
 
     def __init__(self, n, w, h):
         self.n = n
@@ -291,6 +303,15 @@ class Alphabet:
         self.rank = {gen: r for r, gen in enumerate(gens)}
         self.parity = [(len(alpha) - 1) & 1 for alpha, _ in gens]
         self.brackets = {}
+        self.shifts = {}
+        self._bidegree = None
+
+    @property
+    def bidegree(self):
+        """bidegree[r] is the (i, j) of rank r; built on first use."""
+        if self._bidegree is None:
+            self._bidegree = [(len(alpha) - 1, sum(beta) - 1) for alpha, beta in self.gens]
+        return self._bidegree
 
 
 _ALPHABETS = {}  # (n, w, h) -> Alphabet, oldest first
@@ -504,20 +525,35 @@ def parse_chain(n, text):
     """Inverse of chain_to_text; accepts any factor order and blank lines.
 
     Terms accumulate in one dict, so parsing is linear in the line count.
+    Each distinct coefficient text and each distinct factor text is parsed
+    (and the factor validated) once per call.
     """
+    coeffs = {}
+    gens = {}
     terms = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         head, _, tail = line.partition("|")
-        coeff = parse_coeff(head.strip())
+        head = head.strip()
+        coeff = coeffs.get(head)
+        if coeff is None:
+            coeff = parse_coeff(head)
+            coeff = coeffs[head] = coeff.numerator if coeff.denominator == 1 else coeff
         factors = []
         for part in tail.split(";"):
-            c, beta, alpha = parse_monomial("1 * " + part.strip())
-            factors.append((alpha, beta))
-        sign, word = _checked_word(n, factors)
+            part = part.strip()
+            gen = gens.get(part)
+            if gen is None:
+                _, beta, alpha = parse_monomial("1 * " + part)
+                check_generator(n, alpha, beta)
+                gen = gens[part] = (alpha, beta)
+            factors.append(gen)
+        sign, word = canonicalize_word(factors)
         if sign:
-            terms[word] = terms.get(word, 0) + sign * coeff
+            c = coeff if sign > 0 else -coeff
+            prev = terms.get(word)
+            terms[word] = c if prev is None else prev + c
     return Chain(n, terms)
 

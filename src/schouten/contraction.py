@@ -18,13 +18,20 @@ for TL) plus a residual one stratum down (TR) or up (TL) plus a piece in the
 (1, 0) stratum, where psi is exactly multiplication by n+w+1.  Chasing the
 strata yields nonzero constants c_i with (psi+c_1)...(psi+c_m) U = 0; for a
 cycle U this turns into an explicit primitive V with boundary(V) = U.
+
+The operators run on the int words of the block's Alphabet (see chains)
+with int coefficients: each public operator checks the generators of its
+input, encodes it, applies the kernel and decodes.  certify_exact and
+annihilating_polynomial make their Krylov pass there too, fraction-free;
+only p and the primitive's coefficients become Fractions.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .chains import (Chain, canonicalize_word, chain_to_text, enumerate_basis,
-                     format_coeff, parse_chain, parse_coeff, weight_signature)
-from .boundary import boundary
+from .chains import (Chain, chain_to_text, enumerate_basis, format_coeff, parse_chain,
+                     parse_coeff, place_factor, weight_signature)
+from .boundary import boundary, boundary_codes, decode_chain, encode_chain
 from .multivector import check_generator
 from .record import Record
 
@@ -131,17 +138,6 @@ def project_stratum(U, stratum):
     return Chain(U.n, {word: c for word, c in U.terms.items() if stratum_of(word) == key})
 
 
-def _coordinate_gen(n, l):
-    return ((l,), (0,) * n)
-
-
-def _scale_gen(gen, l):
-    alpha, beta = gen
-    nb = list(beta)
-    nb[l - 1] += 1
-    return (alpha, tuple(nb))
-
-
 def _check_generators(U):
     """check_generator on each distinct factor of the chain U, once.  The
     other factors phi_op and capital_phi build, d_l and x_l times a checked
@@ -150,58 +146,111 @@ def _check_generators(U):
         check_generator(U.n, alpha, beta)
 
 
+def _shifts(A, r):
+    """Ranks of x_1 gens[r], ..., x_n gens[r] in the alphabet A, entered
+    in its shift table; None for one outside the alphabet, which no
+    nonzero word of A's block can hold."""
+    out = A.shifts.get(r)
+    if out is None:
+        alpha, beta = A.gens[r]
+        out = A.shifts[r] = tuple(A.rank.get((alpha, beta[:l] + (beta[l] + 1,) + beta[l + 1:]))
+                                  for l in range(A.n))
+    return out
+
+
+def _phi_op_codes(A, codes):
+    """phi_op on {int word: int} of arity 1 in the alphabet A: each word
+    d_l ^^ (x_l gen) is built by one place_factor insertion."""
+    parity = A.parity
+    d = A.classes[(0, -1)]
+    out = {}
+    for (r,), c in codes.items():
+        # x_l gen, of bidegree (w, h + 1), always lies in the alphabet
+        for dl, xr in zip(d, _shifts(A, r)):
+            sign, word = place_factor((xr,), 0, dl, parity)
+            if sign:
+                out[word] = out.get(word, 0) + sign * c
+    return {word: v for word, v in out.items() if v}
+
+
+def _capital_phi_codes(A, codes):
+    """capital_phi on {int word: int} of arity 2 in the alphabet A.
+
+    The TR word f1 ^^ f2 goes to d_l ^^ f1 ^^ (x_l f2) and the TL word to
+    d_l ^^ (x_l f1) ^^ f2: x_l times a factor is placed next to the other
+    factor, then d_l in front, by two place_factor insertions.
+    """
+    parity = A.parity
+    bideg = A.bidegree
+    d = A.classes[(0, -1)]
+    out = {}
+    for (r1, r2), c in codes.items():
+        (i1, j1), (i2, j2) = bideg[r1], bideg[r2]
+        # classify_type: |A| + |B| = i + j + 2 per factor
+        if i1 + j1 < i2 + j2 or (i1 + j1 == i2 + j2 and i1 <= i2):
+            kept, slot, moved = r1, 1, r2
+        else:
+            kept, slot, moved = r2, 0, r1
+        for dl, xr in zip(d, _shifts(A, moved)):
+            if xr is None:
+                continue
+            s, pair = place_factor((kept,), slot, xr, parity)
+            if s:
+                t, word = place_factor(pair, 0, dl, parity)
+                if t:
+                    out[word] = out.get(word, 0) + s * t * c
+    return {word: v for word, v in out.items() if v}
+
+
+def _on_codes(U, kernel):
+    """kernel(A, codes) on each weight block of U, its generators checked
+    first; the results decoded back into one Chain."""
+    _check_generators(U)
+    scale, blocks = encode_chain(U)
+    return decode_chain(U.n, [(A, kernel(A, codes)) for A, codes in blocks.values()],
+                        Fraction(1, scale))
+
+
 def phi_op(U):
     """sum_l d_l ^^ (x_l U) for a 1-chain U."""
-    n = U.n
     if U.arity() not in (None, 1):
         raise ValueError("phi_op expects a 1-chain")
-    _check_generators(U)
-    terms = {}
-    for word, c in U.terms.items():
-        gen = word[0]
-        for l in range(1, n + 1):
-            sign, wrd = canonicalize_word([_coordinate_gen(n, l), _scale_gen(gen, l)])
-            if sign:
-                terms[wrd] = terms.get(wrd, 0) + sign * c
-    return Chain(n, terms)
+    return _on_codes(U, _phi_op_codes)
 
 
 def capital_phi(U):
     """The 3-chain operator, applied per canonical word by TR/TL type."""
-    n = U.n
     if U.arity() not in (None, 2):
         raise ValueError("capital_phi expects a 2-chain")
-    _check_generators(U)
-    terms = {}
-    for word, c in U.terms.items():
-        f1, f2 = word
-        tr = classify_type(word) == TR
-        for l in range(1, n + 1):
-            if tr:
-                raw = [_coordinate_gen(n, l), f1, _scale_gen(f2, l)]
-            else:
-                raw = [_coordinate_gen(n, l), _scale_gen(f1, l), f2]
-            sign, wrd = canonicalize_word(raw)
-            if sign:
-                terms[wrd] = terms.get(wrd, 0) + sign * c
-    return Chain(n, terms)
+    return _on_codes(U, _capital_phi_codes)
 
 
-def _check_psi_image(out, w):
-    """psi's block check on its image out; certify_exact runs it on every
-    Krylov power too."""
-    for word in out.terms:
-        if weight_signature(word) != (2, w, w):
+def _check_psi_image(A, codes, w):
+    """The (2, w, w) block check on an image of psi, {int word: int} in
+    the alphabet A; certify_exact runs it on every Krylov power too."""
+    bideg = A.bidegree
+    for word in codes:
+        ij = [bideg[r] for r in word]
+        if len(ij) != 2 or ij[0][0] + ij[1][0] != w or ij[0][1] + ij[1][1] != w:
             raise RuntimeError("psi left the (2, %d, %d) block" % (w, w))
-    return out
+    return codes
+
+
+def _psi_codes(A, codes, w):
+    """psi = boundary . capital_phi + phi_op . boundary on {int word: int}
+    of arity 2 in the alphabet A, block-checked."""
+    return _check_psi_image(A, _combine([(1, boundary_codes(A, _capital_phi_codes(A, codes))),
+                                         (1, _phi_op_codes(A, boundary_codes(A, codes)))]), w)
 
 
 def psi(U):
     """boundary(capital_phi(U)) + phi_op(boundary(U)); block-preserving."""
-    out = boundary(capital_phi(U)) + phi_op(boundary(U))
-    if U:
-        _check_psi_image(out, weight_signature(next(iter(U.terms)))[1])
-    return out
+    if U.arity() not in (None, 2):
+        raise ValueError("psi expects a 2-chain")
+    if not U:
+        return Chain.zero(U.n)
+    w = weight_signature(next(iter(U.terms)))[1]
+    return _on_codes(U, lambda A, codes: _psi_codes(A, codes, w))
 
 
 def leading_scalar(n, w, word):
@@ -258,35 +307,70 @@ def structured_descent(U):
     return cs
 
 
-def _krylov_minimal_polynomial(U, operator):
-    """Minimal monic annihilator p of U under the operator, coefficients
-    ascending ([1] for U = 0), and the Krylov vectors U, TU, ...,
-    T^{d-1} U it was found from, d = deg p.  A zero constant term aborts.
+def _krylov_minimal_polynomial(u, operator):
+    """Minimal monic annihilator p of u under the operator, fraction-free.
+
+    u is a nonzero {int word: int} dict and the operator maps such dicts
+    to such dicts.  Each Krylov vector is stored as an integer power P_k
+    with its content divided out, so T^k u = scales[k] * P_k; each is
+    reduced against the earlier ones by integer row operations, its
+    combination of the powers carried along.  Returns p (Fractions,
+    constant first), the powers P_0, ..., P_{d-1} and their scales,
+    d = deg p.  A zero constant term aborts.
     """
-    if not U:
-        return [Fraction(1)], []
-    pivots = []  # (pivot_word, reduced_chain, combination of the powers)
+    pivots = []  # (pivot word, reduced vector, its combination of the powers)
     powers = []
-    vec = U
+    scales = []
+    vec = u
+    scale = 1
     while True:
+        content = _content(vec.values())
+        if content != 1:
+            vec = {word: v // content for word, v in vec.items()}
+        scale *= content
         red = vec
-        # vec = T^k U with k = len(powers); earlier combos are shorter
-        rep = [Fraction(0)] * len(powers) + [Fraction(1)]
-        for pword, pchain, pcombo in pivots:
-            coeff = red.terms.get(pword)
-            if coeff:
-                factor = coeff / pchain.terms[pword]
-                red = red - factor * pchain
-                for i, x in enumerate(pcombo):
-                    rep[i] -= factor * x
+        # vec = P_k with k = len(powers); earlier combinations are shorter
+        rep = [0] * len(powers) + [1]
+        for pword, pvec, pcombo in pivots:
+            x = red.get(pword)
+            if x:
+                a = pvec[pword]
+                g = gcd(a, x)
+                a //= g
+                x //= g
+                red = _combine([(a, red), (-x, pvec)])  # clears pword
+                rep = [a * r for r in rep]
+                for i, y in enumerate(pcombo):
+                    rep[i] -= x * y
         if not red:
-            # rep gives sum rep_k T^k U = 0 with rep[-1] = 1 (monic)
-            if rep[0] == 0:
+            # sum_k rep[k] P_k = 0, and rep[-1] != 0 since a != 0 at every step
+            p = [Fraction(r * scale, rep[-1] * s) for r, s in zip(rep, scales + [scale])]
+            if p[0] == 0:
                 raise CertificateError("annihilator has zero constant term")
-            return rep, powers
-        pivots.append((next(iter(red.terms)), red, rep))
+            return p, powers, scales
+        g = _content(rep + list(red.values()))
+        if g != 1:
+            red = {word: v // g for word, v in red.items()}
+            rep = [r // g for r in rep]
+        pivots.append((next(iter(red)), red, rep))
         powers.append(vec)
+        scales.append(scale)
         vec = operator(vec)
+
+
+def _content(values):
+    """gcd of the ints, positive; 1 for none."""
+    return gcd(*values) or 1
+
+
+def _combine(pairs):
+    """sum of k * vec over the (int k, {int word: int} vec) pairs, without
+    zero coefficients."""
+    out = {}
+    for k, vec in pairs:
+        for word, v in vec.items():
+            out[word] = out.get(word, 0) + k * v
+    return {word: v for word, v in out.items() if v}
 
 
 def annihilating_polynomial(U):
@@ -295,7 +379,22 @@ def annihilating_polynomial(U):
     The nonzero constant term is guaranteed because p divides the structured
     descent product, whose roots are all nonzero; a zero constant term aborts.
     """
-    return _krylov_minimal_polynomial(U, psi)[0]
+    if not U:
+        return [Fraction(1)]
+    w, A, u, _ = _block_codes(U)
+    return _krylov_minimal_polynomial(u, lambda X: _psi_codes(A, X, w))[0]
+
+
+def _block_codes(U):
+    """(w, A, u, den) for a nonzero chain U of one (2, w, w) block: U's
+    words and generators checked, u = den * U as {int word: int} in the
+    block's alphabet A, den the lcm of U's denominators."""
+    w = weight_signature(next(iter(U.terms)))[1]
+    _check_block(U, w)
+    _check_generators(U)
+    den, blocks = encode_chain(U)
+    A, u = blocks[(w, w)]
+    return w, A, u, den
 
 
 class ExactnessCertificate(Record):
@@ -315,24 +414,27 @@ def certify_exact(U):
     T^k U is a cycle, so one Krylov pass under T finds p(t) = p0 + t g(t)
     annihilating U and the powers that build V = -(1/p0) capital_phi(g(T) U),
     with boundary V = U, re-verified exactly before the certificate is emitted.
+    The pass runs on the int words of the block's alphabet, U scaled to
+    integers by the lcm of its denominators, and V is built from the
+    integer powers it stores.
     """
     n = U.n
     if not U:
         return ExactnessCertificate(n, 0, U, Chain.zero(n), (Fraction(1),), ())
-    w = weight_signature(next(iter(U.terms)))[1]
-    _check_block(U, w)
-    dU = boundary(U)
-    if dU:
+    w, A, u, den = _block_codes(U)
+    du = boundary_codes(A, u)
+    if du:
         raise CertificateError("input is not a cycle; its boundary is:\n%s"
-                               % chain_to_text(dU))
-    p, powers = _krylov_minimal_polynomial(
-        U, lambda X: _check_psi_image(boundary(capital_phi(X)), w))
+                               % chain_to_text(decode_chain(n, [(A, du)], Fraction(1, den))))
+    p, powers, scales = _krylov_minimal_polynomial(
+        u, lambda X: _check_psi_image(A, boundary_codes(A, _capital_phi_codes(A, X)), w))
     g = p[1:]
-    acc = Chain.zero(n)
-    for coeff, power in zip(g, powers):
-        if coeff:
-            acc = acc + coeff * power
-    V = (Fraction(-1) / p[0]) * capital_phi(acc)
+    # g(T) U = (1/den) sum_k g[k] scales[k] P_k; its denominators cleared by m
+    weights = [c * s for c, s in zip(g, scales)]
+    m = lcm(*[c.denominator for c in weights])
+    acc = _combine((c.numerator * (m // c.denominator), power)
+                   for c, power in zip(weights, powers))
+    V = decode_chain(n, [(A, _capital_phi_codes(A, acc))], Fraction(-1) / (p[0] * den * m))
     if boundary(V) != U:
         raise CertificateError("primitive verification failed")
     return ExactnessCertificate(n, w, U, V, tuple(p), tuple(g))
@@ -350,12 +452,16 @@ def certificate_to_dict(cert):
 
 
 def certificate_from_dict(data):
+    """Inverse of certificate_to_dict; ValueError on a malformed field."""
     block = data["block"]
     if (not isinstance(block, list) or len(block) != 2
             or any(type(x) is not int for x in block)
             or block[0] < 1 or block[1] < 0):
         raise ValueError("block must be [n, w] with integers n >= 1, w >= 0; got %r"
                          % (block,))
+    for field in ("U", "V", "p"):
+        if not isinstance(data[field], list) or any(type(x) is not str for x in data[field]):
+            raise ValueError("%s must be a list of strings" % field)
     n, w = block
     U = parse_chain(n, "\n".join(data["U"]))
     V = parse_chain(n, "\n".join(data["V"]))

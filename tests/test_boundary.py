@@ -11,6 +11,8 @@ from schouten.boundary import (
     _word_boundary,
     boundary,
     boundary_matrix,
+    decode_chain,
+    encode_chain,
     left_action,
     matrix_to_text,
 )
@@ -345,3 +347,16 @@ def test_matrix_text_format():
         keys.append((int(c), int(r)))
         Fraction(v)  # parses
     assert keys == sorted(keys)
+
+
+def test_encode_decode_round_trip():
+    """A chain spread over three weight blocks, with fractional
+    coefficients, goes to integer int-word dicts per block and back."""
+    rng = random.Random(59)
+    words = [word for m, w, h in [(1, 0, 1), (2, 1, 1), (2, 0, 0)]
+             for word in rng.sample(enumerate_basis(2, m, w, h).words, 4)]
+    c = Chain(2, {word: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for word in words})
+    scale, blocks = encode_chain(c)
+    assert set(blocks) == {(w, h) for _, w, h in map(weight_signature, c.terms)}
+    assert all(type(v) is int for _, codes in blocks.values() for v in codes.values())
+    assert decode_chain(2, blocks.values(), Fraction(1, scale)) == c

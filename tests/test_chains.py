@@ -187,6 +187,27 @@ def test_chain_linear_structure():
     assert (2 * b).terms[g2] == Fraction(-2)
 
 
+def test_chain_keeps_integral_coefficients_as_ints():
+    g1 = (((1,), (1, 0)),)
+    g2 = (((2,), (0, 1)),)
+    c = Chain(2, {g1: Fraction(4, 2), g2: Fraction(1, 3)})
+    assert type(c.terms[g1]) is int and c.terms[g1] == 2
+    assert type(c.terms[g2]) is Fraction
+    assert type((c * Fraction(3)).terms[g2]) is int
+    assert type((c + c).terms[g1]) is int
+    assert type(Chain(2, {g1: True}).terms[g1]) is int
+    assert Chain(2, {g1: 0.5}).terms[g1] == Fraction(1, 2)
+    assert type(Chain(2, {g1: 0.5}).terms[g1]) is Fraction
+
+
+def test_alphabet_bidegree_matches_generators():
+    A = alphabet(3, 1, 2)
+    assert len(A.bidegree) == len(A.gens)
+    for r, (alpha, beta) in enumerate(A.gens):
+        assert A.bidegree[r] == (len(alpha) - 1, sum(beta) - 1)
+    assert [A.gens[r] for r in A.classes[(0, -1)]] == [((l,), (0, 0, 0)) for l in (1, 2, 3)]
+
+
 def test_wedge_chain_square_of_even_factor_is_zero():
     c = Chain.from_word(2, [((1,), (1, 0))])
     assert wedge_chain(c, c).is_zero()

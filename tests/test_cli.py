@@ -190,12 +190,13 @@ def test_certify_and_check_round_trip(capsys, tmp_path, pipi_file):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["pipi_n2", "cycle_2_1", "cycle_3_2"])
+@pytest.mark.parametrize("name", ["pipi_n2", "cycle_2_1", "cycle_3_2", "cycle_2_1_rational"])
 def test_certificates_pinned_byte_for_byte(capsys, tmp_path, name):
-    """certify on the n=2 pi^^pi square, on a seeded (2, 1) cycle and on a
-    seeded 30-term n=3 (2, 2) cycle (annihilator degree 4) writes exactly
-    the certificate files kept in tests/data, and check-certificate
-    accepts each of them."""
+    """certify on the n=2 pi^^pi square, on a seeded (2, 1) cycle, on a
+    seeded 30-term n=3 (2, 2) cycle (annihilator degree 4) and on
+    (1/2) U1 + (2/3) U2 for two seeded (2, 1) cycles (coefficients with
+    denominators 2, 3 and 6) writes exactly the certificate files kept in
+    tests/data, and check-certificate accepts each of them."""
     pinned = DATA / (name + ".cert.json")
     n = json.loads(pinned.read_text())["block"][0]
     out = tmp_path / "cert.json"
@@ -310,6 +311,19 @@ def test_check_zero_denominator_exit_2(capsys, tmp_path, field, value):
     rc = main(["check-certificate", "--input", str(_pinned_with(tmp_path, field, value))])
     assert rc == 2
     assert "malformed certificate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p", lambda p: p[:-1] + [True]),
+    ("p", lambda p: [float(c) for c in p]),
+    ("U", lambda U: "\n".join(U)),
+], ids=["p-bool", "p-floats", "U-string"])
+def test_check_mistyped_field_exit_2(capsys, tmp_path, field, value):
+    """U, V and p are lists of strings, as certificate_to_dict writes them;
+    the same values in other JSON types are refused, not read."""
+    rc = main(["check-certificate", "--input", str(_pinned_with(tmp_path, field, value))])
+    assert rc == 2
+    assert "malformed certificate: %s must be a list of strings" % field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [

@@ -12,8 +12,6 @@ from schouten.chains import Chain, enumerate_basis, parse_chain, wedge_chain
 from schouten.contraction import (
     TL,
     TR,
-    _coordinate_gen,
-    _scale_gen,
     CertificateError,
     PairStratum,
     Stratification,
@@ -120,6 +118,17 @@ def test_phi_op_raises_on_wrong_arity():
         capital_phi(Chain(2, {(((1,), (0, 0)),): Fraction(1)}))
 
 
+def coordinate_gen(n, l):
+    """d_l as a generator."""
+    return ((l,), (0,) * n)
+
+
+def scale_gen(gen, l):
+    """x_l times the generator gen."""
+    alpha, beta = gen
+    return (alpha, beta[:l - 1] + (beta[l - 1] + 1,) + beta[l:])
+
+
 def reference_phi_op(U):
     """The parent's phi_op, kept as the oracle: one Chain.from_word, which
     validates every factor, per word and l."""
@@ -128,7 +137,7 @@ def reference_phi_op(U):
     for word, c in U.terms.items():
         gen = word[0]
         for l in range(1, n + 1):
-            ch = Chain.from_word(n, [_coordinate_gen(n, l), _scale_gen(gen, l)], c)
+            ch = Chain.from_word(n, [coordinate_gen(n, l), scale_gen(gen, l)], c)
             for wrd, cc in ch.terms.items():
                 terms[wrd] = terms.get(wrd, 0) + cc
     return Chain(n, terms)
@@ -143,9 +152,9 @@ def reference_capital_phi(U):
         tr = classify_type(word) == TR
         for l in range(1, n + 1):
             if tr:
-                raw = [_coordinate_gen(n, l), f1, _scale_gen(f2, l)]
+                raw = [coordinate_gen(n, l), f1, scale_gen(f2, l)]
             else:
-                raw = [_coordinate_gen(n, l), _scale_gen(f1, l), f2]
+                raw = [coordinate_gen(n, l), scale_gen(f1, l), f2]
             ch = Chain.from_word(n, raw, c)
             for wrd, cc in ch.terms.items():
                 terms[wrd] = terms.get(wrd, 0) + cc
@@ -359,10 +368,10 @@ def test_certificate_annihilator_is_the_psi_minimal_polynomial():
 
 def test_certify_runs_the_krylov_sequence_once(monkeypatch):
     """For annihilator degree d: d applications of T = boundary .
-    capital_phi, each block-checked, one capital_phi for V, and the
-    boundaries of U and V."""
+    capital_phi on int words, each block-checked, one more capital_phi
+    for V, and at most the public boundaries of U and V."""
     import schouten.contraction as contraction
-    calls = dict.fromkeys(("capital_phi", "boundary", "_check_psi_image"), 0)
+    calls = dict.fromkeys(("_capital_phi_codes", "boundary", "_check_psi_image"), 0)
 
     def counting(name, real):
         def wrapper(*args):
@@ -380,18 +389,41 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
         if d < 2:
             continue
         degrees.add(d)
-        assert calls["capital_phi"] <= d + 1
-        assert calls["boundary"] <= d + 2
+        assert calls["_capital_phi_codes"] <= d + 1
+        assert calls["boundary"] <= 2
         assert calls["_check_psi_image"] == d
     assert max(degrees) >= 4
 
 
+def test_coefficients_stay_exact():
+    """Integral coefficients are ints, on which `/` gives a float: every
+    coefficient out of chain arithmetic, the operators, the descent, the
+    annihilator and the certificate is an int or a Fraction."""
+    def exact(values):
+        return all(type(c) in (int, Fraction) for c in values)
+
+    for U in seeded_cycles():
+        ones = Chain(U.n, {word[:1]: c for word, c in U.terms.items()})
+        single = Chain(U.n, dict([next(iter(U.terms.items()))]))
+        for chain in [U, U + U, U - Fraction(1, 3) * U + U, 2 * U, -U, boundary(single),
+                      capital_phi(U), psi(U), phi_op(ones)]:
+            assert exact(chain.terms.values())
+        assert exact(structured_descent(U))
+        assert exact(annihilating_polynomial(U))
+        cert = certify_exact(U)
+        for values in [cert.cycle.terms.values(), cert.primitive.terms.values(),
+                       cert.annihilator, cert.quotient]:
+            assert exact(values)
+
+
 def test_krylov_rejects_zero_constant_term():
     """A nilpotent operator has annihilator t^k, which gives no primitive."""
+    from schouten.boundary import encode_chain
     from schouten.contraction import _krylov_minimal_polynomial
     U = parse_chain(2, (DATA / "pipi_n2.txt").read_text())
+    (_, u), = encode_chain(U)[1].values()
     with pytest.raises(CertificateError):
-        _krylov_minimal_polynomial(U, lambda X: Chain.zero(U.n))
+        _krylov_minimal_polynomial(u, lambda X: {})
 
 
 def test_certify_squared_bivector():
