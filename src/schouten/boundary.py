@@ -170,6 +170,31 @@ class BoundaryMatrix:
         self.codomain = codomain
 
 
+def boundary_columns(A, codes, row_of, m, w, h):
+    """The columns of d on the int words `codes` of the (m, w, h) block:
+    one {row: nonzero int} per word, in order, with row_of mapping each
+    word of the codomain to its row.  A term that is no word of row_of, or
+    whose bracket is ranked beyond the alphabet A, raises
+    WeightEscapeError."""
+    def escape(word):
+        return WeightEscapeError("boundary of %r left block (m=%d, w=%d, h=%d)"
+                                 % (tuple(A.gens[f] for f in word), m, w, h))
+
+    for word in codes:
+        try:
+            terms = _word_boundary(A, word)
+        except IndexError:  # a bracket term ranked beyond the alphabet
+            raise escape(word) from None
+        column = {}
+        for out, c in terms.items():
+            if c:
+                r = row_of.get(out)
+                if r is None:
+                    raise escape(word)
+                column[r] = c
+        yield column
+
+
 def boundary_matrix(n, m, w, h, domain=None, codomain=None):
     """Assemble the boundary matrix of the (n; m, w, h) block.
 
@@ -186,25 +211,11 @@ def boundary_matrix(n, m, w, h, domain=None, codomain=None):
         codomain = enumerate_basis(n, m - 1, w, h)
     if any((B.n, B.w, B.h) != (n, w, h) for B in (domain, codomain)):
         raise ValueError("a basis outside the weight block (n=%d, w=%d, h=%d)" % (n, w, h))
-    A = domain.alphabet
-
-    def escape(word):
-        return WeightEscapeError("boundary of %r left block (m=%d, w=%d, h=%d)"
-                                 % (tuple(A.gens[f] for f in word), m, w, h))
-
-    row_of = codomain.index
     entries = {}
-    for col, word in enumerate(domain.codes):
-        try:
-            terms = _word_boundary(A, word)
-        except IndexError:  # a bracket term ranked beyond the alphabet
-            raise escape(word) from None
-        for out, c in terms.items():
-            if c:
-                r = row_of.get(out)
-                if r is None:
-                    raise escape(word)
-                entries[(r, col)] = c
+    columns = boundary_columns(domain.alphabet, domain.codes, codomain.index, m, w, h)
+    for col, column in enumerate(columns):
+        for r, c in column.items():
+            entries[(r, col)] = c
     return BoundaryMatrix(SparseMatrixQ(len(codomain), len(domain), entries),
                           domain, codomain)
 

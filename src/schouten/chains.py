@@ -40,16 +40,25 @@ def canonicalize_word(factors):
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
-    order = sorted(set(factors), key=factor_key)
+    return next(_canonical_words([factors]))
+
+
+def _canonical_words(factor_lists):
+    """canonicalize_word of each nonempty list of raw factors in turn; the
+    distinct factors of all the lists are ranked once."""
+    order = sorted({gen for factors in factor_lists for gen in factors}, key=factor_key)
     rank = {gen: r for r, gen in enumerate(order)}
     parity = [(len(gen[0]) - 1) & 1 for gen in order]
-    sign, word = 1, ()
-    for gen in factors:
-        s, word = place_factor(word, len(word), rank[gen], parity)
-        if s == 0:
-            return 0, None
-        sign *= s
-    return sign, tuple(order[r] for r in word)
+    for factors in factor_lists:
+        sign, word = 1, ()
+        for gen in factors:
+            s, word = place_factor(word, len(word), rank[gen], parity)
+            if s == 0:
+                yield 0, None
+                break
+            sign *= s
+        else:
+            yield sign, tuple(order[r] for r in word)
 
 
 def place_factor(rest, i, r, parity):
@@ -526,11 +535,12 @@ def parse_chain(n, text):
 
     Terms accumulate in one dict, so parsing is linear in the line count.
     Each distinct coefficient text and each distinct factor text is parsed
-    (and the factor validated) once per call.
+    (and the factor validated) once per call, and the distinct generators
+    of the whole text are ranked in factor order once.
     """
     coeffs = {}
     gens = {}
-    terms = {}
+    lines = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -550,7 +560,10 @@ def parse_chain(n, text):
                 check_generator(n, alpha, beta)
                 gen = gens[part] = (alpha, beta)
             factors.append(gen)
-        sign, word = canonicalize_word(factors)
+        lines.append((coeff, factors))
+    terms = {}
+    words = _canonical_words([factors for _, factors in lines])
+    for (coeff, _), (sign, word) in zip(lines, words):
         if sign:
             c = coeff if sign > 0 else -coeff
             prev = terms.get(word)

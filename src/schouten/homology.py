@@ -10,12 +10,14 @@ Persistent Homology Computation with a Twist, 2011): d_out is eliminated
 once, d_out . d_in = 0 is proven on the rows of d_out that became its
 echelon pivots (they span its row space), and the rows of d_in at
 d_out's pivot columns, which those relations make dependent on the other
-rows, are dropped before d_in is eliminated.
+rows, are dropped before d_in is eliminated.  d_in is streamed column by
+column through the check and the clearing into the integer rows that the
+echelon takes, so it is held once.
 """
 
 from .chains import block_dims, enumerate_basis, max_arity
-from .boundary import boundary_matrix
-from .linalg import pivot_columns, product_nonzero, rank_exact
+from .boundary import boundary_columns, boundary_matrix
+from .linalg import column_groups, column_nonzero, echelon, pivot_columns
 from .multivector import schouten_bracket
 from .record import Record
 
@@ -45,38 +47,49 @@ class HomologyReport(Record):
 def betti(n, m, w, h):
     """Full homology report of the block (n; m, w, h).
 
-    d_out: C_m -> C_{m-1} is eliminated once, by pivot_columns, which also
-    names the rows of d_out that became the echelon pivots.  Then
-    d_in: C_{m+1} -> C_m is assembled and d_out . d_in = 0 is checked
-    exactly on those rows of d_out (HomologyInvariantError otherwise).
-    That is a proof for all of d_out: the pivot rows span its row space,
-    so every other row is a combination of them and annihilates d_in too.
-    Finally the rows of d_in at d_out's pivot columns are zeroed before
-    rank_exact(d_in).  That leaves rank_in unchanged: the echelon rows of
-    d_out, restricted to the pivot columns, form a triangular matrix with a
-    nonzero diagonal, and each of them annihilates d_in, so the rows of
-    d_in at the pivot columns lie in the span of its other rows.
+    d_out: C_m -> C_{m-1} is assembled and eliminated once, by
+    pivot_columns, which also names the rows of d_out that became the
+    echelon pivots.  d_in: C_{m+1} -> C_m is never held as a matrix: its
+    columns come one at a time from boundary_columns, and each is
+    1. checked: d_out . column = 0 exactly on those rows of d_out
+       (HomologyInvariantError otherwise).  That is a proof for all of
+       d_out: the pivot rows span its row space, so every other row is a
+       combination of them and annihilates the column too;
+    2. cleared: its entries at d_out's pivot columns are dropped.  That
+       leaves rank_in unchanged: the echelon rows of d_out, restricted to
+       the pivot columns, form a triangular matrix with a nonzero diagonal,
+       and each of them annihilates d_in, so the rows of d_in at the pivot
+       columns lie in the span of its other rows;
+    3. appended to the integer rows of d_in, which echelon then ranks.
     """
     basis_m = enumerate_basis(n, m, w, h)
     basis_lo = enumerate_basis(n, m - 1, w, h) if m >= 2 else None
     basis_hi = enumerate_basis(n, m + 1, w, h)
-    d_out = None
-    pivot_cols = pivot_rows = ()
+    a_cols = None
+    pivot_cols = ()
     if m >= 2 and len(basis_m) and len(basis_lo):
         d_out = boundary_matrix(n, m, w, h, basis_m, basis_lo).matrix
         pivot_cols, pivot_rows = pivot_columns(d_out)
+        a_cols = column_groups(d_out, pivot_rows)
+        del d_out  # only its pivot rows, grouped by column, are read from here
     rank_out = len(pivot_cols)
     if len(basis_hi) and len(basis_m):
-        d_in = boundary_matrix(n, m + 1, w, h, basis_hi, basis_m).matrix
-        if d_out is not None:
-            bad = product_nonzero(d_out, d_in, pivot_rows)
-            if bad is not None:
-                raise HomologyInvariantError(
-                    "boundary squared is nonzero on block (n=%d, m=%d, w=%d, h=%d): "
-                    "entry (%d, %d) of d_out . d_in is %s" % ((n, m, w, h) + bad))
-            d_out = None
-            d_in.zero_rows(pivot_cols)
-        rank_in = rank_exact(d_in)
+        cleared = set(pivot_cols)
+        rows = [{} for _ in range(len(basis_m))]
+        columns = boundary_columns(basis_hi.alphabet, basis_hi.codes, basis_m.index,
+                                   m + 1, w, h)
+        for col, column in enumerate(columns):
+            if a_cols is not None:
+                bad = column_nonzero(a_cols, column)
+                if bad is not None:
+                    raise HomologyInvariantError(
+                        "boundary squared is nonzero on block (n=%d, m=%d, w=%d, h=%d): "
+                        "entry (%d, %d) of d_out . d_in is %s"
+                        % (n, m, w, h, bad[0], col, bad[1]))
+            for r, v in column.items():
+                if r not in cleared:
+                    rows[r][col] = v
+        rank_in = len(echelon(rows)[0])
     else:
         rank_in = 0
     b = len(basis_m) - rank_out - rank_in

@@ -57,13 +57,6 @@ class SparseMatrixQ:
     def is_zero(self):
         return not self.entries
 
-    def zero_rows(self, rows):
-        """Set the given rows to zero in place; the shape is kept."""
-        drop = set(rows)
-        entries = self.entries
-        for key in [key for key in entries if key[0] in drop]:
-            del entries[key]
-
 
 # --- fraction-free integer echelon ------------------------------------------
 
@@ -99,11 +92,16 @@ def echelon(rows):
     kept up to sign: the sign is fixed only when the row becomes a pivot,
     since the update of a row is linear in it and the sign of the result is
     fixed in turn.
+
+    The input rows are never changed, and never copied: a row that needs
+    no scaling or update is held as it is, so an ech_rows[i] may be the
+    very dict of an input row.  Every update and every sign flip builds a
+    new dict.
     """
     buckets = {}  # leading column -> [(original row index, row)]
     for i, r in enumerate(rows):
         if r:
-            buckets.setdefault(min(r), []).append((i, _primitive(dict(r))))
+            buckets.setdefault(min(r), []).append((i, _primitive(r)))
     open_cols = list(buckets)
     heapify(open_cols)
     pivots = []
@@ -180,42 +178,49 @@ def pivot_columns(M):
     return [order[p] for p in pivots], rows
 
 
-def product_nonzero(A, B, rows=None):
-    """A nonzero entry (row, col, value) of A @ B, or None when A @ B = 0.
-    With `rows`, only those rows of A are multiplied: A[rows] @ B.
-
-    Neither the product nor a copy of B is built.  A is grouped by column,
-    and B's entries are streamed once: B[k, c] adds B[k, c] * A[:, k] to
-    the accumulator of column c, and a column is checked and dropped as soon
-    as its last entry has been added.  So at most one accumulator per open
-    column is held: one, when B's entries come column by column, as
-    boundary_matrix assembles them.  Every column of the product is checked
-    whole, whatever the order of B's entries.
-    """
-    if A.cols != B.rows:
-        raise ValueError("shape mismatch %dx%d @ %dx%d"
-                         % (A.rows, A.cols, B.rows, B.cols))
+def column_groups(A, rows=None):
+    """A's entries grouped by column, {col: [(row, value)]}; with `rows`,
+    only the entries in those rows of A."""
     keep = None if rows is None else set(rows)
     a_cols = {}
     for (r, k), a in A.entries.items():
         if keep is None or r in keep:
             a_cols.setdefault(k, []).append((r, a))
-    left = [0] * B.cols  # entries of each column of B not yet streamed
-    for _, c in B.entries:
-        left[c] += 1
-    open_cols = {}
-    for (k, c), b in B.entries.items():
-        acc = open_cols.get(c)
-        if acc is None:
-            acc = open_cols[c] = {}
+    return a_cols
+
+
+def column_nonzero(a_cols, column):
+    """A nonzero entry (row, value) of A @ column, or None when it is 0;
+    A is given by column_groups and the column as {row of column: value}.
+    Every entry of the product column is summed in full before any is
+    read."""
+    acc = {}
+    for k, b in column.items():
         for r, a in a_cols.get(k, ()):
             acc[r] = acc.get(r, 0) + a * b
-        left[c] -= 1
-        if not left[c]:
-            del open_cols[c]
-            for r, v in acc.items():
-                if v:
-                    return r, c, v
+    for r, v in acc.items():
+        if v:
+            return r, v
+    return None
+
+
+def product_nonzero(A, columns, rows=None):
+    """A nonzero entry (row, col, value) of A @ B, or None when A @ B = 0.
+    B is given as an iterable of its columns, each {row: value}, in column
+    order.  With `rows`, only those rows of A are multiplied: A[rows] @ B.
+
+    Neither the product nor B is held: A is grouped by column once, and
+    each column of B is multiplied by column_nonzero and checked whole as
+    it arrives, so columns may come from a generator.
+    """
+    a_cols = column_groups(A, rows)
+    for c, column in enumerate(columns):
+        if column and max(column) >= A.cols:
+            raise ValueError("column %d of B has row %d, but A has %d columns"
+                             % (c, max(column), A.cols))
+        bad = column_nonzero(a_cols, column)
+        if bad is not None:
+            return bad[0], c, bad[1]
     return None
 
 

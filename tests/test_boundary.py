@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from schouten import cli
 from schouten.boundary import (
     WeightEscapeError,
     _bracket,
     _word_boundary,
     boundary,
+    boundary_columns,
     boundary_matrix,
     decode_chain,
     encode_chain,
@@ -25,6 +27,7 @@ from schouten.chains import (
     wedge_chain,
     weight_signature,
 )
+from schouten.homology import betti
 from schouten.linalg import product_nonzero
 from schouten.multivector import (
     MultiVector,
@@ -290,9 +293,10 @@ def test_boundary_matrix_arity_one_is_zero_map():
 
 def test_composite_matrix_is_zero():
     n, w, h = 2, 1, 1
-    b3 = boundary_matrix(n, 3, w, h)
-    b2 = boundary_matrix(n, 2, w, h, domain=b3.codomain)
-    assert product_nonzero(b2.matrix, b3.matrix) is None
+    b2 = boundary_matrix(n, 2, w, h)
+    domain = enumerate_basis(n, 3, w, h)
+    columns = boundary_columns(domain.alphabet, domain.codes, b2.domain.index, 3, w, h)
+    assert product_nonzero(b2.matrix, columns) is None
 
 
 def _reached_bracket(n, m, w, h):
@@ -308,8 +312,10 @@ def _reached_bracket(n, m, w, h):
     raise AssertionError("no nonzero bracket in the block")
 
 
-@pytest.mark.parametrize("leave", ["block", "alphabet"])
-def test_corrupt_bracket_entry_raises_weight_escape(monkeypatch, leave):
+@pytest.mark.parametrize("leave, via", [
+    pytest.param(leave, via, id=leave if via == "boundary_matrix" else leave + "-betti")
+    for via in ("boundary_matrix", "betti") for leave in ("block", "alphabet")])
+def test_corrupt_bracket_entry_raises_weight_escape(monkeypatch, capsys, leave, via):
     n, m, w, h = 2, 3, 1, 1
     domain, a, b = _reached_bracket(n, m, w, h)
     A = domain.alphabet
@@ -322,8 +328,17 @@ def test_corrupt_bracket_entry_raises_weight_escape(monkeypatch, leave):
     else:
         r = len(A.gens)
     monkeypatch.setitem(A.brackets, a * len(A.gens) + b, tuple([(r, c)] + rest))
-    with pytest.raises(WeightEscapeError):
-        boundary_matrix(n, m, w, h, domain)
+    if via == "boundary_matrix":
+        with pytest.raises(WeightEscapeError):
+            boundary_matrix(n, m, w, h, domain)
+        return
+    # betti of arity m - 1 streams the columns of d: C_m -> C_{m-1} (d_in)
+    with pytest.raises(WeightEscapeError, match="m=%d," % m):
+        betti(n, m - 1, w, h)
+    rc = cli.main(["betti", "--n", str(n), "--m", str(m - 1), "--w", str(w), "--h", str(h)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "left block (m=%d," % m in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_boundary_matrix_rejects_bases_of_another_block():

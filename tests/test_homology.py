@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from schouten import cli, homology
-from schouten.boundary import boundary_matrix
+from schouten import cli, homology, linalg
+from schouten.boundary import boundary_columns, boundary_matrix
 from schouten.homology import (
     HomologyInvariantError,
     HomologyReport,
@@ -61,7 +61,7 @@ def test_betti_consistency_identity():
 def test_betti_rejects_ranks_that_overshoot(monkeypatch):
     # a rank above what the dimensions allow must fail loudly, also under
     # python -O, instead of reporting a negative Betti number
-    monkeypatch.setattr(homology, "rank_exact", lambda M: min(M.rows, M.cols) + 1)
+    monkeypatch.setattr(homology, "echelon", lambda rows: ([0] * (len(rows) + 1), [], []))
     with pytest.raises(HomologyInvariantError, match="negative Betti number"):
         betti(2, 3, 0, 0)
 
@@ -116,21 +116,25 @@ def test_betti_with_clearing_matches_reference_wide(block):
     assert betti(*block) == reference_betti(*block)
 
 
+def corrupted_columns(m_in, key, change):
+    """boundary_columns with the entry key = (row, col) of the arity-m_in
+    stream replaced by change(entry)."""
+    def columns(A, codes, row_of, m, w, h):
+        for col, column in enumerate(boundary_columns(A, codes, row_of, m, w, h)):
+            if m == m_in and col == key[1]:
+                column = dict(column)
+                column[key[0]] = change(column[key[0]])
+            yield column
+    return columns
+
+
 def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
     # negate one entry of d_in = d(C_4 -> C_3) in a row whose column of
     # d_out = d(C_3 -> C_2) is nonzero, so that d_out . d_in != 0
-    real = homology.boundary_matrix
-    out_cols = {c for _, c in real(2, 3, 1, 1).matrix.entries}
-
-    def corrupted(n, m, w, h, domain=None, codomain=None):
-        bm = real(n, m, w, h, domain, codomain)
-        if m == 4:
-            entries = bm.matrix.entries
-            key = next(k for k in entries if k[0] in out_cols)
-            entries[key] = -entries[key]
-        return bm
-
-    monkeypatch.setattr(homology, "boundary_matrix", corrupted)
+    out_cols = {c for _, c in boundary_matrix(2, 3, 1, 1).matrix.entries}
+    d_in = boundary_matrix(2, 4, 1, 1).matrix
+    key = next(k for k in d_in.entries if k[0] in out_cols)
+    monkeypatch.setattr(homology, "boundary_columns", corrupted_columns(4, key, lambda v: -v))
     with pytest.raises(HomologyInvariantError, match="boundary squared"):
         betti(2, 3, 1, 1)
     rc = cli.main(["betti", "--n", "2", "--m", "3", "--w", "1", "--h", "1"])
@@ -145,26 +149,36 @@ def test_boundary_squared_check_on_pivot_rows_catches_corrupted_entries(monkeypa
     # betti checks d_out . d_in = 0 only on d_out's pivot rows (201 of 238
     # here); one corrupted d_in entry in a row k whose d_out column is
     # nonzero must still raise, also where that column meets non-pivot rows
-    real = homology.boundary_matrix
-    d_out = real(2, 4, 1, 1).matrix
+    d_out = boundary_matrix(2, 4, 1, 1).matrix
     _, pivot_rows = pivot_columns(d_out)
     column_rows = {}
     for r, c in d_out.entries:
         column_rows.setdefault(c, set()).add(r)
-    d_in = real(2, 5, 1, 1).matrix
+    d_in = boundary_matrix(2, 5, 1, 1).matrix
     keys = [k for k in sorted(d_in.entries) if k[0] in column_rows][::599]
     assert len(pivot_rows) < d_out.rows
     assert any(column_rows[k[0]] - set(pivot_rows) for k in keys)
     for key in keys:
-        def corrupted(n, m, w, h, domain=None, codomain=None):
-            bm = real(n, m, w, h, domain, codomain)
-            if m == 5:
-                bm.matrix.entries[key] += 1
-            return bm
-
-        monkeypatch.setattr(homology, "boundary_matrix", corrupted)
+        monkeypatch.setattr(homology, "boundary_columns",
+                            corrupted_columns(5, key, lambda v: v + 1))
         with pytest.raises(HomologyInvariantError, match="boundary squared"):
             betti(2, 4, 1, 1)
+
+
+def test_betti_holds_d_in_once(monkeypatch):
+    # d_in (6507 columns here) streams into the echelon's integer rows: the
+    # only SparseMatrixQ betti builds is d_out = d(C_2 -> C_1), 18 x 504
+    shapes = []
+    init = linalg.SparseMatrixQ.__init__
+
+    def counting(self, rows, cols, entries=None):
+        shapes.append((rows, cols))
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(linalg.SparseMatrixQ, "__init__", counting)
+    rep = betti(3, 2, 1, 1)
+    assert shapes == [(rep.dim_lower, rep.dim)] == [(18, 504)]
+    assert rep.dim_upper == 6507
 
 
 def test_first_betti_always_zero_small():

@@ -36,6 +36,15 @@ def mul_vector(M, v):
     return out
 
 
+def columns_of(M):
+    """M's columns as {row: value} dicts, in column order; each column
+    keeps its rows in the order of M.entries."""
+    columns = [{} for _ in range(M.cols)]
+    for (r, c), v in M.entries.items():
+        columns[c][r] = v
+    return columns
+
+
 def matmul(A, B):
     if A.cols != B.rows:
         raise ValueError("shape mismatch %dx%d @ %dx%d" % (A.rows, A.cols, B.rows, B.cols))
@@ -251,6 +260,13 @@ def test_echelon_leaves_input_rows_alone():
     assert pivots == [0, 1, 2]
     assert pivot_rows == [0, 2, 1]
     assert all(r[c] > 0 for c, r in zip(pivots, ech))
+    # rows of content 1 go in uncopied: the first becomes a pivot row as
+    # it is, the second is updated and the third is negated, all unchanged
+    rows = [{0: 1, 1: 2}, {0: 1, 2: 1}, {1: -1}]
+    before = [dict(r) for r in rows]
+    pivots, ech, pivot_rows = echelon(rows)
+    assert rows == before
+    assert (pivots, pivot_rows, ech) == ([0, 1, 2], [0, 2, 1], [{0: 1, 1: 2}, {1: 1}, {2: 1}])
 
 
 def test_boundary_matrix_entries_are_integers():
@@ -327,12 +343,12 @@ def test_product_nonzero_agrees_with_matmul():
         k = rng.randint(1, 6)
         A = random_matrix(rng, rng.randint(1, 6), k, density=rng.choice([0.1, 0.3]))
         B = random_matrix(rng, k, rng.randint(1, 6), density=rng.choice([0.1, 0.3]))
-        # B's entries in a random order, so columns arrive interleaved
+        # B's entries in a random order, so the rows of each column come shuffled
         items = list(B.entries.items())
         rng.shuffle(items)
         B.entries = dict(items)
         P = matmul(A, B)
-        got = product_nonzero(A, B)
+        got = product_nonzero(A, columns_of(B))
         if P.is_zero():
             zero_seen += 1
             assert got is None
@@ -341,25 +357,21 @@ def test_product_nonzero_agrees_with_matmul():
             assert P.entries[(r, c)] == v != 0
     assert zero_seen > 20
     with pytest.raises(ValueError):
-        product_nonzero(SparseMatrixQ(2, 3), SparseMatrixQ(2, 2))
+        product_nonzero(SparseMatrixQ(2, 3), [{0: 1}, {3: 1}])
 
 
 def test_product_nonzero_catches_one_corrupted_entry():
     d_out = boundary_matrix(2, 3, 1, 1).matrix
     d_in = boundary_matrix(2, 4, 1, 1).matrix
-    assert product_nonzero(d_out, d_in) is None
+    columns = columns_of(d_in)
+    assert product_nonzero(d_out, columns) is None
     out_cols = {c for _, c in d_out.entries}
     for key in [k for k in d_in.entries if k[0] in out_cols][::97]:
-        corrupt = SparseMatrixQ(d_in.rows, d_in.cols, d_in.entries)
-        corrupt.entries[key] += 1
-        r, c, v = product_nonzero(d_out, corrupt)
+        corrupt = list(columns)
+        corrupt[key[1]] = dict(columns[key[1]])
+        corrupt[key[1]][key[0]] += 1
+        r, c, v = product_nonzero(d_out, iter(corrupt))
         assert c == key[1] and v == d_out.entries[(r, key[0])]
-
-
-def test_zero_rows_keeps_shape():
-    M = SparseMatrixQ(3, 2, {(0, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
-    M.zero_rows([2, 0])
-    assert (M.rows, M.cols, M.entries) == (3, 2, {(1, 1): 2})
 
 
 def test_product_on_pivot_rows_decides_the_whole_product():
@@ -379,7 +391,7 @@ def test_product_on_pivot_rows_decides_the_whole_product():
         else:
             B = random_matrix(rng, A.cols, rng.randint(1, 5), density=0.3)
         _, prow = pivot_columns(A)
-        got = product_nonzero(A, B, prow)
+        got = product_nonzero(A, columns_of(B), prow)
         P = matmul(A, B)
         if P.is_zero():
             zero_seen += 1
