@@ -15,12 +15,11 @@ from importlib import import_module
 
 # exported name -> submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(["MultiVector", "wedge_mv", "schouten_bracket", "bidegree",
-                     "scale_by_coordinate"], "multivector"),
+    **dict.fromkeys(["MultiVector", "schouten_bracket", "bidegree"], "multivector"),
     **dict.fromkeys(["Chain", "BasisIndex", "canonicalize_word", "wedge_chain",
                      "weight_signature", "enumerate_basis", "basis_dim",
-                     "chain_to_vector", "vector_to_chain", "max_arity"], "chains"),
-    **dict.fromkeys(["left_action", "boundary", "boundary_matrix"], "boundary"),
+                     "chain_to_vector", "max_arity"], "chains"),
+    **dict.fromkeys(["boundary", "boundary_matrix"], "boundary"),
     **dict.fromkeys(["SparseMatrixQ", "rank_exact", "kernel_basis"], "linalg"),
     **dict.fromkeys(["HomologyReport", "betti", "euler_characteristic", "is_poisson",
                      "dims_table"], "homology"),

@@ -1,4 +1,4 @@
-"""The homology boundary operator on chains and its per-block matrices.
+"""The homology boundary operator on chains and its per-block maps.
 
 The paper defines the operator on words recursively through the left action,
 
@@ -19,18 +19,24 @@ Alphabet: each bracket [A_k, A_i] is read from the alphabet's bracket table
 (filled on first use) and put in place by place_factor.  Nothing is
 memoized per word.  encode_chain and decode_chain carry a Chain to int
 words with int coefficients and back; the contraction operators run on
-the same encoding.  The double weight (m, w, h) -> (m-1, w, h) is
-preserved; a term outside the block aborts matrix assembly, because it can
-only come from a sign or bracket bug.
+the same encoding.
+
+A block map d: C_m -> C_{m-1} is what boundary_columns yields, one
+{row: int} column per word of C_m.  betti ranks it, and
+boundary_squared_failures, the one d . d check behind `verify dsq` and
+the tests, multiplies it by the columns of the arity below;
+boundary_matrix packs it into a SparseMatrixQ for export and for
+reference ranks.  The double weight (m, w, h) -> (m-1, w, h) is
+preserved; a term outside the block raises WeightEscapeError, because it
+can only come from a sign or bracket bug.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .multivector import _bracket_mono, bidegree
-from .chains import (Chain, alphabet, canonicalize_word, enumerate_basis, place_factor,
-                     weight_signature)
-from .linalg import SparseMatrixQ
+from .multivector import _bracket_mono
+from .chains import Chain, alphabet, enumerate_basis, place_factor, weight_signature
+from .linalg import SparseMatrixQ, column_nonzero
 
 
 class WeightEscapeError(RuntimeError):
@@ -76,28 +82,6 @@ def _word_boundary(A, word):
                         terms[out] = terms.get(out, 0) + s * t * c
             between ^= parity[b]
     return terms
-
-
-def left_action(A0, word):
-    """The left action of a g-homogeneous multivector A0 on a word: the
-    i-th factor is replaced by each bracket term [A0, word[i]], signed
-    (-1)^{a0 * sum_{s<i} a_s}, and the factors are put back in order."""
-    if A0.is_zero():
-        return Chain.zero(A0.n)
-    bidegree(A0)  # raises MixedDegreeError when inhomogeneous
-    n = A0.n
-    terms = {}
-    for (alpha0, beta0), c0 in A0.terms.items():
-        g = len(alpha0) - 1
-        pref = 0
-        for i, f in enumerate(word):
-            c_i = -c0 if (g * pref) % 2 else c0
-            for key, c in _bracket_mono(n, alpha0, beta0, f[0], f[1]):
-                s, nw = canonicalize_word(word[:i] + (key,) + word[i + 1:])
-                if s:
-                    terms[nw] = terms.get(nw, 0) + c_i * s * c
-            pref += len(f[0]) - 1
-    return Chain(n, terms)
 
 
 def encode_chain(chain):
@@ -193,6 +177,31 @@ def boundary_columns(A, codes, row_of, m, w, h):
                     raise escape(word)
                 column[r] = c
         yield column
+
+
+def boundary_squared_failures(n, w, h, top):
+    """For m = 2..top, the basis of C_m^{(w,h)} over R^n and the positions
+    of its words at which d . d is not 0.
+
+    The arities are walked upward and each basis is enumerated once.  The
+    columns of d on C_{m-1} are held, and those of d on C_m stream against
+    them through column_nonzero; below top they are then held in turn.  A
+    boundary term outside its block raises WeightEscapeError.
+    """
+    lower = enumerate_basis(n, 1, w, h)
+    held = [{}] * len(lower)  # d kills 1-chains
+    for m in range(2, top + 1):
+        basis = enumerate_basis(n, m, w, h)
+        columns = [] if m < top else None
+        failures = []
+        for i, column in enumerate(boundary_columns(basis.alphabet, basis.codes, lower.index,
+                                                    m, w, h)):
+            if column_nonzero(held, column) is not None:
+                failures.append(i)
+            if columns is not None:
+                columns.append(column)
+        yield basis, failures
+        lower, held = basis, columns
 
 
 def boundary_matrix(n, m, w, h, domain=None, codomain=None):

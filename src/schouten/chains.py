@@ -497,12 +497,6 @@ def chain_to_vector(c, basis):
     return v
 
 
-def vector_to_chain(v, basis):
-    if len(v) != len(basis):
-        raise ValueError("vector length %d != basis size %d" % (len(v), len(basis)))
-    return Chain(basis.n, {basis.words[i]: Fraction(x) for i, x in enumerate(v) if x})
-
-
 def format_coeff(c):
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)

@@ -13,7 +13,8 @@ check-certificate, psi-matrix and the psi suite of verify.
 Exit codes: 0 success, 1 a guaranteed-zero came out nonzero / input is not
 a cycle / verification failed / an internal invariant was violated (one
 line on stderr, no traceback), 2 malformed input or a bad argument, such as
---n 0 or --m 0 (with a usage message).  Randomized suites take --seed
+--n 0 or --m 0 (with a usage message) or an --output in a directory that
+does not exist (one line on stderr).  Randomized suites take --seed
 (default 7) and record it in the output.
 """
 
@@ -30,9 +31,9 @@ from .chains import (
     format_factor,
     max_arity,
     parse_chain,
-    weight_signature,
 )
-from .boundary import WeightEscapeError, boundary, matrix_to_text
+from .boundary import (WeightEscapeError, boundary_columns, boundary_squared_failures,
+                       matrix_to_text)
 from .homology import (
     HomologyInvariantError,
     HomologyReport,
@@ -44,6 +45,10 @@ from .linalg import SparseMatrixQ
 from .multivector import MultiVector, g_degree, schouten_bracket
 
 
+class OutputError(Exception):
+    """--output names a file in a directory that cannot be written to."""
+
+
 def _emit(text, output):
     if output is None:
         sys.stdout.write(text)
@@ -52,7 +57,10 @@ def _emit(text, output):
         return
     import tempfile
     d = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".schouten-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".schouten-")
+    except OSError as e:
+        raise OutputError("cannot write %s: %s" % (output, e.strerror)) from None
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -133,26 +141,24 @@ def _random_generator(rng, n, max_beta):
     return alpha, tuple(beta)
 
 
-def _verify_words(args, suite, is_bad):
-    """Run the predicate is_bad(m, word) on every basis word of the blocks
-    m = 2..max_arity, enumerating one block at a time."""
+def _verify_words(args, suite, blocks):
+    """The report of a word suite.  blocks(n, w, h, top) yields, for
+    m = 2..top, the basis of C_m and the positions of its failing words;
+    top is max_arity, and each block is enumerated once."""
     n, w, h = args.n, args.w, args.h
     failures = []
     checked = 0
-    for m in range(2, max_arity(n, w, h) + 1):
-        for word in enumerate_basis(n, m, w, h).words:
-            checked += 1
-            if is_bad(m, word):
-                failures.append({"m": m, "word": [format_factor(f) for f in word]})
+    for basis, bad in blocks(n, w, h, max_arity(n, w, h)):
+        checked += len(basis)
+        failures.extend({"m": basis.m, "word": [format_factor(f) for f in basis.words[i]]}
+                        for i in bad)
     return {"suite": suite, "n": n, "w": w, "h": h,
             "checked": checked, "failures": failures}
 
 
 def _verify_dsq(args):
     """boundary(boundary(word)) = 0 for every basis word of the block."""
-    def is_bad(m, word):
-        return bool(boundary(boundary(Chain(args.n, {word: Fraction(1)}))))
-    return _verify_words(args, "dsq", is_bad)
+    return _verify_words(args, "dsq", boundary_squared_failures)
 
 
 def _verify_jacobi(args):
@@ -180,13 +186,26 @@ def _verify_jacobi(args):
             "checked": checked, "failures": failures}
 
 
+def _weight_escapes(n, w, h, top):
+    """For m = 2..top, the basis of C_m and the positions of its words
+    whose boundary has a term that is no word of C_{m-1}."""
+    lower = enumerate_basis(n, 1, w, h)
+    for m in range(2, top + 1):
+        basis = enumerate_basis(n, m, w, h)
+        escapes = []
+        for i, code in enumerate(basis.codes):
+            try:
+                next(boundary_columns(basis.alphabet, (code,), lower.index, m, w, h))
+            except WeightEscapeError:
+                escapes.append(i)
+        yield basis, escapes
+        lower = basis
+
+
 def _verify_weights(args):
     """Weight bookkeeping: the boundary of every word of the blocks stays
     inside the (m-1, w, h) block."""
-    def is_bad(m, word):
-        d = boundary(Chain(args.n, {word: Fraction(1)}))
-        return any(weight_signature(out) != (m - 1, args.w, args.h) for out in d.terms)
-    return _verify_words(args, "weights", is_bad)
+    return _verify_words(args, "weights", _weight_escapes)
 
 
 def _verify_psi(args):
@@ -398,9 +417,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except (HomologyInvariantError, WeightEscapeError) as e:
-        # raised by betti, dims and euler on a rank, counting or boundary bug
+        # raised by betti, dims, euler and verify on a rank, counting or
+        # boundary bug
         sys.stderr.write("internal invariant violated: %s\n" % e)
         return 1
+    except OutputError as e:
+        sys.stderr.write("%s\n" % e)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,14 +10,15 @@ Persistent Homology Computation with a Twist, 2011): d_out is eliminated
 once, d_out . d_in = 0 is proven on the rows of d_out that became its
 echelon pivots (they span its row space), and the rows of d_in at
 d_out's pivot columns, which those relations make dependent on the other
-rows, are dropped before d_in is eliminated.  d_in is streamed column by
-column through the check and the clearing into the integer rows that the
-echelon takes, so it is held once.
+rows, are dropped before d_in is eliminated.  Both maps come column by
+column from boundary.boundary_columns: d_out is held as that list of
+columns, and d_in is streamed through the check and the clearing into the
+integer rows that the echelon takes, so it is held once.
 """
 
 from .chains import block_dims, enumerate_basis, max_arity
-from .boundary import boundary_columns, boundary_matrix
-from .linalg import column_groups, column_nonzero, echelon, pivot_columns
+from .boundary import boundary_columns
+from .linalg import column_nonzero, echelon, pivot_columns
 from .multivector import schouten_bracket
 from .record import Record
 
@@ -47,10 +48,11 @@ class HomologyReport(Record):
 def betti(n, m, w, h):
     """Full homology report of the block (n; m, w, h).
 
-    d_out: C_m -> C_{m-1} is assembled and eliminated once, by
-    pivot_columns, which also names the rows of d_out that became the
-    echelon pivots.  d_in: C_{m+1} -> C_m is never held as a matrix: its
-    columns come one at a time from boundary_columns, and each is
+    Both block maps come as columns from boundary_columns.  d_out: C_m ->
+    C_{m-1} is held as that list and eliminated once, by pivot_columns,
+    which also names the rows of d_out that became the echelon pivots.
+    d_in: C_{m+1} -> C_m is never held: its columns come one at a time,
+    and each is
     1. checked: d_out . column = 0 exactly on those rows of d_out
        (HomologyInvariantError otherwise).  That is a proof for all of
        d_out: the pivot rows span its row space, so every other row is a
@@ -68,10 +70,12 @@ def betti(n, m, w, h):
     a_cols = None
     pivot_cols = ()
     if m >= 2 and len(basis_m) and len(basis_lo):
-        d_out = boundary_matrix(n, m, w, h, basis_m, basis_lo).matrix
-        pivot_cols, pivot_rows = pivot_columns(d_out)
-        a_cols = column_groups(d_out, pivot_rows)
-        del d_out  # only its pivot rows, grouped by column, are read from here
+        d_out = list(boundary_columns(basis_m.alphabet, basis_m.codes, basis_lo.index, m, w, h))
+        pivot_cols, pivot_rows = pivot_columns(d_out, len(basis_lo))
+        keep = set(pivot_rows)
+        # only the pivot rows of d_out are read from here
+        a_cols = [{r: v for r, v in column.items() if r in keep} for column in d_out]
+        del d_out
     rank_out = len(pivot_cols)
     if len(basis_hi) and len(basis_m):
         cleared = set(pivot_cols)

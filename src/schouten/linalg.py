@@ -1,10 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices store only nonzero exact entries: Python ints where the value is
-integral (boundary matrices are integral throughout) and Fractions
-otherwise.  Rank and kernel run through the fraction-free integer echelon
-below: a row holding fractions is scaled to integers first, which changes
-neither the rank nor the null space.  Everything is deterministic.
+A block map of the boundary is held as what boundary.boundary_columns
+yields: a list of columns, each {row: nonzero int}.  pivot_columns ranks
+such a list, and column_nonzero multiplies one by a column; that is the
+one d^2 product of the package.  SparseMatrixQ is the general matrix,
+{(row, col): value} with ints where the value is integral and Fractions
+otherwise, which rank_exact and kernel_basis take.  Every rank runs
+through the fraction-free integer echelon below: a row holding fractions
+is scaled to integers first, which changes neither the rank nor the null
+space.  Everything is deterministic.
 """
 
 from fractions import Fraction
@@ -37,17 +41,12 @@ class SparseMatrixQ:
                     clean[(r, c)] = v
         self.entries = clean
 
-    def row_dicts(self, col_map=None):
+    def row_dicts(self):
         """Rows as integer dicts {col: int}; a row holding fractions is scaled
-        by the lcm of its denominators (preserves rank and null space).
-        With col_map, column c is stored under col_map[c] instead."""
+        by the lcm of its denominators (preserves rank and null space)."""
         rows = [{} for _ in range(self.rows)]
-        if col_map is None:
-            for (r, c), v in self.entries.items():
-                rows[r][c] = v
-        else:
-            for (r, c), v in self.entries.items():
-                rows[r][col_map[c]] = v
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
         for i, row in enumerate(rows):
             scale = lcm(*[v.denominator for v in row.values()])
             if scale > 1:
@@ -158,69 +157,42 @@ def rank_exact(M):
     return len(echelon(M.row_dicts())[0])
 
 
-def pivot_columns(M):
-    """(cols, rows): the pivot columns of an echelon form of M, in M's own
-    column indices, and the rows of M that became the pivot rows.  Both
-    number the rank of M, and the rows span M's row space.
+def pivot_columns(columns, rows):
+    """(pivot_cols, pivot_rows) of the matrix with `rows` rows whose
+    columns are `columns`, each {row: int}: the pivot columns of an
+    echelon form, in its own column indices, and the rows that became the
+    pivot rows.  Both number its rank, and the pivot rows span its row
+    space.
 
     The echelon runs with the columns taken in ascending order of nonzero
     count, ties by index: a static Markowitz-style order, in which sparse
     columns are pivoted first and the eliminations fill in less.
     """
-    counts = [0] * M.cols
-    for _, c in M.entries:
-        counts[c] += 1
-    order = sorted(range(M.cols), key=counts.__getitem__)
-    position = [0] * M.cols
+    order = sorted(range(len(columns)), key=lambda c: len(columns[c]))
+    position = [0] * len(columns)
     for p, c in enumerate(order):
         position[c] = p
-    pivots, _, rows = echelon(M.row_dicts(position))
-    return [order[p] for p in pivots], rows
-
-
-def column_groups(A, rows=None):
-    """A's entries grouped by column, {col: [(row, value)]}; with `rows`,
-    only the entries in those rows of A."""
-    keep = None if rows is None else set(rows)
-    a_cols = {}
-    for (r, k), a in A.entries.items():
-        if keep is None or r in keep:
-            a_cols.setdefault(k, []).append((r, a))
-    return a_cols
+    row_dicts = [{} for _ in range(rows)]
+    for c, column in enumerate(columns):
+        p = position[c]
+        for r, v in column.items():
+            row_dicts[r][p] = v
+    pivots, _, pivot_rows = echelon(row_dicts)
+    return [order[p] for p in pivots], pivot_rows
 
 
 def column_nonzero(a_cols, column):
     """A nonzero entry (row, value) of A @ column, or None when it is 0;
-    A is given by column_groups and the column as {row of column: value}.
-    Every entry of the product column is summed in full before any is
-    read."""
+    A is given by its columns, a_cols[k] = {row: value}, and the column
+    as {row of column: value}.  Every entry of the product column is
+    summed in full before any is read."""
     acc = {}
     for k, b in column.items():
-        for r, a in a_cols.get(k, ()):
+        for r, a in a_cols[k].items():
             acc[r] = acc.get(r, 0) + a * b
     for r, v in acc.items():
         if v:
             return r, v
-    return None
-
-
-def product_nonzero(A, columns, rows=None):
-    """A nonzero entry (row, col, value) of A @ B, or None when A @ B = 0.
-    B is given as an iterable of its columns, each {row: value}, in column
-    order.  With `rows`, only those rows of A are multiplied: A[rows] @ B.
-
-    Neither the product nor B is held: A is grouped by column once, and
-    each column of B is multiplied by column_nonzero and checked whole as
-    it arrives, so columns may come from a generator.
-    """
-    a_cols = column_groups(A, rows)
-    for c, column in enumerate(columns):
-        if column and max(column) >= A.cols:
-            raise ValueError("column %d of B has row %d, but A has %d columns"
-                             % (c, max(column), A.cols))
-        bad = column_nonzero(a_cols, column)
-        if bad is not None:
-            return bad[0], c, bad[1]
     return None
 
 

@@ -1,5 +1,6 @@
 """Polynomial-coefficient multivector fields on R^n with exact rational
-coefficients: wedge product, Schouten bracket, bidegrees.
+coefficients: the Schouten bracket, built on the wedge of unit monomials,
+and bidegrees.
 
 A monomial generator is x^beta d_alpha where beta is a tuple of n exponents
 and alpha a strictly increasing tuple of directions in 1..n.  Its g-bidegree
@@ -177,20 +178,6 @@ def _wedge_mono(gen1, gen2):
     return sign, (alpha, beta)
 
 
-def wedge_mv(A, B):
-    """Interior wedge product of multivector fields, extended bilinearly."""
-    A._check(B)
-    terms = {}
-    for (aA, bA), cA in A.terms.items():
-        for (aB, bB), cB in B.terms.items():
-            res = _wedge_mono((aA, bA), (aB, bB))
-            if res is None:
-                continue
-            sign, key = res
-            terms[key] = terms.get(key, 0) + sign * cA * cB
-    return MultiVector(A.n, terms)
-
-
 # bounded: the boundary kernel calls this once per entry of an alphabet's
 # bracket table, so the cache mostly serves the recursion below
 @lru_cache(maxsize=1 << 15)
@@ -260,15 +247,3 @@ def bidegree(A):
     if len(degs) > 1:
         raise MixedDegreeError("mixed bidegrees %s; split into homogeneous parts" % sorted(degs))
     return degs.pop()
-
-
-def scale_by_coordinate(l, A):
-    """Multiply by the coordinate x_l: every beta gets +1 in slot l."""
-    if not 1 <= l <= A.n:
-        raise ValueError("coordinate index %d out of range 1..%d" % (l, A.n))
-    terms = {}
-    for (alpha, beta), c in A.terms.items():
-        nb = list(beta)
-        nb[l - 1] += 1
-        terms[(alpha, tuple(nb))] = c
-    return MultiVector(A.n, terms)

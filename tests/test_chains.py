@@ -26,7 +26,6 @@ from schouten.chains import (
     max_arity_bound,
     parse_chain,
     place_factor,
-    vector_to_chain,
     wedge_chain,
     weight_signature,
 )
@@ -411,7 +410,8 @@ def test_vector_round_trip():
              rng.sample(basis.words, 7)}
     c = Chain(2, terms)
     v = chain_to_vector(c, basis)
-    assert vector_to_chain(v, basis) == c
+    assert len(v) == len(basis)
+    assert Chain(2, {basis.words[i]: x for i, x in enumerate(v) if x}) == c
 
 
 def test_text_round_trip_and_reordering():

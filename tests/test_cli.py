@@ -1,5 +1,6 @@
 """The command line frontend: formats, exit codes, reproducibility."""
 
+import importlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from schouten import chains, cli
-from schouten.boundary import boundary
+from schouten.boundary import boundary, boundary_columns
 from schouten.chains import (Chain, chain_to_text, enumerate_basis, format_factor, parse_chain,
                              wedge_chain)
 from schouten.cli import main
+
+boundary_module = importlib.import_module("schouten.boundary")
 
 
 def run(capsys, *argv):
@@ -52,7 +55,7 @@ def test_betti_nonzero_unguaranteed_block_is_fine(capsys):
     # m = 5 at weight (0,0) has betti 2; no published zero is violated
     rc, out = run(capsys, "betti", "--n", "2", "--m", "5", "--w", "0", "--h", "0")
     assert rc == 0
-    assert "betti=2" in out
+    assert out == "block (n=2, m=5, w=0, h=0): dim=156 rank_out=74 rank_in=80 betti=2\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -129,23 +132,49 @@ def test_verify_word_suites_structured_report(capsys, suite):
     assert out == json.dumps(expect, indent=2, sort_keys=True) + "\n"
 
 
+def _corrupted_columns(m_bad, key):
+    """boundary.boundary_columns with entry key = (row, col) of
+    d(C_m_bad -> C_{m_bad - 1}) raised by 1."""
+    real = boundary_module.boundary_columns
+
+    def columns(A, codes, row_of, m, w, h):
+        for col, column in enumerate(real(A, codes, row_of, m, w, h)):
+            if m == m_bad and col == key[1]:
+                column = dict(column)
+                column[key[0]] = column.get(key[0], 0) + 1
+            yield column
+    return columns
+
+
 @pytest.mark.parametrize("suite", ["dsq", "weights"])
 def test_verify_word_suites_report_witnesses(capsys, monkeypatch, suite):
-    # with d replaced by the identity, every word fails both checks
-    monkeypatch.setattr(cli, "boundary", lambda c: c)
+    if suite == "dsq":
+        # one entry of d on the top arity m = 8, in a row whose word has a
+        # nonzero boundary, raised by 1: d . d is nonzero on that one word
+        lower, mid, top = (enumerate_basis(2, m, 0, 0) for m in (6, 7, 8))
+        d_mid = list(boundary_columns(mid.alphabet, mid.codes, lower.index, 7, 0, 0))
+        d_top = boundary_columns(top.alphabet, top.codes, mid.index, 8, 0, 0)
+        key = next((r, c) for c, column in enumerate(d_top) for r in column if d_mid[r])
+        monkeypatch.setattr(boundary_module, "boundary_columns", _corrupted_columns(8, key))
+        expect = [{"m": 8, "word": [format_factor(f) for f in top.words[key[1]]]}]
+    else:
+        # with the word boundary replaced by the identity, every word's
+        # boundary leaves its block
+        monkeypatch.setattr(boundary_module, "_word_boundary", lambda A, word: {word: 1})
+        expect = [{"m": m, "word": [format_factor(f) for f in word]}
+                  for m in range(2, 9) for word in enumerate_basis(2, m, 0, 0).words]
     rc, out = run(capsys, "verify", suite, "--n", "2", "--w", "0", "--h", "0",
                   "--format", "structured")
     report = json.loads(out)["reports"][0]
-    first = enumerate_basis(2, 2, 0, 0).words[0]
     assert rc == 1
-    assert report["checked"] == len(report["failures"]) == 571
-    assert report["failures"][0] == {"m": 2, "word": [format_factor(f) for f in first]}
+    assert report["checked"] == 571
+    assert report["failures"] == expect
 
 
 def test_verify_enumerates_each_block_once(capsys, monkeypatch):
     # max_arity counts instead of enumerating, so verify builds each block
-    # m = 2..max_arity exactly once, with the block's Hilbert series cached
-    # or not
+    # m = 1..max_arity exactly once (C_1 holds the rows of d on C_2), with
+    # the block's Hilbert series cached or not
     calls = []
     real = chains.enumerate_basis
 
@@ -153,16 +182,27 @@ def test_verify_enumerates_each_block_once(capsys, monkeypatch):
         calls.append(m)
         return real(n, m, w, h)
 
-    monkeypatch.setattr(cli, "enumerate_basis", counting)
-    monkeypatch.setattr(chains, "enumerate_basis", counting)
-    for clear in (True, False):
-        if clear:
-            chains.block_dims.cache_clear()
-        calls.clear()
-        rc, _ = run(capsys, "verify", "dsq", "--n", "2", "--w", "0", "--h", "0",
-                    "--format", "structured")
-        assert rc == 0
-        assert calls == list(range(2, 9))
+    for module in (cli, chains, boundary_module):
+        monkeypatch.setattr(module, "enumerate_basis", counting)
+    for suite in ("dsq", "weights"):
+        for clear in (True, False):
+            if clear:
+                chains.block_dims.cache_clear()
+            calls.clear()
+            rc, _ = run(capsys, "verify", suite, "--n", "2", "--w", "0", "--h", "0",
+                        "--format", "structured")
+            assert rc == 0
+            assert calls == list(range(1, 9))
+
+
+def test_output_into_missing_directory_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "dims.json"
+    rc = main(["dims", "--n", "2", "--w", "0", "--h", "0", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "cannot write %s: No such file or directory\n" % target
+    assert not target.parent.exists()
 
 
 @pytest.fixture

@@ -44,8 +44,7 @@ def random_cycle(rng, n, w, max_terms=4):
     for vec in rng.sample(ker, min(len(ker), max_terms)):
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         v = [a + c * b for a, b in zip(v, vec)]
-    from schouten.chains import vector_to_chain
-    return vector_to_chain(v, bm.domain)
+    return Chain(n, {bm.domain.words[i]: x for i, x in enumerate(v) if x})
 
 
 # --- strata ------------------------------------------------------------------

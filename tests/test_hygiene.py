@@ -96,9 +96,25 @@ print(json.dumps({"names": names, "ok": ok, "dir": dir(schouten), "unknown": unk
                   "from": [betti.__module__, boundary.__name__, boundary.__module__],
                   "module": schouten.homology.__name__}))
 """)
-    assert len(got["names"]) == 39
+    assert len(got["names"]) == 35
     assert got["ok"] == got["names"]
     assert set(got["names"]) <= set(got["dir"])
     assert got["unknown"] == "AttributeError"
     assert got["from"] == ["schouten.homology", "boundary", "schouten.boundary"]
     assert got["module"] == "schouten.homology"
+
+
+def test_traced_functions_resolve():
+    """Every function that perfbench/traced_cli.py traces is still a
+    function of its schouten module, so deleting API cannot break the
+    benchmark's traced pass."""
+    import importlib
+    import importlib.util
+
+    path = SRC.parents[1] / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    missing = [mod + "." + fn for mod, funcs in traced_cli.TRACED.items() for fn in funcs
+               if not callable(getattr(importlib.import_module("schouten." + mod), fn, None))]
+    assert traced_cli.TRACED and not missing

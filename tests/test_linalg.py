@@ -9,10 +9,10 @@ import pytest
 from schouten.boundary import boundary_matrix
 from schouten.linalg import (
     SparseMatrixQ,
+    column_nonzero,
     echelon,
     kernel_basis,
     pivot_columns,
-    product_nonzero,
     rank_exact,
 )
 
@@ -310,7 +310,15 @@ def test_pivot_columns_select_independent_columns():
         cols = rng.randint(1, 12)
         M = _rows_to_matrix(random_integer_rows(rng, rng.randint(1, 12), cols,
                                                 rng.choice([0.1, 0.3, 0.6, 0.9])), cols)
-        piv, prow = pivot_columns(M)
+        columns = columns_of(M)
+        piv, prow = pivot_columns(columns, M.rows)
+        # the echelon of the columns in ascending order of nonzero count,
+        # ties by index
+        order = sorted(range(M.cols), key=lambda c: (len(columns[c]), c))
+        position = {c: p for p, c in enumerate(order)}
+        ref_piv, _, ref_rows = reference_echelon(
+            [{position[c]: v for c, v in row.items()} for row in M.row_dicts()])
+        assert (piv, prow) == ([order[p] for p in ref_piv], ref_rows)
         assert len(piv) == len(prow) == rank_exact(M)
         assert len(set(piv)) == len(piv) and len(set(prow)) == len(prow)
         assert all(0 <= c < M.cols for c in piv)
@@ -330,13 +338,24 @@ def test_pivot_columns_select_independent_columns():
 
 def test_pivot_columns_on_boundary_matrix():
     M = boundary_matrix(2, 5, 1, 1).matrix
-    piv, prow = pivot_columns(M)
+    piv, prow = pivot_columns(columns_of(M), M.rows)
     assert len(piv) == rank_exact(M) == 647
     assert len(set(piv)) == len(set(prow)) == 647
     assert M.rows == 848
 
 
-def test_product_nonzero_agrees_with_matmul():
+def first_nonzero(a_cols, columns):
+    """(row, col, value) of the first column of B = columns, in column
+    order, whose product with A = a_cols column_nonzero finds nonzero; None
+    when A @ B = 0."""
+    for c, column in enumerate(columns):
+        bad = column_nonzero(a_cols, column)
+        if bad is not None:
+            return bad[0], c, bad[1]
+    return None
+
+
+def test_column_nonzero_agrees_with_matmul():
     rng = random.Random(43)
     zero_seen = 0
     for _ in range(200):
@@ -348,30 +367,34 @@ def test_product_nonzero_agrees_with_matmul():
         rng.shuffle(items)
         B.entries = dict(items)
         P = matmul(A, B)
-        got = product_nonzero(A, columns_of(B))
-        if P.is_zero():
-            zero_seen += 1
-            assert got is None
-        else:
-            r, c, v = got
-            assert P.entries[(r, c)] == v != 0
+        a_cols = columns_of(A)
+        for c, column in enumerate(columns_of(B)):
+            got = column_nonzero(a_cols, column)
+            if any(key[1] == c for key in P.entries):
+                r, v = got
+                assert P.entries[(r, c)] == v != 0
+            else:
+                assert got is None
+        zero_seen += P.is_zero()
     assert zero_seen > 20
-    with pytest.raises(ValueError):
-        product_nonzero(SparseMatrixQ(2, 3), [{0: 1}, {3: 1}])
+    # a column row beyond A's columns is an error, never a silent 0
+    with pytest.raises(IndexError):
+        column_nonzero(columns_of(SparseMatrixQ(2, 3)), {3: 1})
 
 
-def test_product_nonzero_catches_one_corrupted_entry():
-    d_out = boundary_matrix(2, 3, 1, 1).matrix
+def test_column_nonzero_catches_one_corrupted_entry():
+    d_out = columns_of(boundary_matrix(2, 3, 1, 1).matrix)
     d_in = boundary_matrix(2, 4, 1, 1).matrix
     columns = columns_of(d_in)
-    assert product_nonzero(d_out, columns) is None
-    out_cols = {c for _, c in d_out.entries}
-    for key in [k for k in d_in.entries if k[0] in out_cols][::97]:
+    assert first_nonzero(d_out, columns) is None
+    for key in [k for k in d_in.entries if d_out[k[0]]][::97]:
         corrupt = list(columns)
         corrupt[key[1]] = dict(columns[key[1]])
         corrupt[key[1]][key[0]] += 1
-        r, c, v = product_nonzero(d_out, iter(corrupt))
-        assert c == key[1] and v == d_out.entries[(r, key[0])]
+        bad = [c for c, column in enumerate(corrupt) if column_nonzero(d_out, column)]
+        assert bad == [key[1]]
+        r, v = column_nonzero(d_out, corrupt[key[1]])
+        assert v == d_out[key[0]][r]
 
 
 def test_product_on_pivot_rows_decides_the_whole_product():
@@ -390,8 +413,12 @@ def test_product_on_pivot_rows_decides_the_whole_product():
                 B.entries[key] = B.entries.get(key, 0) + 1
         else:
             B = random_matrix(rng, A.cols, rng.randint(1, 5), density=0.3)
-        _, prow = pivot_columns(A)
-        got = product_nonzero(A, columns_of(B), prow)
+        # pivot_columns takes integer columns: A's rows scaled as row_dicts does
+        a_cols = columns_of(_rows_to_matrix(A.row_dicts(), A.cols))
+        _, prow = pivot_columns(a_cols, A.rows)
+        keep = set(prow)
+        got = first_nonzero([{r: v for r, v in column.items() if r in keep}
+                             for column in columns_of(A)], columns_of(B))
         P = matmul(A, B)
         if P.is_zero():
             zero_seen += 1
