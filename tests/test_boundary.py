@@ -11,7 +11,6 @@ from schouten.boundary import (
     _bracket,
     _word_boundary,
     boundary,
-    boundary_columns,
     boundary_matrix,
     boundary_squared_failures,
     decode_chain,
