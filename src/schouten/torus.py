@@ -1,0 +1,102 @@
+"""Torus weights: the weight-0 words of a block, and the Euler-field
+brackets that make every other weight acyclic.
+
+The generator x^beta d_alpha has torus weight v = beta - 1_alpha in Z^n.
+The bracket adds weights, so the boundary keeps the weight of a word (the
+sum over its factors), and on a word of the (w, h) block the entries of v
+sum to h - w.  The Euler field E_l = x_l d_l, of class (0, 0) and so in
+every block's alphabet, scales each generator by its weight: [E_l, g] =
+v_l(g) g.  homology.betti eliminates only the weight-0 words and takes the
+ranks of the other weights from counts, which rest on that identity.
+
+Only betti loads this module, so `dims` and `euler` do not compile it.
+"""
+
+from itertools import combinations, combinations_with_replacement
+
+from .chains import BasisIndex, _class_multisets, alphabet
+from .multivector import _bracket_mono
+
+
+def torus_weight(gen):
+    """The torus weight beta - 1_alpha in Z^n of the generator x^beta
+    d_alpha."""
+    alpha, beta = gen
+    return tuple(b - (l in alpha) for l, b in enumerate(beta, start=1))
+
+
+def _picks_by_weight(A, i, j, count):
+    """The picks of `count` generators of class (i, j) of the alphabet A,
+    distinct for even i, grouped as {summed torus weight: [int tuple]}."""
+    ranks = A.classes[(i, j)]
+    weight = {r: torus_weight(A.gens[r]) for r in ranks}
+    picks = combinations(ranks, count) if i % 2 == 0 else combinations_with_replacement(ranks, count)
+    groups = {}
+    for pick in picks:
+        groups.setdefault(tuple(map(sum, zip(*[weight[r] for r in pick]))), []).append(pick)
+    return groups
+
+
+def enumerate_weight_zero(n, m, w, h):
+    """The words of torus weight 0 of the block (n; m, w, h), in the
+    canonical order: those of chains.enumerate_basis(n, m, w, h), without
+    building any other.
+
+    A w != h block has none.  Otherwise each class multiset of the block
+    is expanded class by class: the picks of a class are grouped by summed
+    weight, the sums that the classes after it reach are collected first,
+    and a group is taken only when those can bring the running sum back to
+    0, so every partial word that is built ends in a weight-0 word.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    A = alphabet(n, w, h)
+    codes = []
+    if w == h:
+        zero = (0,) * n
+        for classes in _class_multisets(n, m, w, h, (0, -1)):
+            groups = [_picks_by_weight(A, i, j, count) for (i, j), count in classes]
+            # reach[k]: the sums of the picks of classes k, k + 1, ...
+            reach = [{zero}]
+            for g in reversed(groups):
+                reach.append({tuple(map(int.__add__, u, v)) for u in g for v in reach[-1]})
+            reach.reverse()
+            if zero not in reach[0]:
+                continue
+            last = len(groups) - 1
+
+            def expand(k, prefix, need):
+                # need: the sum that the picks of classes k, k + 1, ... must make
+                if k == last:
+                    for pick in groups[k].get(need, ()):
+                        codes.append(prefix + pick)
+                    return
+                ahead = reach[k + 1]
+                for v, picks in groups[k].items():
+                    rest = tuple(map(int.__sub__, need, v))
+                    if rest in ahead:
+                        for pick in picks:
+                            expand(k + 1, prefix + pick, rest)
+
+            expand(0, (), zero)
+    codes.sort()
+    return BasisIndex(n, m, w, h, A, codes)
+
+
+def euler_bracket_failure(n, m, w, h):
+    """The first (l, g, v_l(g)) for which [E_l, g] = v_l(g) g or [g, E_l] =
+    -v_l(g) g fails through _bracket_mono, or None when both hold for l =
+    1..n and every generator g that a word of C_1..C_{m+1} of the block
+    (n; m, w, h) can hold: those of class (i, j) with j <= h + m, as each of
+    the other factors of such a word has j >= -1."""
+    A = alphabet(n, w, h)
+    gens = [A.gens[r] for (_, j), ranks in A.classes.items() if j <= h + m for r in ranks]
+    for l in range(1, n + 1):
+        e = tuple(int(k == l) for k in range(1, n + 1))
+        for gen in gens:
+            v = torus_weight(gen)[l - 1]
+            scaled, negated = (((gen, v),), ((gen, -v),)) if v else ((), ())
+            if (_bracket_mono(n, (l,), e, *gen) != scaled
+                    or _bracket_mono(n, *gen, (l,), e) != negated):
+                return l, gen, v
+    return None

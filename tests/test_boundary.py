@@ -27,6 +27,7 @@ from schouten.chains import (
     weight_signature,
 )
 from schouten.homology import betti
+from schouten.torus import enumerate_weight_zero
 from schouten.multivector import (
     MultiVector,
     _bracket_mono,
@@ -269,16 +270,15 @@ def test_composite_matrix_is_zero():
     assert got == [(2, 40, []), (3, 238, [])]
 
 
-def _reached_bracket(n, m, w, h):
-    """A domain basis of the block and a pair (a, b) of factors of one of
-    its words with a nonzero bracket, whose table entry is filled."""
-    domain = enumerate_basis(n, m, w, h)
+def _reached_bracket(domain):
+    """A pair (a, b) of factors of one of the words of the basis `domain`
+    with a nonzero bracket, whose table entry is filled."""
     A = domain.alphabet
     for word in domain.codes:
         for k in range(len(word)):
             for i in range(k + 1, len(word)):
                 if _bracket(A, word[k], word[i]):
-                    return domain, word[k], word[i]
+                    return word[k], word[i]
     raise AssertionError("no nonzero bracket in the block")
 
 
@@ -287,7 +287,11 @@ def _reached_bracket(n, m, w, h):
     for via in ("boundary_matrix", "betti") for leave in ("block", "alphabet")])
 def test_corrupt_bracket_entry_raises_weight_escape(monkeypatch, capsys, leave, via):
     n, m, w, h = 2, 3, 1, 1
-    domain, a, b = _reached_bracket(n, m, w, h)
+    # betti assembles only the words of torus weight 0, so its variant
+    # corrupts a bracket of one of them
+    enumerate_words = enumerate_basis if via == "boundary_matrix" else enumerate_weight_zero
+    domain = enumerate_words(n, m, w, h)
+    a, b = _reached_bracket(domain)
     A = domain.alphabet
     (r, c), *rest = A.brackets[a * len(A.gens) + b]
     if leave == "block":

@@ -171,6 +171,68 @@ def test_verify_word_suites_report_witnesses(capsys, monkeypatch, suite):
     assert report["failures"] == expect
 
 
+def test_verify_all_takes_the_weights_report_from_dsq(capsys, monkeypatch):
+    # the weights report of `all` is byte for byte that of `verify weights`,
+    # and comes from the dsq pass, which assembled the same columns
+    reports = {}
+    for fmt in ("structured", "plain"):
+        rc, alone = run(capsys, "verify", "weights", "--n", "2", "--w", "0", "--h", "0",
+                        "--format", fmt)
+        assert rc == 0
+        reports[fmt] = alone
+    monkeypatch.setattr(cli, "_weight_escapes", None)
+    rc, out = run(capsys, "verify", "all", "--n", "2", "--w", "0", "--h", "0",
+                  "--format", "structured")
+    assert rc == 0
+    assert json.loads(out)["reports"][2] == json.loads(reports["structured"])["reports"][0]
+    rc, out = run(capsys, "verify", "all", "--n", "2", "--w", "0", "--h", "0")
+    assert reports["plain"] in out
+
+
+def test_verify_homotopy_pass(capsys):
+    # 4 + 18 + 24 * 4 + 15 words: every word of the arities with at most 24
+    rc, out = run(capsys, "verify", "homotopy", "--n", "2", "--w", "0", "--h", "0",
+                  "--format", "structured")
+    report = {"checked": 157, "failures": [], "h": 0, "n": 2, "seed": 7,
+              "suite": "homotopy", "w": 0}
+    assert rc == 0
+    assert json.loads(out) == {"command": "verify", "reports": [report], "status": "pass"}
+
+
+def euler_field(n, gen):
+    """l when gen is x_l d_l, else None."""
+    alpha, beta = gen
+    if len(alpha) == 1 and beta == tuple(int(k == alpha[0]) for k in range(1, n + 1)):
+        return alpha[0]
+    return None
+
+
+def test_verify_homotopy_reports_witnesses(capsys, monkeypatch):
+    # every bracket with x_l d_l on either side doubled: d(E_l ^^ c) +
+    # E_l ^^ d(c) becomes 2 v_l c, which is wrong exactly where v_l != 0
+    real = boundary_module._bracket_mono
+
+    def doubled(n, alpha_a, beta_a, alpha_b, beta_b):
+        out = real(n, alpha_a, beta_a, alpha_b, beta_b)
+        if euler_field(n, (alpha_a, beta_a)) or euler_field(n, (alpha_b, beta_b)):
+            out = tuple((k, 2 * c) for k, c in out)
+        return out
+
+    expect = [{"l": l, "m": m, "word": [format_factor(f) for f in word]}
+              for m, words in cli._homotopy_words(2, 0, 0, 7) for word in words
+              for l in (1, 2)
+              if sum(beta[l - 1] - (l in alpha) for alpha, beta in word)]
+    # fresh alphabets, so that their bracket tables fill through `doubled`
+    monkeypatch.setattr(chains, "_ALPHABETS", {})
+    monkeypatch.setattr(boundary_module, "_bracket_mono", doubled)
+    rc, out = run(capsys, "verify", "homotopy", "--n", "2", "--w", "0", "--h", "0",
+                  "--format", "structured")
+    report = json.loads(out)["reports"][0]
+    assert rc == 1
+    assert report["checked"] == 157
+    assert expect and report["failures"] == expect
+
+
 def test_verify_enumerates_each_block_once(capsys, monkeypatch):
     # max_arity counts instead of enumerating, so verify builds each block
     # m = 1..max_arity exactly once (C_1 holds the rows of d on C_2), with

@@ -1,12 +1,15 @@
 """Betti numbers, Euler characteristics, the Poisson predicate."""
 
+import importlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from schouten import cli, homology, linalg
+from schouten import chains, cli, homology, linalg, torus
 from schouten.boundary import boundary_columns, boundary_matrix
 from schouten.homology import (
     HomologyInvariantError,
@@ -16,9 +19,14 @@ from schouten.homology import (
     euler_characteristic,
     is_poisson,
 )
-from schouten.chains import enumerate_basis, max_arity
+from schouten.chains import alphabet, block_dims, enumerate_basis, max_arity
 from schouten.linalg import pivot_columns, rank_exact
-from schouten.multivector import MultiVector
+from schouten.multivector import MultiVector, _bracket_mono, schouten_bracket
+from schouten.torus import enumerate_weight_zero
+
+DATA = Path(__file__).parent / "data"
+# the module: `from schouten import boundary` gives the function
+boundary_module = importlib.import_module("schouten.boundary")
 
 
 # --- dimension tables --------------------------------------------------------
@@ -66,6 +74,16 @@ def test_betti_rejects_ranks_that_overshoot(monkeypatch):
         betti(2, 3, 0, 0)
 
 
+def test_betti_rejects_weight_split_ranks_out_of_range(monkeypatch):
+    # dim C_1 inflated: the v != 0 part of d: C_2 -> C_1 would need a rank
+    # above dim C_2 less its weight-0 words
+    real = homology.block_dims
+    monkeypatch.setattr(homology, "block_dims",
+                        lambda n, w, h: (1, real(n, w, h)[1] + 1000) + real(n, w, h)[2:])
+    with pytest.raises(HomologyInvariantError, match="weight v != 0 part of d: C_2 -> C_1"):
+        betti(2, 3, 0, 0)
+
+
 def test_dims_table_rejects_words_beyond_max_arity(monkeypatch):
     monkeypatch.setattr(homology, "max_arity", lambda n, w, h: 1)
     with pytest.raises(HomologyInvariantError, match="beyond max arity"):
@@ -73,7 +91,8 @@ def test_dims_table_rejects_words_beyond_max_arity(monkeypatch):
 
 
 def reference_betti(n, m, w, h):
-    """betti before clearing: both boundary matrices ranked in full."""
+    """betti before the weight split and clearing: both boundary matrices
+    of the whole block ranked in full."""
     basis_m = enumerate_basis(n, m, w, h)
     basis_lo = enumerate_basis(n, m - 1, w, h) if m >= 2 else None
     basis_hi = enumerate_basis(n, m + 1, w, h)
@@ -136,6 +155,105 @@ def test_betti_pins_nonzero_blocks(block):
     assert (rep.dim, rep.rank_out, rep.rank_in, rep.betti) == NONZERO_BLOCKS[block]
 
 
+EXTENDED = {tuple(r[k] for k in ("n", "m", "w", "h")): r
+            for r in json.loads((DATA / "betti_extended.json").read_text())["reports"]}
+
+
+def test_extended_table_dims_match_block_dims():
+    for (n, m, w, h), r in EXTENDED.items():
+        dims = block_dims(n, w, h)
+        assert (r["dim_lower"], r["dim"], r["dim_upper"]) == dims[m - 1:m + 2]
+
+
+@pytest.mark.parametrize("block", [(4, 2, 2, 2), (5, 2, 1, 1)], ids="n{0[0]}-m{0[1]}-w{0[2]}".format)
+def test_betti_pins_extended_blocks(block):
+    # the blocks of tests/data/betti_extended.json that take under a second;
+    # README lists the others
+    rep = betti(*block)
+    assert {k: getattr(rep, k) for k in HomologyReport.__slots__} == EXTENDED[block]
+
+
+def torus_weight_of(word):
+    """sum over the factors x^beta d_alpha of beta - 1_alpha, computed
+    here independently of the package."""
+    n = len(word[0][1])
+    return tuple(sum(beta[l] - (l + 1 in alpha) for alpha, beta in word) for l in range(n))
+
+
+@pytest.mark.parametrize("block", sorted(
+    {(n, m, w, h) for (n, w, h), top in CLEARING_GRID.items()
+     for m in range(1, (top or max_arity(n, w, h)) + 2)}
+    | {(n, k, w, h) for (n, m, w, h) in WIDE_BLOCKS for k in (m - 1, m, m + 1) if k}),
+    ids="n{0[0]}-m{0[1]}-w{0[2]}-h{0[3]}".format)
+def test_weight_zero_enumeration_filters_the_basis(block):
+    # the words betti reads: C_{m-1}, C_m and C_{m+1} of every compared block
+    basis = enumerate_basis(*block)
+    expect = [code for code, word in zip(basis.codes, basis.words)
+              if not any(torus_weight_of(word))]
+    zero = enumerate_weight_zero(*block)
+    assert zero.codes == expect
+    assert zero.alphabet is basis.alphabet
+
+
+# every weight block (n, w, h) on which tier-1 runs betti, with the largest
+# g-degree j of a generator it checks: None for the whole alphabet, and for
+# the n = 4, 5 pins those of classes j <= h + m, as betti checks
+TIER1_ALPHABETS = {(n, w, h): None for n in (1, 2, 3) for w in (0, 1, 2) for h in (-1, 0, 1, 2)}
+TIER1_ALPHABETS.update({(4, 2, 2): 4, (5, 1, 1): 3})
+
+
+@pytest.mark.parametrize("nwh", sorted(TIER1_ALPHABETS), ids="n{0[0]}-w{0[1]}-h{0[2]}".format)
+def test_euler_fields_scale_generators_by_their_weight(nwh):
+    n, w, h = nwh
+    jmax = TIER1_ALPHABETS[nwh]
+    gens = [gen for gen in alphabet(n, w, h).gens if jmax is None or sum(gen[1]) - 1 <= jmax]
+    for l in range(1, n + 1):
+        E = MultiVector.monomial(n, 1, tuple(int(k == l) for k in range(1, n + 1)), (l,))
+        for gen in gens:
+            g = MultiVector(n, {gen: 1})
+            v = torus_weight_of((gen,))[l - 1]
+            assert schouten_bracket(E, g) == v * g
+            assert schouten_bracket(g, E) == -v * g
+
+
+def test_betti_enumerates_no_whole_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_basis called")
+
+    assert not hasattr(homology, "enumerate_basis") and not hasattr(torus, "enumerate_basis")
+    for module in (chains, boundary_module):
+        monkeypatch.setattr(module, "enumerate_basis", refuse)
+    for block in [(2, 3, 1, 1), (2, 5, 0, 0), (3, 2, 2, 2), (2, 2, 0, 1), (3, 1, 1, 2)]:
+        betti(*block)
+
+
+def test_betti_rejects_a_wrong_euler_bracket(monkeypatch, capsys):
+    # [x_1 d_1, g] doubled: the counts of the weights v != 0 would rest on
+    # a false identity, so betti refuses the block
+    def doubled(n, alpha_a, beta_a, alpha_b, beta_b):
+        out = _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b)
+        if (alpha_a, beta_a) == ((1,), (1,) + (0,) * (n - 1)):
+            out = tuple((k, 2 * c) for k, c in out)
+        return out
+
+    monkeypatch.setattr(torus, "_bracket_mono", doubled)
+    with pytest.raises(HomologyInvariantError, match="Euler field x_1 d_1"):
+        betti(2, 3, 1, 1)
+    rc = cli.main(["betti", "--n", "2", "--m", "3", "--w", "1", "--h", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal invariant violated: the Euler field x_1 d_1")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def weight_zero_columns(n, m, w, h):
+    """The weight-0 domain of d: C_m -> C_{m-1}, its weight-0 codomain and
+    its columns, as betti streams them."""
+    domain, codomain = enumerate_weight_zero(n, m, w, h), enumerate_weight_zero(n, m - 1, w, h)
+    return domain, codomain, list(boundary_columns(domain.alphabet, domain.codes,
+                                                   codomain.index, m, w, h))
+
+
 def corrupted_columns(m_in, key, change):
     """boundary_columns with the entry key = (row, col) of the arity-m_in
     stream replaced by change(entry)."""
@@ -150,10 +268,11 @@ def corrupted_columns(m_in, key, change):
 
 def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
     # negate one entry of d_in = d(C_4 -> C_3) in a row whose column of
-    # d_out = d(C_3 -> C_2) is nonzero, so that d_out . d_in != 0
-    out_cols = {c for _, c in boundary_matrix(2, 3, 1, 1).matrix.entries}
-    d_in = boundary_matrix(2, 4, 1, 1).matrix
-    key = next(k for k in d_in.entries if k[0] in out_cols)
+    # d_out = d(C_3 -> C_2) is nonzero, so that d_out . d_in != 0; both in
+    # the weight-0 coordinates that betti assembles
+    d_out = weight_zero_columns(2, 3, 1, 1)[2]
+    d_in = weight_zero_columns(2, 4, 1, 1)[2]
+    key = next((r, c) for c, column in enumerate(d_in) for r in column if d_out[r])
     monkeypatch.setattr(homology, "boundary_columns", corrupted_columns(4, key, lambda v: -v))
     with pytest.raises(HomologyInvariantError, match="boundary squared"):
         betti(2, 3, 1, 1)
@@ -166,14 +285,14 @@ def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
 
 
 def test_boundary_squared_check_on_pivot_rows_catches_corrupted_entries(monkeypatch):
-    # betti checks d_out . d_in = 0 only on d_out's pivot rows (201 of 238
-    # here); one corrupted d_in entry in a row k whose d_out column is
-    # nonzero must still raise, also where that column meets non-pivot rows
-    domain, codomain = enumerate_basis(2, 4, 1, 1), enumerate_basis(2, 3, 1, 1)
-    d_out = list(boundary_columns(domain.alphabet, domain.codes, codomain.index, 4, 1, 1))
+    # betti checks d_out . d_in = 0 only on d_out's pivot rows (53 of the
+    # 64 weight-0 rows here); each of 18 corrupted d_in entries, in a row k
+    # whose d_out column is nonzero, must still raise, also where that
+    # column meets non-pivot rows
+    _, codomain, d_out = weight_zero_columns(2, 4, 1, 1)
     _, pivot_rows = pivot_columns(d_out, len(codomain))
-    d_in = boundary_matrix(2, 5, 1, 1).matrix
-    keys = [k for k in sorted(d_in.entries) if d_out[k[0]]][::599]
+    d_in = weight_zero_columns(2, 5, 1, 1)[2]
+    keys = sorted((r, c) for c, column in enumerate(d_in) for r in column if d_out[r])[::133]
     assert len(pivot_rows) < len(codomain)
     assert any(set(d_out[k[0]]) - set(pivot_rows) for k in keys)
     for key in keys:
@@ -184,9 +303,9 @@ def test_boundary_squared_check_on_pivot_rows_catches_corrupted_entries(monkeypa
 
 
 def test_betti_holds_d_in_once(monkeypatch):
-    # d_in (6507 columns here) streams into the echelon's integer rows, and
-    # d_out = d(C_2 -> C_1), 18 x 504, is the list of its columns: betti
-    # builds no SparseMatrixQ at all
+    # d_in (its 594 weight-0 columns here) streams into the echelon's
+    # integer rows, and d_out = d(C_2 -> C_1), 3 x 60 on weight 0, is the
+    # list of its columns: betti builds no SparseMatrixQ at all
     shapes = []
     init = linalg.SparseMatrixQ.__init__
 
