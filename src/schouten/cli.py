@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .chains import (
     Chain,
+    basis_dim,
     enumerate_basis,
     chain_to_vector,
     format_factor,
@@ -214,12 +215,16 @@ HOMOTOPY_WORDS = 24  # words checked per arity by verify homotopy
 
 def _homotopy_words(n, w, h, seed):
     """(m, words) for m = 1..max_arity: the words of C_m of the block, or a
-    seeded sample of HOMOTOPY_WORDS of them where it holds more."""
+    seeded sample of HOMOTOPY_WORDS of them where it holds more, each
+    built from its position, so no arity is built whole."""
     import random
+    from .torus import unrank_words
     rng = random.Random(seed)
     for m in range(1, max_arity(n, w, h) + 1):
-        words = enumerate_basis(n, m, w, h).words
-        yield m, words if len(words) <= HOMOTOPY_WORDS else rng.sample(words, HOMOTOPY_WORDS)
+        dim = basis_dim(n, m, w, h)
+        positions = (range(dim) if dim <= HOMOTOPY_WORDS
+                     else sorted(rng.sample(range(dim), HOMOTOPY_WORDS)))
+        yield m, list(unrank_words(n, m, w, h, positions))
 
 
 def _verify_homotopy(args):

@@ -1,10 +1,20 @@
 """Polynomial-coefficient multivector fields on R^n with exact rational
-coefficients: the Schouten bracket, built on the wedge of unit monomials,
-and bidegrees.
+coefficients: the Schouten bracket and bidegrees.
 
 A monomial generator is x^beta d_alpha where beta is a tuple of n exponents
 and alpha a strictly increasing tuple of directions in 1..n.  Its g-bidegree
 is (|alpha|-1, |beta|-1); the first component drives all Koszul signs.
+
+The bracket of two monomials has a closed form in odd variables (the
+Schouten-Nijenhuis bracket as in Kontsevich, Deformation quantization of
+Poisson manifolds, 2003): with xi_l = d_l odd, x^beta d_alpha is the
+polynomial x^beta xi_alpha and
+
+    [P, Q] = sum_l (P d/dxi_l)(dQ/dx_l) - (dP/dx_l)(d/dxi_l Q),
+
+where the xi-derivative of P acts from the right and that of Q from the
+left.  _bracket_mono evaluates it on two monomials in one pass, without
+recursion or cache.
 
 Text form of one monomial (bit-exact, used by the CLI and serialization):
     c * x[b1,...,bn] d[a1,...,am]      with c printed as p or p/q
@@ -12,7 +22,6 @@ e.g. ``-3/2 * x[1,1] d[1,2]`` is -(3/2) x1 x2 d1^d2.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 import re
 
 
@@ -168,64 +177,41 @@ def _merge_directions(a1, a2):
     return sign, tuple(merged)
 
 
-def _wedge_mono(gen1, gen2):
-    """Wedge of unit monomials; returns (sign, (alpha, beta)) or None."""
-    res = _merge_directions(gen1[0], gen2[0])
-    if res is None:
-        return None
-    sign, alpha = res
-    beta = tuple(b1 + b2 for b1, b2 in zip(gen1[1], gen2[1]))
-    return sign, (alpha, beta)
-
-
-# bounded: the boundary kernel calls this once per entry of an alphabet's
-# bracket table, so the cache mostly serves the recursion below
-@lru_cache(maxsize=1 << 15)
 def _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b):
     """Schouten bracket of two unit monomials, as ((alpha, beta), int) pairs.
 
-    Characterized by: Lie bracket on vector-field pairs, Lie derivative on
-    polynomial factors, graded Leibniz in the second slot and graded
-    antisymmetry.  All structure constants are integers.
+    In odd variables xi_l = d_l the monomial x^beta d_alpha is
+    x^beta xi_alpha, and [P, Q] = sum_l (P d/dxi_l)(dQ/dx_l) -
+    (dP/dx_l)(d/dxi_l Q), the first xi-derivative acting from the right,
+    the second from the left.  Each term is x^(beta_a + beta_b - e_l)
+    times the merged directions, signed by _merge_directions:
+      l = alpha_a[t]: beta_b[l] (-1)^(p-1-t), directions alpha_a - l, alpha_b;
+      l = alpha_b[t]: -beta_a[l] (-1)^t, directions alpha_a, alpha_b - l;
+    with p = |alpha_a|.  A repeated direction kills the term.  All
+    structure constants are integers; n is unused.
     """
-    p, q = len(alpha_a), len(alpha_b)
-    if p == 1 and q == 1:
-        i, j = alpha_a[0], alpha_b[0]
-        out = {}
-        # x^ba d_i(x^bb) d_j  -  x^bb d_j(x^ba) d_i
-        if beta_b[i - 1] > 0:
-            beta = list(beta_b)
-            beta[i - 1] -= 1
-            key = ((j,), tuple(x + y for x, y in zip(beta_a, beta)))
-            out[key] = out.get(key, 0) + beta_b[i - 1]
-        if beta_a[j - 1] > 0:
-            beta = list(beta_a)
-            beta[j - 1] -= 1
-            key = ((i,), tuple(x + y for x, y in zip(beta, beta_b)))
-            out[key] = out.get(key, 0) - beta_a[j - 1]
-        return tuple((k, c) for k, c in out.items() if c)
-    if q > 1:
-        # B = B1 ^ B2 with B1 = x^bb d_{first}, B2 of unit coefficient:
-        # [A, B1^B2] = [A,B1]^B2 + (-1)^{(p-1)|B1|} B1^[A,B2]
-        zero = (0,) * n
-        b1 = (alpha_b[:1], beta_b)
-        b2_alpha = alpha_b[1:]
-        out = {}
-        for key, c in _bracket_mono(n, alpha_a, beta_a, b1[0], b1[1]):
-            res = _wedge_mono(key, (b2_alpha, zero))
-            if res is not None:
-                sign, k = res
-                out[k] = out.get(k, 0) + sign * c
-        s = -1 if (p - 1) % 2 else 1
-        for key, c in _bracket_mono(n, alpha_a, beta_a, b2_alpha, zero):
-            res = _wedge_mono(b1, key)
-            if res is not None:
-                sign, k = res
-                out[k] = out.get(k, 0) + s * sign * c
-        return tuple((k, c) for k, c in out.items() if c)
-    # q == 1 < p: graded antisymmetry [A,B] = (-1)^{1+(p-1)(q-1)} [B,A];
-    # here q-1 = 0 so the sign is -1.
-    return tuple((k, -c) for k, c in _bracket_mono(n, alpha_b, beta_b, alpha_a, beta_a))
+    last = len(alpha_a) - 1
+    terms = []  # (l, signed coefficient, merged directions or None)
+    for t, l in enumerate(alpha_a):
+        c = beta_b[l - 1]
+        if c:
+            terms.append((l, -c if (last - t) & 1 else c,
+                          _merge_directions(alpha_a[:t] + alpha_a[t + 1:], alpha_b)))
+    for t, l in enumerate(alpha_b):
+        c = beta_a[l - 1]
+        if c:
+            terms.append((l, c if t & 1 else -c,
+                          _merge_directions(alpha_a, alpha_b[:t] + alpha_b[t + 1:])))
+    beta = [x + y for x, y in zip(beta_a, beta_b)]
+    out = {}
+    for l, c, merged in terms:
+        if merged is not None:
+            sign, alpha = merged
+            beta[l - 1] -= 1
+            key = (alpha, tuple(beta))
+            beta[l - 1] += 1
+            out[key] = out.get(key, 0) + sign * c
+    return tuple((k, c) for k, c in out.items() if c)
 
 
 def schouten_bracket(A, B):

@@ -199,6 +199,15 @@ def test_verify_homotopy_pass(capsys):
     assert json.loads(out) == {"command": "verify", "reports": [report], "status": "pass"}
 
 
+def test_verify_homotopy_samples_without_building_an_arity(capsys):
+    # the n = 3 (1, 1) tower has 18 arities, up to 41.9M words in one; one
+    # arity holds 18 words and each of the others a sample of 24
+    rc, out = run(capsys, "verify", "homotopy", "--n", "3", "--w", "1", "--h", "1",
+                  "--format", "csv")
+    assert rc == 0
+    assert out.strip().splitlines() == ["suite,checked,failures", "homotopy,426,0"]
+
+
 def euler_field(n, gen):
     """l when gen is x_l d_l, else None."""
     alpha, beta = gen

@@ -19,10 +19,11 @@ from schouten.homology import (
     euler_characteristic,
     is_poisson,
 )
-from schouten.chains import alphabet, block_dims, enumerate_basis, max_arity
+from schouten.chains import (alphabet, basis_dim, block_dims, canonicalize_word,
+                             enumerate_basis, max_arity)
 from schouten.linalg import pivot_columns, rank_exact
 from schouten.multivector import MultiVector, _bracket_mono, schouten_bracket
-from schouten.torus import enumerate_weight_zero
+from schouten.torus import enumerate_weight_zero, unrank_words
 
 DATA = Path(__file__).parent / "data"
 # the module: `from schouten import boundary` gives the function
@@ -214,6 +215,21 @@ def test_euler_fields_scale_generators_by_their_weight(nwh):
             v = torus_weight_of((gen,))[l - 1]
             assert schouten_bracket(E, g) == v * g
             assert schouten_bracket(g, E) == -v * g
+
+
+@pytest.mark.parametrize("n, w, h, top", [(2, 1, 1, None), (3, 0, 0, 3)])
+def test_unrank_words_is_a_bijection_onto_the_basis(n, w, h, top):
+    """unrank_words, which verify homotopy samples by, takes the positions
+    0..dim-1 of C_m one to one onto the words of enumerate_basis, each
+    canonical, and any increasing subset of positions to the same words."""
+    for m in range(1, (top or max_arity(n, w, h)) + 1):
+        basis = enumerate_basis(n, m, w, h)
+        words = list(unrank_words(n, m, w, h, range(len(basis))))
+        assert len(words) == len(basis) == basis_dim(n, m, w, h)
+        assert sorted(words) == sorted(basis.words)
+        assert len(set(words)) == len(words)
+        assert all(canonicalize_word(word) == (1, word) for word in words)
+        assert list(unrank_words(n, m, w, h, range(1, len(basis), 5))) == words[1::5]
 
 
 def test_betti_enumerates_no_whole_block(monkeypatch):

@@ -25,18 +25,22 @@ def test_no_assert_statements_in_package():
 
 
 def test_boundary_module_has_no_memo():
-    """The word boundary is computed fresh each time: no lru_cache or cache
-    decorator anywhere in boundary.py."""
-    path = SRC / "boundary.py"
+    """The word boundary and the bracket kernel are computed fresh each
+    time: no lru_cache or cache decorator anywhere in boundary.py or
+    multivector.py (the alphabet's bracket table is the one store of
+    brackets)."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-                if name in ("lru_cache", "cache"):
-                    found.append("%s:%d" % (node.name, node.lineno))
-    assert not found, "memoized functions in boundary.py: %s" % found
+    for module in ("boundary.py", "multivector.py"):
+        path = SRC / module
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = (target.attr if isinstance(target, ast.Attribute)
+                            else getattr(target, "id", None))
+                    if name in ("lru_cache", "cache"):
+                        found.append("%s:%s:%d" % (module, node.name, node.lineno))
+    assert not found, "memoized functions: %s" % found
 
 
 def _fresh(code):
@@ -68,7 +72,7 @@ def test_cli_counting_loads_neither_contraction_nor_dataclasses(argv):
     assert "schouten.cli" in new
     assert "schouten.contraction" not in new
     assert "dataclasses" not in new
-    # the weight split, which betti alone imports
+    # the weight split, which only betti and verify homotopy import
     assert "schouten.torus" not in new
 
 

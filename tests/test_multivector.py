@@ -2,16 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from schouten.chains import alphabet
 from schouten.multivector import (
     DimensionMismatchError,
     MixedDegreeError,
     MultiVector,
+    _bracket_mono,
+    _merge_directions,
     bidegree,
     format_monomial,
-    _wedge_mono,
     parse_monomial,
     schouten_bracket,
 )
@@ -21,9 +24,64 @@ def mono(n, coeff, beta, alpha):
     return MultiVector.monomial(n, coeff, beta, alpha)
 
 
+def _wedge_mono(gen1, gen2):
+    """Wedge of unit monomials; returns (sign, (alpha, beta)) or None."""
+    res = _merge_directions(gen1[0], gen2[0])
+    if res is None:
+        return None
+    sign, alpha = res
+    beta = tuple(b1 + b2 for b1, b2 in zip(gen1[1], gen2[1]))
+    return sign, (alpha, beta)
+
+
+@lru_cache(maxsize=None)
+def reference_bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b):
+    """The Schouten bracket of two unit monomials by its characterization:
+    the Lie bracket on vector-field pairs, graded Leibniz in the second
+    slot and graded antisymmetry, recursively.  An oracle for the closed
+    form of _bracket_mono; same return type."""
+    p, q = len(alpha_a), len(alpha_b)
+    if p == 1 and q == 1:
+        i, j = alpha_a[0], alpha_b[0]
+        out = {}
+        # x^ba d_i(x^bb) d_j  -  x^bb d_j(x^ba) d_i
+        if beta_b[i - 1] > 0:
+            beta = list(beta_b)
+            beta[i - 1] -= 1
+            key = ((j,), tuple(x + y for x, y in zip(beta_a, beta)))
+            out[key] = out.get(key, 0) + beta_b[i - 1]
+        if beta_a[j - 1] > 0:
+            beta = list(beta_a)
+            beta[j - 1] -= 1
+            key = ((i,), tuple(x + y for x, y in zip(beta, beta_b)))
+            out[key] = out.get(key, 0) - beta_a[j - 1]
+        return tuple((k, c) for k, c in out.items() if c)
+    if q > 1:
+        # B = B1 ^ B2 with B1 = x^bb d_{first}, B2 of unit coefficient:
+        # [A, B1^B2] = [A,B1]^B2 + (-1)^{(p-1)|B1|} B1^[A,B2]
+        zero = (0,) * n
+        b1 = (alpha_b[:1], beta_b)
+        b2_alpha = alpha_b[1:]
+        out = {}
+        for key, c in reference_bracket_mono(n, alpha_a, beta_a, b1[0], b1[1]):
+            res = _wedge_mono(key, (b2_alpha, zero))
+            if res is not None:
+                sign, k = res
+                out[k] = out.get(k, 0) + sign * c
+        s = -1 if (p - 1) % 2 else 1
+        for key, c in reference_bracket_mono(n, alpha_a, beta_a, b2_alpha, zero):
+            res = _wedge_mono(b1, key)
+            if res is not None:
+                sign, k = res
+                out[k] = out.get(k, 0) + s * sign * c
+        return tuple((k, c) for k, c in out.items() if c)
+    # q == 1 < p: graded antisymmetry [A,B] = (-1)^{1+(p-1)(q-1)} [B,A];
+    # here q-1 = 0 so the sign is -1.
+    return tuple((k, -c) for k, c in reference_bracket_mono(n, alpha_b, beta_b, alpha_a, beta_a))
+
+
 def wedge(A, B):
-    """The wedge of multivector fields: _wedge_mono, which the bracket
-    recursion uses, extended bilinearly."""
+    """The wedge of multivector fields: _wedge_mono extended bilinearly."""
     terms = {}
     for gA, cA in A.terms.items():
         for gB, cB in B.terms.items():
@@ -173,6 +231,22 @@ def test_bracket_matches_lie_derivative_oracle():
         A = MultiVector(n, {(alpha[:1], beta): c for (alpha, beta), c in A.terms.items()})
         B = MultiVector(n, {(alpha[:1], beta): c for (alpha, beta), c in B.terms.items()})
         assert schouten_bracket(A, B) == lie_bracket_oracle(A, B)
+
+
+@pytest.mark.parametrize("block, stride", [((1, 2, 2), None), ((2, 2, 2), None),
+                                           ((3, 0, 0), None), ((3, 2, 2), 200),
+                                           ((4, 1, 1), 200)])
+def test_bracket_closed_form_matches_recursion(block, stride):
+    """_bracket_mono equals the recursive characterization, as term dicts,
+    on every ordered pair of generators of the alphabet, or of a fixed
+    stride sample of `stride` of them."""
+    n = block[0]
+    gens = alphabet(*block).gens
+    if stride is not None:
+        gens = gens[::len(gens) // stride][:stride]
+    bad = [(a, b) for a in gens for b in gens
+           if dict(_bracket_mono(n, *a, *b)) != dict(reference_bracket_mono(n, *a, *b))]
+    assert not bad, bad[:5]
 
 
 def test_bracket_hand_examples():
