@@ -26,20 +26,22 @@ A block map d: C_m -> C_{m-1} is what boundary_columns yields, one
 boundary_squared_failures, the one d . d check behind `verify dsq` and
 the tests, multiplies it by the columns of the arity below;
 boundary_matrix packs it into a SparseMatrixQ for export and for
-reference ranks.  The double weight (m, w, h) -> (m-1, w, h) is
-preserved; a term outside the block raises WeightEscapeError, because it
-can only come from a sign or bracket bug.
+reference ranks.  Only these two import linalg, when they run, so the
+commands that take the boundary of a chain (certify, check-certificate)
+never load it.  The double weight (m, w, h) -> (m-1, w, h) is preserved;
+a term outside the block raises WeightEscapeError, because it can only
+come from a sign or bracket bug.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from .counting import HomologyInvariantError
 from .multivector import _bracket_mono
 from .chains import Chain, alphabet, enumerate_basis, place_factor, weight_signature
-from .linalg import SparseMatrixQ, column_nonzero
 
 
-class WeightEscapeError(RuntimeError):
+class WeightEscapeError(HomologyInvariantError):
     """A boundary term left its (w, h) block; signals a sign/bracket bug."""
     pass
 
@@ -188,6 +190,7 @@ def boundary_squared_failures(n, w, h, top):
     them through column_nonzero; below top they are then held in turn.  A
     boundary term outside its block raises WeightEscapeError.
     """
+    from .linalg import column_nonzero
     lower = enumerate_basis(n, 1, w, h)
     held = [{}] * len(lower)  # d kills 1-chains
     for m in range(2, top + 1):
@@ -211,6 +214,7 @@ def boundary_matrix(n, m, w, h, domain=None, codomain=None):
     bases may be passed in to share enumeration work between blocks.  A
     boundary term that is no word of the codomain raises WeightEscapeError.
     """
+    from .linalg import SparseMatrixQ
     if domain is None:
         domain = enumerate_basis(n, m, w, h)
     if m < 2:

@@ -19,8 +19,9 @@ term per line:  ``coeff | x[..] d[..] ; x[..] d[..] ; ...``
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-import math
 
+# the block counts live in the leaf module counting; re-exported here
+from .counting import basis_dim, block_dims, dim_generators, max_arity, max_arity_bound
 from .multivector import DimensionMismatchError, check_generator, parse_monomial
 
 
@@ -233,12 +234,6 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def dim_generators(n, i, j):
-    if not (0 <= i <= n - 1) or j < -1:
-        return 0
-    return math.comb(n, i + 1) * math.comb(j + 1 + n - 1, n - 1)
-
-
 def _class_multisets(n, m, w, h, min_class):
     """Multisets of m bidegree classes (i, j) with sum i = w, sum j = h.
 
@@ -413,77 +408,6 @@ def enumerate_basis(n, m, w, h):
             codes.append(sum(pick, ()))
     codes.sort()
     return BasisIndex(n, m, w, h, A, codes)
-
-
-@lru_cache(maxsize=16)
-def block_dims(n, w, h):
-    """(dim C_0, dim C_1, ..., dim C_top) of the weight block (n, w, h),
-    counted without building a word; top is the last nonzero term, or 0.
-
-    The chain space is the free super-commutative algebra on the generators
-    x^beta d_alpha, so its weight-graded Hilbert series is the product over
-    bidegree classes (i, j) of (1 + t u^i v^j)^d for even i and
-    (1 - t u^i v^j)^{-d} for odd i, with d = dim_generators(n, i, j) (Fuks,
-    Cohomology of Infinite-Dimensional Lie Algebras, 1986); this returns the
-    t-coefficients of its u^w v^h term.  C_0 is the scalars: 1 in the (0, 0)
-    block, 0 elsewhere.
-
-    The product runs over the classes of the block's Alphabet, j = -1 first,
-    as a table (u, v) -> coefficients in t.  After the j = -1 classes every
-    factor raises v, and every factor with i >= 1 raises u, so terms with
-    u > w, or with v > h once j >= 0, are cut, and each odd-i series is cut
-    at finitely many terms.
-    """
-    series = {(0, 0): [1]}
-    for j in range(-1, h + n + w + 1):
-        for i in range(min(n - 1, w) + 1):
-            d = dim_generators(n, i, j)
-            odd = i % 2
-            out = {}
-            for (u, v), poly in series.items():
-                k = 0
-                while u + k * i <= w and (j < 0 or v + k * j <= h) and (odd or k <= d):
-                    c = math.comb(d + k - 1, k) if odd else math.comb(d, k)
-                    key = (u + k * i, v + k * j)
-                    acc = out.get(key)
-                    if acc is None:
-                        acc = out[key] = []
-                    if len(acc) < len(poly) + k:
-                        acc.extend([0] * (len(poly) + k - len(acc)))
-                    for m, x in enumerate(poly, start=k):
-                        acc[m] += c * x
-                    k += 1
-            series = out
-    dims = series.get((w, h), [0])
-    while len(dims) > 1 and not dims[-1]:
-        dims.pop()
-    return tuple(dims)
-
-
-def basis_dim(n, m, w, h):
-    """dim C_m^{(w,h)} over R^n, read from block_dims; equals
-    len(enumerate_basis(n, m, w, h))."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    dims = block_dims(n, w, h)
-    return dims[m] if m < len(dims) else 0
-
-
-def max_arity_bound(n, w, h):
-    """Hard upper bound on the arity of a nonzero (w, h) word.
-
-    Factors split by bidegree class: (0,-1) constant fields (<= n distinct),
-    (0,0) linear fields (<= n^2 distinct), i >= 1 (each eats >= 1 of w),
-    (0, j>=1) (each eats >= 1 of the h-budget h + #(j=-1 factors)).
-    """
-    return n + n * n + w + max(0, h + n + w)
-
-
-def max_arity(n, w, h):
-    """Largest m <= max_arity_bound with a nonempty basis (0 if the whole
-    block is trivial)."""
-    dims = block_dims(n, w, h)[1:max_arity_bound(n, w, h) + 1]
-    return max((m for m, d in enumerate(dims, start=1) if d), default=0)
 
 
 # --- coordinates and serialization ------------------------------------------

@@ -7,8 +7,25 @@ file.  The structured format is JSON and is the stable surface; csv
 (dims, betti, euler, verify) is stable per command; plain is for humans
 and may change.  certify always writes the JSON certificate.
 
-Each command imports what it runs: contraction is loaded only by certify,
-check-certificate, psi-matrix and the psi suite of verify.
+This module imports nothing from the package at load time; each command
+imports what it runs, so a fresh process compiles only these modules of
+the package besides cli (tests/test_hygiene.py pins the sets):
+
+    --help, <cmd> --help   nothing
+    dims, euler            counting
+    basis                  counting chains multivector
+    certify,               counting chains multivector boundary record
+      check-certificate      contraction
+    psi-matrix             the same, and linalg
+    betti                  counting chains multivector boundary record
+                             linalg homology torus
+    verify jacobi          counting verify multivector
+    verify weights         counting verify chains multivector boundary
+    verify dsq             the same, and linalg
+    verify homotopy        the same as weights, and torus
+    verify psi             the same as weights, and record contraction
+
+verify all loads the union of its suites.
 
 Exit codes: 0 success, 1 a guaranteed-zero came out nonzero / input is not
 a cycle / verification failed / an internal invariant was violated (one
@@ -22,29 +39,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-
-from .chains import (
-    Chain,
-    basis_dim,
-    enumerate_basis,
-    chain_to_vector,
-    format_factor,
-    max_arity,
-    parse_chain,
-    wedge_chain,
-)
-from .boundary import (WeightEscapeError, boundary, boundary_columns,
-                       boundary_squared_failures, matrix_to_text)
-from .homology import (
-    HomologyInvariantError,
-    HomologyReport,
-    betti,
-    dims_table,
-    euler_characteristic,
-)
-from .linalg import SparseMatrixQ
-from .multivector import MultiVector, g_degree, schouten_bracket
 
 
 class OutputError(Exception):
@@ -82,6 +76,7 @@ def _json(obj):
 
 
 def cmd_dims(args):
+    from .counting import dims_table
     dims = dims_table(args.n, args.w, args.h)
     if args.format == "structured":
         text = _json({"command": "dims", "n": args.n, "w": args.w, "h": args.h,
@@ -104,6 +99,7 @@ def _guaranteed_zero(n, m, w, h):
 
 
 def cmd_betti(args):
+    from .homology import HomologyReport, betti
     rep = betti(args.n, args.m, args.w, args.h)
     if args.format == "structured":
         text = _json({"command": "betti", "n": rep.n, "m": rep.m, "w": rep.w, "h": rep.h,
@@ -121,6 +117,7 @@ def cmd_betti(args):
 
 
 def cmd_euler(args):
+    from .counting import euler_characteristic
     chi = euler_characteristic(args.n, args.w, args.h)
     if args.format == "structured":
         text = _json({"command": "euler", "n": args.n, "w": args.w, "h": args.h, "euler": chi})
@@ -135,146 +132,9 @@ def cmd_euler(args):
 # --- verify -----------------------------------------------------------------
 
 
-def _random_generator(rng, n, max_beta):
-    alpha = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
-    beta = [0] * n
-    for _ in range(rng.randint(0, max_beta)):
-        beta[rng.randrange(n)] += 1
-    return alpha, tuple(beta)
-
-
-def _verify_words(args, suite, blocks):
-    """The report of a word suite.  blocks(n, w, h, top) yields, for
-    m = 2..top, the basis of C_m and the positions of its failing words;
-    top is max_arity, and each block is enumerated once."""
-    n, w, h = args.n, args.w, args.h
-    failures = []
-    checked = 0
-    for basis, bad in blocks(n, w, h, max_arity(n, w, h)):
-        checked += len(basis)
-        failures.extend({"m": basis.m, "word": [format_factor(f) for f in basis.words[i]]}
-                        for i in bad)
-    return {"suite": suite, "n": n, "w": w, "h": h,
-            "checked": checked, "failures": failures}
-
-
-def _verify_dsq(args):
-    """boundary(boundary(word)) = 0 for every basis word of the block."""
-    return _verify_words(args, "dsq", boundary_squared_failures)
-
-
-def _verify_jacobi(args):
-    """Graded antisymmetry and the super Jacobi identity on random
-    homogeneous monomials."""
-    import random
-    rng = random.Random(args.seed)
-    n = args.n
-    failures = []
-    checked = 0
-    for _ in range(200):
-        A, B, C = (MultiVector(n, {_random_generator(rng, n, 4): Fraction(rng.randint(-3, 3) or 1)})
-                   for _ in range(3))
-        x, y, z = (g_degree(next(iter(M.terms))) for M in (A, B, C))
-        anti = schouten_bracket(A, B) - (-1) ** (1 + x * y) * schouten_bracket(B, A)
-        jac = ((-1) ** (x * z) * schouten_bracket(schouten_bracket(A, B), C)
-               + (-1) ** (y * x) * schouten_bracket(schouten_bracket(B, C), A)
-               + (-1) ** (z * y) * schouten_bracket(schouten_bracket(C, A), B))
-        checked += 1
-        if not anti.is_zero() or not jac.is_zero():
-            failures.append({"triple": [sorted(M.terms) for M in (A, B, C)],
-                             "antisymmetry": not anti.is_zero(),
-                             "jacobi": not jac.is_zero()})
-    return {"suite": "jacobi", "n": n, "seed": args.seed,
-            "checked": checked, "failures": failures}
-
-
-def _weight_escapes(n, w, h, top):
-    """For m = 2..top, the basis of C_m and the positions of its words
-    whose boundary has a term that is no word of C_{m-1}."""
-    lower = enumerate_basis(n, 1, w, h)
-    for m in range(2, top + 1):
-        basis = enumerate_basis(n, m, w, h)
-        escapes = []
-        for i, code in enumerate(basis.codes):
-            try:
-                next(boundary_columns(basis.alphabet, (code,), lower.index, m, w, h))
-            except WeightEscapeError:
-                escapes.append(i)
-        yield basis, escapes
-        lower = basis
-
-
-def _verify_weights(args):
-    """Weight bookkeeping: the boundary of every word of the blocks stays
-    inside the (m-1, w, h) block."""
-    return _verify_words(args, "weights", _weight_escapes)
-
-
-HOMOTOPY_WORDS = 24  # words checked per arity by verify homotopy
-
-
-def _homotopy_words(n, w, h, seed):
-    """(m, words) for m = 1..max_arity: the words of C_m of the block, or a
-    seeded sample of HOMOTOPY_WORDS of them where it holds more, each
-    built from its position, so no arity is built whole."""
-    import random
-    from .torus import unrank_words
-    rng = random.Random(seed)
-    for m in range(1, max_arity(n, w, h) + 1):
-        dim = basis_dim(n, m, w, h)
-        positions = (range(dim) if dim <= HOMOTOPY_WORDS
-                     else sorted(rng.sample(range(dim), HOMOTOPY_WORDS)))
-        yield m, list(unrank_words(n, m, w, h, positions))
-
-
-def _verify_homotopy(args):
-    """Cartan's formula for the Euler fields E_l = x_l d_l: d(E_l ^^ c) +
-    E_l ^^ d(c) = v_l c on seeded words c of the block, with v_l the sum of
-    the exponents of x_l in c less the number of its factors that hold d_l,
-    through the Chain boundary and wedge_chain."""
-    n = args.n
-    fields = [Chain(n, {(((l,), tuple(int(k == l) for k in range(1, n + 1))),): 1})
-              for l in range(1, n + 1)]
-    failures = []
-    checked = 0
-    for m, words in _homotopy_words(n, args.w, args.h, args.seed):
-        for word in words:
-            c = Chain(n, {word: 1})
-            dc = boundary(c)
-            for l, E in enumerate(fields, start=1):
-                v = sum(beta[l - 1] - (l in alpha) for alpha, beta in word)
-                if boundary(wedge_chain(E, c)) + wedge_chain(E, dc) != v * c:
-                    failures.append({"m": m, "word": [format_factor(f) for f in word], "l": l})
-            checked += 1
-    return {"suite": "homotopy", "n": n, "w": args.w, "h": args.h, "seed": args.seed,
-            "checked": checked, "failures": failures}
-
-
-def _verify_psi(args):
-    from .contraction import verify_psi_structure
-    rep = verify_psi_structure(args.n, args.w)
-    failures = [{"word": [format_factor(f) for f in v["word"]],
-                 "type": v["type"], "stray_strata": [list(s) for s in v["stray_strata"]]}
-                for v in rep["violations"]]
-    out = {"suite": "psi", "n": rep["n"], "w": rep["w"], "checked": rep["checked"],
-           "failures": failures}
-    if rep["tl_vacuous"]:
-        out["note"] = "no TL strata at this weight; the ascent clause is vacuous"
-    return out
-
-
 def cmd_verify(args):
-    suites = {"dsq": _verify_dsq, "jacobi": _verify_jacobi,
-              "weights": _verify_weights, "psi": _verify_psi, "homotopy": _verify_homotopy}
-    names = list(suites) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        if name == "weights" and reports and reports[0]["suite"] == "dsq":
-            # dsq, which returned, assembled the same columns: a term outside
-            # its block would have raised WeightEscapeError there
-            reports.append(dict(reports[0], suite="weights", failures=[]))
-        else:
-            reports.append(suites[name](args))
+    from .verify import SUITES, run_suites
+    reports = run_suites(list(SUITES) if args.suite == "all" else [args.suite], args)
     failed = any(r["failures"] for r in reports)
     if args.format == "structured":
         text = _json({"command": "verify", "reports": reports,
@@ -309,6 +169,7 @@ def _read_input(args):
 
 
 def cmd_certify(args):
+    from .chains import parse_chain
     from .contraction import CertificateError, certificate_to_dict, certify_exact
     try:
         U = parse_chain(args.n, _read_input(args))
@@ -348,6 +209,7 @@ def cmd_check_certificate(args):
 
 
 def cmd_basis(args):
+    from .chains import enumerate_basis, format_factor
     basis = enumerate_basis(args.n, args.m, args.w, args.h)
     if args.format == "structured":
         text = _json({"command": "basis", "n": args.n, "m": args.m, "w": args.w,
@@ -363,7 +225,11 @@ def cmd_basis(args):
 def cmd_psi_matrix(args):
     """Matrix of psi on the canonical basis of the (2, w, w) block,
     coordinate-list format."""
+    from fractions import Fraction
+    from .boundary import matrix_to_text
+    from .chains import Chain, chain_to_vector, enumerate_basis
     from .contraction import psi
+    from .linalg import SparseMatrixQ
     n, w = args.n, args.w
     basis = enumerate_basis(n, 2, w, w)
     entries = {}
@@ -463,11 +329,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    from .counting import HomologyInvariantError
     try:
         return args.func(args)
-    except (HomologyInvariantError, WeightEscapeError) as e:
+    except HomologyInvariantError as e:
         # raised by betti, dims, euler and verify on a rank, counting or
-        # boundary bug
+        # boundary bug; WeightEscapeError is one
         sys.stderr.write("internal invariant violated: %s\n" % e)
         return 1
     except OutputError as e:

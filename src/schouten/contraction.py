@@ -452,7 +452,13 @@ def certificate_to_dict(cert):
 
 
 def certificate_from_dict(data):
-    """Inverse of certificate_to_dict; ValueError on a malformed field."""
+    """Inverse of certificate_to_dict; ValueError on a value that is not
+    a JSON object, a missing field or a malformed one."""
+    if not isinstance(data, dict):
+        raise ValueError("the certificate must be a JSON object")
+    for field in ("block", "U", "V", "p"):
+        if field not in data:
+            raise ValueError("missing field %r" % field)
     block = data["block"]
     if (not isinstance(block, list) or len(block) != 2
             or any(type(x) is not int for x in block)

@@ -1,4 +1,4 @@
-"""Betti numbers, Euler characteristics and the Poisson predicate.
+"""Betti numbers and the Poisson predicate.
 
 Homology of the double-weighted chain complex is computed blockwise: for a
 block (n; m, w, h), betti = dim C_m - rank(d: C_m -> C_{m-1})
@@ -32,18 +32,14 @@ proven on every weight-0 column; on v != 0 it rests on the tests and on
 `verify dsq`.
 """
 
-from .chains import block_dims, max_arity
+# dims_table, euler_characteristic and HomologyInvariantError are defined in
+# the leaf module counting, which `dims` and `euler` load alone; re-exported
+from .counting import HomologyInvariantError, block_dims, dims_table, euler_characteristic
 from .boundary import boundary_columns
 from .linalg import column_nonzero, echelon, pivot_columns
 from .multivector import schouten_bracket
 from .record import Record
-
-
-class HomologyInvariantError(RuntimeError):
-    """A count or identity that theory pins down came out otherwise (a
-    negative Betti number, a nonempty block beyond max_arity, d_out . d_in
-    != 0); signals a rank, counting or boundary bug."""
-    pass
+from .torus import enumerate_weight_zero, euler_bracket_failure
 
 
 class HomologyReport(Record):
@@ -87,8 +83,6 @@ def betti(n, m, w, h):
        columns lie in the span of its other rows;
     3. appended to the integer rows of d_in, which echelon then ranks.
     """
-    # imported here: dims and euler load this module, and need none of it
-    from .torus import enumerate_weight_zero, euler_bracket_failure
     bad = euler_bracket_failure(n, m, w, h)
     if bad is not None:
         raise HomologyInvariantError(
@@ -147,35 +141,6 @@ def betti(n, m, w, h):
             % (b, n, m, w, h, dim[m], rank_out, rank_in))
     return HomologyReport(n, m, w, h, dim[m], dim[m - 1] if m >= 2 else 0, dim[m + 1],
                           rank_out, rank_in, b)
-
-
-def dims_table(n, w, h):
-    """dim C_m^{(w,h)} for m = 1..max_arity, read from the block's Hilbert
-    series (block_dims) without enumerating a word; checks that the series
-    has no nonzero term beyond max_arity, which stops at max_arity_bound."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    dims = list(block_dims(n, w, h)[1:])
-    mm = max_arity(n, w, h)
-    for m, d in enumerate(dims[mm:], start=mm + 1):
-        if d:
-            raise HomologyInvariantError(
-                "nonempty basis at m=%d beyond max arity %d (n=%d, w=%d, h=%d)"
-                % (m, mm, n, w, h))
-    return dims[:mm]
-
-
-def euler_characteristic(n, w, h):
-    """sum_m (-1)^m dim C_m^{(w,h)} over the complete finite m-range.
-
-    The m = 0 term is the scalars, the constant term of the Hilbert series:
-    a 1-dimensional space living in the (0, 0) block and absent from every
-    other block.  Without it the alternating sum of the (0, 0) block would
-    come out -1 instead of 0.
-    """
-    dims = dims_table(n, w, h)
-    dim0 = block_dims(n, w, h)[0]
-    return dim0 + sum((-1) ** m * d for m, d in enumerate(dims, start=1))
 
 
 def is_poisson(pi):

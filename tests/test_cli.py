@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from schouten import chains, cli
-from schouten.boundary import boundary, boundary_columns
+from schouten import chains, counting, verify
+from schouten.boundary import WeightEscapeError, boundary, boundary_columns
 from schouten.chains import (Chain, chain_to_text, enumerate_basis, format_factor, parse_chain,
                              wedge_chain)
 from schouten.cli import main
@@ -180,7 +180,7 @@ def test_verify_all_takes_the_weights_report_from_dsq(capsys, monkeypatch):
                         "--format", fmt)
         assert rc == 0
         reports[fmt] = alone
-    monkeypatch.setattr(cli, "_weight_escapes", None)
+    monkeypatch.setattr(verify, "_weight_escapes", None)
     rc, out = run(capsys, "verify", "all", "--n", "2", "--w", "0", "--h", "0",
                   "--format", "structured")
     assert rc == 0
@@ -228,7 +228,7 @@ def test_verify_homotopy_reports_witnesses(capsys, monkeypatch):
         return out
 
     expect = [{"l": l, "m": m, "word": [format_factor(f) for f in word]}
-              for m, words in cli._homotopy_words(2, 0, 0, 7) for word in words
+              for m, words in verify._homotopy_words(2, 0, 0, 7) for word in words
               for l in (1, 2)
               if sum(beta[l - 1] - (l in alpha) for alpha, beta in word)]
     # fresh alphabets, so that their bracket tables fill through `doubled`
@@ -253,7 +253,7 @@ def test_verify_enumerates_each_block_once(capsys, monkeypatch):
         calls.append(m)
         return real(n, m, w, h)
 
-    for module in (cli, chains, boundary_module):
+    for module in (chains, boundary_module):
         monkeypatch.setattr(module, "enumerate_basis", counting)
     for suite in ("dsq", "weights"):
         for clear in (True, False):
@@ -469,6 +469,88 @@ def test_check_malformed_certificate_exit_2(capsys, tmp_path):
     p.write_text("{]")
     rc = main(["check-certificate", "--input", str(p)])
     assert rc == 2
+
+
+def test_check_certificate_that_is_no_object_exit_2(capsys, tmp_path):
+    data = json.loads((DATA / "pipi_n2.cert.json").read_text())
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps([data]))
+    rc = main(["check-certificate", "--input", str(p)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "malformed certificate: the certificate must be a JSON object\n")
+
+
+def test_check_certificate_missing_field_exit_2(capsys, tmp_path):
+    data = json.loads((DATA / "pipi_n2.cert.json").read_text())
+    del data["V"]
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(data))
+    rc = main(["check-certificate", "--input", str(p)])
+    assert rc == 2
+    assert capsys.readouterr().err == "malformed certificate: missing field 'V'\n"
+
+
+def _one_invariant_line(err):
+    return (err.startswith("internal invariant violated: ") and len(err.splitlines()) == 1
+            and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("command", ["dims", "euler"])
+def test_counting_invariant_exit_1(capsys, monkeypatch, command):
+    # a block whose Hilbert series runs past max_arity: dims_table refuses it
+    monkeypatch.setattr(counting, "max_arity", lambda n, w, h: 1)
+    rc = main([command, "--n", "2", "--w", "0", "--h", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert _one_invariant_line(captured.err)
+    assert "beyond max arity 1" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["weights", "dsq"])
+def test_verify_weight_escape_exit_1(capsys, monkeypatch, suite):
+    if suite == "weights":
+        # the suite reports the escapes it finds word by word; one raised
+        # past it reaches main
+        def escapes(n, w, h, top):
+            raise WeightEscapeError("boundary of a word left block (m=2, w=0, h=0)")
+            yield
+
+        monkeypatch.setattr(verify, "_weight_escapes", escapes)
+    else:
+        # dsq catches no escape: with the word boundary replaced by the
+        # identity, the first word of C_2 leaves its block
+        monkeypatch.setattr(boundary_module, "_word_boundary", lambda A, word: {word: 1})
+    rc = main(["verify", suite, "--n", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert _one_invariant_line(captured.err)
+    assert "left block (m=2, w=0, h=0)" in captured.err
+
+
+COMMANDS = ["dims", "betti", "euler", "verify", "certify", "check-certificate", "basis",
+            "psi-matrix"]
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: schouten ")
+    assert "{%s}" % ",".join(COMMANDS) in out
+    for command in COMMANDS:
+        assert "\n    %s " % command in out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_exit_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: schouten %s " % command)
 
 
 def test_no_partial_output_on_failure(tmp_path, capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schouten import chains, cli, homology, linalg, torus
+from schouten import chains, cli, counting, homology, linalg, torus
 from schouten.boundary import boundary_columns, boundary_matrix
 from schouten.homology import (
     HomologyInvariantError,
@@ -86,7 +86,7 @@ def test_betti_rejects_weight_split_ranks_out_of_range(monkeypatch):
 
 
 def test_dims_table_rejects_words_beyond_max_arity(monkeypatch):
-    monkeypatch.setattr(homology, "max_arity", lambda n, w, h: 1)
+    monkeypatch.setattr(counting, "max_arity", lambda n, w, h: 1)
     with pytest.raises(HomologyInvariantError, match="beyond max arity"):
         dims_table(2, 0, 0)
 

@@ -76,6 +76,73 @@ def test_cli_counting_loads_neither_contraction_nor_dataclasses(argv):
     assert "schouten.torus" not in new
 
 
+DATA = Path(__file__).parent / "data"
+
+# command -> (argv, the schouten modules it loads besides cli and counting)
+COMMAND_MODULES = {
+    "dims": (["dims", "--n", "2", "--w", "1", "--h", "1"], []),
+    "euler": (["euler", "--n", "2", "--w", "1", "--h", "1"], []),
+    "betti": (["betti", "--n", "2", "--m", "2", "--w", "0", "--h", "0"],
+              ["boundary", "chains", "homology", "linalg", "multivector", "record", "torus"]),
+    "basis": (["basis", "--n", "1", "--m", "2", "--w", "0", "--h", "0"],
+              ["chains", "multivector"]),
+    "certify": (["certify", "--n", "2", "--input", str(DATA / "cycle_2_1.txt")],
+                ["boundary", "chains", "contraction", "multivector", "record"]),
+    "check-certificate": (["check-certificate", "--input", str(DATA / "cycle_2_1.cert.json")],
+                          ["boundary", "chains", "contraction", "multivector", "record"]),
+    "psi-matrix": (["psi-matrix", "--n", "2", "--w", "1"],
+                   ["boundary", "chains", "contraction", "linalg", "multivector", "record"]),
+    "verify-dsq": (["verify", "dsq", "--n", "1"],
+                   ["boundary", "chains", "linalg", "multivector", "verify"]),
+    "verify-jacobi": (["verify", "jacobi", "--n", "1"], ["multivector", "verify"]),
+    "verify-weights": (["verify", "weights", "--n", "1"],
+                       ["boundary", "chains", "multivector", "verify"]),
+    "verify-psi": (["verify", "psi", "--n", "1"],
+                   ["boundary", "chains", "contraction", "multivector", "record", "verify"]),
+    "verify-homotopy": (["verify", "homotopy", "--n", "1"],
+                        ["boundary", "chains", "multivector", "torus", "verify"]),
+    "verify-all": (["verify", "all", "--n", "1"],
+                   ["boundary", "chains", "contraction", "linalg", "multivector", "record",
+                    "torus", "verify"]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_exactly_the_modules_it_runs(command):
+    argv, modules = COMMAND_MODULES[command]
+    rc, new = _fresh("import sys, json; before = set(sys.modules); from schouten import cli; "
+                     "rc = cli.main(%r); "
+                     "print(json.dumps([rc, sorted(set(sys.modules) - before)]))" % (argv,))
+    assert rc == 0
+    loaded = sorted(m for m in new if m.startswith("schouten."))
+    assert loaded == sorted("schouten." + m for m in ["cli", "counting"] + modules)
+    if command in ("dims", "euler"):
+        assert "fractions" not in new and "decimal" not in new
+    if command in ("certify", "check-certificate"):
+        assert not {"schouten.linalg", "schouten.homology", "schouten.torus"} & set(new)
+
+
+def test_help_loads_nothing_beyond_the_counting_leaf():
+    argvs = [["--help"]] + [[command, "--help"] for command in
+                            ["dims", "betti", "euler", "verify", "certify", "check-certificate",
+                             "basis", "psi-matrix"]]
+    codes, new = _fresh("""
+import sys, json
+before = set(sys.modules)
+from schouten import cli
+codes = []
+for argv in %r:
+    try:
+        cli.main(argv)
+    except SystemExit as e:
+        codes.append(e.code)
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+""" % (argvs,))
+    assert codes == [0] * len(argvs)
+    assert {m for m in new if m.startswith("schouten.")} <= {"schouten.cli",
+                                                            "schouten.counting"}
+
+
 def test_no_module_of_the_package_loads_dataclasses():
     new = _fresh("import sys, json; before = set(sys.modules); "
                  "import schouten.cli, schouten.contraction, schouten.homology; "
