@@ -16,9 +16,9 @@ from importlib import import_module
 # exported name -> submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(["MultiVector", "schouten_bracket", "bidegree"], "multivector"),
-    **dict.fromkeys(["Chain", "BasisIndex", "canonicalize_word", "wedge_chain",
-                     "weight_signature", "enumerate_basis", "basis_dim",
-                     "chain_to_vector", "max_arity"], "chains"),
+    **dict.fromkeys(["Chain", "canonicalize_word", "wedge_chain", "weight_signature",
+                     "basis_dim", "chain_to_vector", "max_arity"], "chains"),
+    **dict.fromkeys(["BasisIndex", "enumerate_basis"], "words"),
     **dict.fromkeys(["boundary", "boundary_matrix"], "boundary"),
     **dict.fromkeys(["SparseMatrixQ", "rank_exact", "kernel_basis"], "linalg"),
     **dict.fromkeys(["HomologyReport", "betti", "euler_characteristic", "is_poisson",

@@ -15,11 +15,13 @@ pairs k < i of the factors of A0 ^^ ... ^^ Am:
                           placed at slot i - 1)
 
 so d(A ^^ B) = [A, B].  It is computed on int words of the block's
-Alphabet: each bracket [A_k, A_i] is read from the alphabet's bracket table
-(filled on first use) and put in place by place_factor.  Nothing is
-memoized per word.  encode_chain and decode_chain carry a Chain to int
-words with int coefficients and back; the contraction operators run on
-the same encoding.
+Alphabet by words._word_boundary, which reads each bracket [A_k, A_i] from
+the alphabet's bracket table and puts it in place by place_factor.  The
+int-word kernel (_word_boundary, boundary_columns, WeightEscapeError) lives
+in the leaf module words, which `betti` runs on without loading this
+module, and is re-exported here.  encode_chain and decode_chain carry a
+Chain to int words with int coefficients and back; the contraction
+operators run on the same encoding.
 
 A block map d: C_m -> C_{m-1} is what boundary_columns yields, one
 {row: int} column per word of C_m.  betti ranks it, and
@@ -36,54 +38,9 @@ come from a sign or bracket bug.
 from fractions import Fraction
 from math import lcm
 
-from .counting import HomologyInvariantError
-from .multivector import _bracket_mono
-from .chains import Chain, alphabet, enumerate_basis, place_factor, weight_signature
-
-
-class WeightEscapeError(HomologyInvariantError):
-    """A boundary term left its (w, h) block; signals a sign/bracket bug."""
-    pass
-
-
-def _bracket(A, a, b):
-    """[gens[a], gens[b]] of the alphabet A as (rank, int) pairs, entered
-    in its bracket table."""
-    (alpha_a, beta_a), (alpha_b, beta_b) = A.gens[a], A.gens[b]
-    terms = tuple((A.rank[key], c)
-                  for key, c in _bracket_mono(A.n, alpha_a, beta_a, alpha_b, beta_b))
-    A.brackets[a * len(A.gens) + b] = terms
-    return terms
-
-
-def _word_boundary(A, word):
-    """d(word) for an int word of the alphabet A, by the pairwise formula,
-    as {int word: int}; coefficients that cancel stay as 0."""
-    parity = A.parity
-    table = A.brackets
-    size = len(A.gens)
-    terms = {}
-    m = len(word)
-    for k in range(m - 1):
-        a = word[k]
-        odd_a = parity[a]
-        row = a * size
-        sign_k = -1 if k & 1 else 1
-        between = 0  # sum of the g-degrees strictly between k and i, mod 2
-        for i in range(k + 1, m):
-            b = word[i]
-            br = table.get(row + b)
-            if br is None:
-                br = _bracket(A, a, b)
-            if br:
-                s = -sign_k if odd_a and between else sign_k
-                rest = word[:k] + word[k + 1:i] + word[i + 1:]
-                for r, c in br:
-                    t, out = place_factor(rest, i - 1, r, parity)
-                    if t:
-                        terms[out] = terms.get(out, 0) + s * t * c
-            between ^= parity[b]
-    return terms
+from .chains import Chain, weight_signature
+from .words import (WeightEscapeError, _bracket, _word_boundary, alphabet, boundary_columns,
+                    enumerate_basis)
 
 
 def encode_chain(chain):
@@ -154,31 +111,6 @@ class BoundaryMatrix:
         self.matrix = matrix
         self.domain = domain
         self.codomain = codomain
-
-
-def boundary_columns(A, codes, row_of, m, w, h):
-    """The columns of d on the int words `codes` of the (m, w, h) block:
-    one {row: nonzero int} per word, in order, with row_of mapping each
-    word of the codomain to its row.  A term that is no word of row_of, or
-    whose bracket is ranked beyond the alphabet A, raises
-    WeightEscapeError."""
-    def escape(word):
-        return WeightEscapeError("boundary of %r left block (m=%d, w=%d, h=%d)"
-                                 % (tuple(A.gens[f] for f in word), m, w, h))
-
-    for word in codes:
-        try:
-            terms = _word_boundary(A, word)
-        except IndexError:  # a bracket term ranked beyond the alphabet
-            raise escape(word) from None
-        column = {}
-        for out, c in terms.items():
-            if c:
-                r = row_of.get(out)
-                if r is None:
-                    raise escape(word)
-                column[r] = c
-        yield column
 
 
 def boundary_squared_failures(n, w, h, top):

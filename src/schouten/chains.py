@@ -1,4 +1,4 @@
-"""Canonical super-wedge words, chain spaces and ordered basis enumeration.
+"""Canonical super-wedge words, chain spaces and their text form.
 
 A wedge word is a tuple of unit-coefficient generators (alpha, beta) in the
 canonical factor order: primary key |alpha| ascending, secondary |beta|
@@ -9,25 +9,23 @@ commute (repeats allowed).
 
 Inside the kernels a word is an int word: the tuple of the ranks of its
 factors in an Alphabet, where ranks follow the factor order, so words
-compare and hash as plain int tuples.  Chains and BasisIndex.words keep
-generator tuples.
+compare and hash as plain int tuples.  The alphabets, the factor order
+(place_factor) and basis enumeration live in the leaf module words and are
+re-exported here.  Chains and BasisIndex.words keep generator tuples.
 
 A chain is a rational combination of canonical words.  Serialized form, one
 term per line:  ``coeff | x[..] d[..] ; x[..] d[..] ; ...``
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
 
-# the block counts live in the leaf module counting; re-exported here
+# the block counts live in the leaf module counting, and the int-word
+# kernel in the leaf module words; re-exported here
 from .counting import basis_dim, block_dims, dim_generators, max_arity, max_arity_bound
 from .multivector import DimensionMismatchError, check_generator, parse_monomial
-
-
-def factor_key(gen):
-    alpha, beta = gen
-    return (len(alpha), sum(beta), alpha, beta)
+from .words import (Alphabet, BasisIndex, _class_multisets, _compositions, alphabet,
+                    enumerate_basis, factor_key, format_factor, generators_of_bidegree,
+                    place_factor)
 
 
 def canonicalize_word(factors):
@@ -60,34 +58,6 @@ def _canonical_words(factor_lists):
             sign *= s
         else:
             yield sign, tuple(order[r] for r in word)
-
-
-def place_factor(rest, i, r, parity):
-    """Insert the factor r at slot i of the canonical int word `rest`,
-    re-canonicalizing; parity[r] is the g-degree of r mod 2.
-
-    The one place that knows the factor order (ints ranked in factor
-    order compare as their generators do), the swap sign and the
-    even-repeat rule: the factor bubbles left or right to its sorted
-    position, accumulating -(-1)^{xy} per adjacent swap (x, y the
-    g-degrees), in O(m).  Returns (sign, word); sign 0 when a factor of
-    even g-degree repeats.
-    """
-    x = parity[r]
-    sign = 1
-    j = i
-    while j > 0 and rest[j - 1] > r:
-        if not (x and parity[rest[j - 1]]):
-            sign = -sign
-        j -= 1
-    if j == i:
-        while j < len(rest) and rest[j] < r:
-            if not (x and parity[rest[j]]):
-                sign = -sign
-            j += 1
-    if not x and ((j > 0 and rest[j - 1] == r) or (j < len(rest) and rest[j] == r)):
-        return 0, None
-    return sign, rest[:j] + (r,) + rest[j:]
 
 
 def weight_signature(word):
@@ -205,211 +175,6 @@ def wedge_chain(c1, c2):
     return Chain(c1.n, terms)
 
 
-# --- basis enumeration ------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def generators_of_bidegree(n, i, j):
-    """All generators of g-bidegree (i, j), sorted canonically.
-
-    |alpha| = i+1 directions out of n, |beta| = j+1.
-    """
-    if not (0 <= i <= n - 1) or j < -1:
-        return ()
-    gens = []
-    for alpha in combinations(range(1, n + 1), i + 1):
-        for beta in _compositions(j + 1, n):
-            gens.append((alpha, beta))
-    gens.sort(key=factor_key)
-    return tuple(gens)
-
-
-def _compositions(total, parts):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _class_multisets(n, m, w, h, min_class):
-    """Multisets of m bidegree classes (i, j) with sum i = w, sum j = h.
-
-    Classes are produced in ascending (i, j) order starting at min_class;
-    even-i classes are capped at their generator-space dimension.  Yields
-    lists of ((i, j), count).
-    """
-    if m == 0:
-        if w == 0 and h == 0:
-            yield []
-        return
-    min_i, min_j = min_class
-    for i in range(min_i, n):
-        if i > w:
-            break
-        j_lo = min_j if i == min_i else -1
-        # each remaining factor contributes at least -1 to h
-        for j in range(j_lo, h + m):
-            cap = m
-            if i % 2 == 0:
-                cap = min(cap, dim_generators(n, i, j))
-            for count in range(1, cap + 1):
-                if count * i > w:
-                    break
-                if h - count * j < -(m - count):
-                    break
-                # later classes all have (i', j') > (i, j), so i' >= i
-                if w - count * i < (m - count) * i:
-                    continue
-                for rest in _class_multisets(n, m - count, w - count * i,
-                                             h - count * j, (i, j + 1)):
-                    yield [((i, j), count)] + rest
-
-
-class Alphabet:
-    """The generators of the weight block (n, w, h) as small integers.
-
-    A word of the block holds generators of bidegree (i, j) with
-    i <= min(n - 1, w) and j <= h + n + w: at most n + w of its other
-    factors can have j = -1 (the n constant fields d_l, which are even and
-    so distinct, and factors with i >= 1, each of which takes 1 of w), and
-    every other factor takes at least 0 of h.  So one alphabet serves every
-    arity of the block, and every bracket of two factors of one word lies in
-    it.  The generators are ranked in factor order: gens[r] is the generator
-    of rank r, rank its inverse, parity[r] its g-degree mod 2, classes[(i, j)]
-    the range of ranks of bidegree (i, j) and bidegree[r] the (i, j) of
-    rank r (built on first use).  An int word is the tuple of the ranks of its factors; int
-    words sort as their generator words do.  The ranks of class (0, -1)
-    are those of d_1, ..., d_n, in this order.
-
-    brackets is the bracket table, filled lazily by the boundary module:
-    brackets[a * len(gens) + b] is [gens[a], gens[b]] as (rank, int) pairs.
-    shifts is the table of x_l times a generator, filled lazily by the
-    contraction module: shifts[r][l - 1] is the rank of x_l gens[r], or
-    None when that generator lies outside the alphabet.
-    """
-
-    __slots__ = ("n", "gens", "rank", "parity", "classes", "brackets", "shifts",
-                 "_bidegree")
-
-    def __init__(self, n, w, h):
-        self.n = n
-        gens = []
-        self.classes = {}
-        for i in range(min(n - 1, w) + 1):
-            for j in range(-1, h + n + w + 1):
-                lo = len(gens)
-                gens.extend(generators_of_bidegree(n, i, j))
-                self.classes[(i, j)] = range(lo, len(gens))
-        self.gens = tuple(gens)
-        self.rank = {gen: r for r, gen in enumerate(gens)}
-        self.parity = [(len(alpha) - 1) & 1 for alpha, _ in gens]
-        self.brackets = {}
-        self.shifts = {}
-        self._bidegree = None
-
-    @property
-    def bidegree(self):
-        """bidegree[r] is the (i, j) of rank r; built on first use."""
-        if self._bidegree is None:
-            self._bidegree = [(len(alpha) - 1, sum(beta) - 1) for alpha, beta in self.gens]
-        return self._bidegree
-
-
-_ALPHABETS = {}  # (n, w, h) -> Alphabet, oldest first
-_ALPHABET_SLOTS = 4
-
-
-def alphabet(n, w, h):
-    """The Alphabet of the weight block (n, w, h), from a small cache that
-    drops its oldest entry when full.  The ranks depend on (n, w, h) alone,
-    so int words of a dropped and rebuilt alphabet still agree."""
-    key = (n, w, h)
-    A = _ALPHABETS.get(key)
-    if A is None:
-        if len(_ALPHABETS) >= _ALPHABET_SLOTS:
-            del _ALPHABETS[next(iter(_ALPHABETS))]
-        A = _ALPHABETS[key] = Alphabet(n, w, h)
-    return A
-
-
-class BasisIndex:
-    """Ordered basis of the chain space block (n; m, w, h).
-
-    The basis is held as sorted int words of the block's alphabet
-    (`codes`); `words` decodes them to generator tuples and `position`
-    takes a generator tuple, both on first use.
-    """
-
-    __slots__ = ("n", "m", "w", "h", "alphabet", "codes", "_index", "_words")
-
-    def __init__(self, n, m, w, h, alphabet, codes):
-        self.n = n
-        self.m = m
-        self.w = w
-        self.h = h
-        self.alphabet = alphabet
-        self.codes = codes
-        self._index = None
-        self._words = None
-
-    def __len__(self):
-        return len(self.codes)
-
-    def __iter__(self):
-        return iter(self.words)
-
-    @property
-    def words(self):
-        if self._words is None:
-            gens = self.alphabet.gens
-            self._words = tuple(tuple(gens[r] for r in code) for code in self.codes)
-        return self._words
-
-    @property
-    def index(self):
-        """int word -> position."""
-        if self._index is None:
-            self._index = {code: i for i, code in enumerate(self.codes)}
-        return self._index
-
-    def position(self, word):
-        rank = self.alphabet.rank
-        try:
-            return self.index[tuple(rank[gen] for gen in word)]
-        except KeyError:
-            raise KeyError("word %r lies outside the (m=%d, w=%d, h=%d) block"
-                           % (word, self.m, self.w, self.h))
-
-
-def enumerate_basis(n, m, w, h):
-    """All canonical words of arity m and double weight (w, h) over R^n.
-
-    A word is a multiset of generators with even-g-degree generators distinct
-    and odd-g-degree generators free to repeat.  The words are built as int
-    words of the block's alphabet and sorted as plain int tuples, which is
-    the canonical order.  The result may be empty.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    A = alphabet(n, w, h)
-    codes = []
-    for classes in _class_multisets(n, m, w, h, (0, -1)):
-        pools = []
-        for (i, j), count in classes:
-            ranks = A.classes[(i, j)]
-            if i % 2 == 0:
-                pools.append(list(combinations(ranks, count)))
-            else:
-                pools.append(list(combinations_with_replacement(ranks, count)))
-        for pick in product(*pools):
-            codes.append(sum(pick, ()))
-    codes.sort()
-    return BasisIndex(n, m, w, h, A, codes)
-
-
 # --- coordinates and serialization ------------------------------------------
 
 
@@ -432,11 +197,6 @@ def parse_coeff(text):
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (text,)) from None
-
-
-def format_factor(gen):
-    alpha, beta = gen
-    return "x[%s] d[%s]" % (",".join(map(str, beta)), ",".join(map(str, alpha)))
 
 
 def chain_to_text(c):

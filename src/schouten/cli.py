@@ -13,14 +13,14 @@ the package besides cli (tests/test_hygiene.py pins the sets):
 
     --help, <cmd> --help   nothing
     dims, euler            counting
-    basis                  counting chains multivector
-    certify,               counting chains multivector boundary record
-      check-certificate      contraction
+    basis                  counting words
+    betti                  counting words linalg record homology torus
+    certify,               counting words multivector chains boundary
+      check-certificate      record contraction
     psi-matrix             the same, and linalg
-    betti                  counting chains multivector boundary record
-                             linalg homology torus
-    verify jacobi          counting verify multivector
-    verify weights         counting verify chains multivector boundary
+    verify jacobi          counting verify words multivector
+    verify weights         counting verify words multivector chains
+                             boundary
     verify dsq             the same, and linalg
     verify homotopy        the same as weights, and torus
     verify psi             the same as weights, and record contraction
@@ -209,7 +209,7 @@ def cmd_check_certificate(args):
 
 
 def cmd_basis(args):
-    from .chains import enumerate_basis, format_factor
+    from .words import enumerate_basis, format_factor
     basis = enumerate_basis(args.n, args.m, args.w, args.h)
     if args.format == "structured":
         text = _json({"command": "basis", "n": args.n, "m": args.m, "w": args.w,

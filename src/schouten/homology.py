@@ -25,21 +25,24 @@ eliminated once, d_out . d_in = 0 is proven on the rows of d_out that
 became its echelon pivots (they span its row space), and the rows of d_in
 at d_out's pivot columns, which those relations make dependent on the
 other rows, are dropped before d_in is eliminated.  Both maps come column
-by column from boundary.boundary_columns: d_out is held as that list of
+by column from words.boundary_columns: d_out is held as that list of
 columns, and d_in is streamed through the check and the clearing into the
 integer rows that the echelon takes, so it is held once.  d^2 = 0 is thus
 proven on every weight-0 column; on v != 0 it rests on the tests and on
 `verify dsq`.
+
+betti runs on int words alone: this module takes the kernel from the leaf
+module words, not from chains or boundary, and is_poisson imports the
+multivector module when it runs, so `betti` loads no Fraction arithmetic.
 """
 
 # dims_table, euler_characteristic and HomologyInvariantError are defined in
 # the leaf module counting, which `dims` and `euler` load alone; re-exported
 from .counting import HomologyInvariantError, block_dims, dims_table, euler_characteristic
-from .boundary import boundary_columns
 from .linalg import column_nonzero, echelon, pivot_columns
-from .multivector import schouten_bracket
 from .record import Record
 from .torus import enumerate_weight_zero, euler_bracket_failure
+from .words import boundary_columns
 
 
 class HomologyReport(Record):
@@ -149,6 +152,7 @@ def is_poisson(pi):
     The polynomial coefficients may be inhomogeneous; only the multivector
     degree must be 2 throughout.
     """
+    from .multivector import schouten_bracket
     if pi.is_zero():
         return True
     if any(len(alpha) != 2 for alpha, _ in pi.terms):

@@ -1,6 +1,6 @@
 """Exact sparse linear algebra over the rationals.
 
-A block map of the boundary is held as what boundary.boundary_columns
+A block map of the boundary is held as what words.boundary_columns
 yields: a list of columns, each {row: nonzero int}.  pivot_columns ranks
 such a list, and column_nonzero multiplies one by a column; that is the
 one d^2 product of the package.  SparseMatrixQ is the general matrix,
@@ -8,10 +8,11 @@ one d^2 product of the package.  SparseMatrixQ is the general matrix,
 otherwise, which rank_exact and kernel_basis take.  Every rank runs
 through the fraction-free integer echelon below: a row holding fractions
 is scaled to integers first, which changes neither the rank nor the null
-space.  Everything is deterministic.
+space.  Everything is deterministic.  fractions is imported only where a
+Fraction is built (SparseMatrixQ and kernel_basis), so `betti`, which
+ranks int columns, does not load it.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -26,6 +27,7 @@ class SparseMatrixQ:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries=None):
+        from fractions import Fraction
         self.rows = rows
         self.cols = cols
         clean = {}
@@ -198,6 +200,7 @@ def column_nonzero(a_cols, column):
 
 def kernel_basis(M):
     """A basis of the null space of M, one Fraction vector per free column."""
+    from fractions import Fraction
     pivots, rows, _ = echelon(M.row_dicts())
     pivot_set = set(pivots)
     basis = []

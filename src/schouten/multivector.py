@@ -5,16 +5,9 @@ A monomial generator is x^beta d_alpha where beta is a tuple of n exponents
 and alpha a strictly increasing tuple of directions in 1..n.  Its g-bidegree
 is (|alpha|-1, |beta|-1); the first component drives all Koszul signs.
 
-The bracket of two monomials has a closed form in odd variables (the
-Schouten-Nijenhuis bracket as in Kontsevich, Deformation quantization of
-Poisson manifolds, 2003): with xi_l = d_l odd, x^beta d_alpha is the
-polynomial x^beta xi_alpha and
-
-    [P, Q] = sum_l (P d/dxi_l)(dQ/dx_l) - (dP/dx_l)(d/dxi_l Q),
-
-where the xi-derivative of P acts from the right and that of Q from the
-left.  _bracket_mono evaluates it on two monomials in one pass, without
-recursion or cache.
+schouten_bracket extends the closed-form bracket of two monomials,
+_bracket_mono (defined in the leaf module words and re-exported here),
+bilinearly over the terms.
 
 Text form of one monomial (bit-exact, used by the CLI and serialization):
     c * x[b1,...,bn] d[a1,...,am]      with c printed as p or p/q
@@ -23,6 +16,8 @@ e.g. ``-3/2 * x[1,1] d[1,2]`` is -(3/2) x1 x2 d1^d2.
 
 from fractions import Fraction
 import re
+
+from .words import _bracket_mono, _merge_directions
 
 
 class DimensionMismatchError(ValueError):
@@ -149,69 +144,6 @@ def parse_monomial(text):
     beta = tuple(int(t) for t in m.group(2).split(",")) if m.group(2) else ()
     alpha = tuple(int(t) for t in m.group(3).split(","))
     return coeff, beta, alpha
-
-
-def _merge_directions(a1, a2):
-    """Merge two strictly increasing direction tuples.
-
-    Returns (sign, merged) with sign the parity of the interleaving
-    permutation, or None when the tuples intersect.
-    """
-    if set(a1) & set(a2):
-        return None
-    merged = []
-    i = j = 0
-    sign = 1
-    while i < len(a1) and j < len(a2):
-        if a1[i] < a2[j]:
-            merged.append(a1[i])
-            i += 1
-        else:
-            # a2[j] jumps over the remaining len(a1)-i entries of a1
-            if (len(a1) - i) % 2:
-                sign = -sign
-            merged.append(a2[j])
-            j += 1
-    merged.extend(a1[i:])
-    merged.extend(a2[j:])
-    return sign, tuple(merged)
-
-
-def _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b):
-    """Schouten bracket of two unit monomials, as ((alpha, beta), int) pairs.
-
-    In odd variables xi_l = d_l the monomial x^beta d_alpha is
-    x^beta xi_alpha, and [P, Q] = sum_l (P d/dxi_l)(dQ/dx_l) -
-    (dP/dx_l)(d/dxi_l Q), the first xi-derivative acting from the right,
-    the second from the left.  Each term is x^(beta_a + beta_b - e_l)
-    times the merged directions, signed by _merge_directions:
-      l = alpha_a[t]: beta_b[l] (-1)^(p-1-t), directions alpha_a - l, alpha_b;
-      l = alpha_b[t]: -beta_a[l] (-1)^t, directions alpha_a, alpha_b - l;
-    with p = |alpha_a|.  A repeated direction kills the term.  All
-    structure constants are integers; n is unused.
-    """
-    last = len(alpha_a) - 1
-    terms = []  # (l, signed coefficient, merged directions or None)
-    for t, l in enumerate(alpha_a):
-        c = beta_b[l - 1]
-        if c:
-            terms.append((l, -c if (last - t) & 1 else c,
-                          _merge_directions(alpha_a[:t] + alpha_a[t + 1:], alpha_b)))
-    for t, l in enumerate(alpha_b):
-        c = beta_a[l - 1]
-        if c:
-            terms.append((l, c if t & 1 else -c,
-                          _merge_directions(alpha_a, alpha_b[:t] + alpha_b[t + 1:])))
-    beta = [x + y for x, y in zip(beta_a, beta_b)]
-    out = {}
-    for l, c, merged in terms:
-        if merged is not None:
-            sign, alpha = merged
-            beta[l - 1] -= 1
-            key = (alpha, tuple(beta))
-            beta[l - 1] += 1
-            out[key] = out.get(key, 0) + sign * c
-    return tuple((k, c) for k, c in out.items() if c)
 
 
 def schouten_bracket(A, B):

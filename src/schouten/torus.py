@@ -20,8 +20,7 @@ not compile it.
 from itertools import combinations, combinations_with_replacement
 import math
 
-from .chains import BasisIndex, _class_multisets, alphabet
-from .multivector import _bracket_mono
+from .words import BasisIndex, _bracket_mono, _class_multisets, alphabet
 
 
 def torus_weight(gen):
@@ -45,7 +44,7 @@ def _picks_by_weight(A, i, j, count):
 
 def enumerate_weight_zero(n, m, w, h):
     """The words of torus weight 0 of the block (n; m, w, h), in the
-    canonical order: those of chains.enumerate_basis(n, m, w, h), without
+    canonical order: those of words.enumerate_basis(n, m, w, h), without
     building any other.
 
     A w != h block has none.  Otherwise each class multiset of the block

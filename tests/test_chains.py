@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from schouten import chains
+from schouten import words
 from schouten.chains import (
     BasisIndex,
     Chain,
@@ -317,7 +317,7 @@ def test_alphabet_cache_is_bounded_and_ranks_are_stable():
     first = alphabet(2, 1, 1)
     for block in [(1, 0, 0), (2, 0, 0), (2, 0, 1), (3, 0, 0), (3, 1, 1), (2, 2, 2)]:
         alphabet(*block)
-    assert len(chains._ALPHABETS) <= chains._ALPHABET_SLOTS
+    assert len(words._ALPHABETS) <= words._ALPHABET_SLOTS
     again = alphabet(2, 1, 1)
     assert again is not first
     assert again.gens == first.gens

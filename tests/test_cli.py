@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from schouten import chains, counting, verify
+from schouten import chains, counting, verify, words
 from schouten.boundary import WeightEscapeError, boundary, boundary_columns
 from schouten.chains import (Chain, chain_to_text, enumerate_basis, format_factor, parse_chain,
                              wedge_chain)
@@ -160,7 +160,7 @@ def test_verify_word_suites_report_witnesses(capsys, monkeypatch, suite):
     else:
         # with the word boundary replaced by the identity, every word's
         # boundary leaves its block
-        monkeypatch.setattr(boundary_module, "_word_boundary", lambda A, word: {word: 1})
+        monkeypatch.setattr(words, "_word_boundary", lambda A, word: {word: 1})
         expect = [{"m": m, "word": [format_factor(f) for f in word]}
                   for m in range(2, 9) for word in enumerate_basis(2, m, 0, 0).words]
     rc, out = run(capsys, "verify", suite, "--n", "2", "--w", "0", "--h", "0",
@@ -219,7 +219,7 @@ def euler_field(n, gen):
 def test_verify_homotopy_reports_witnesses(capsys, monkeypatch):
     # every bracket with x_l d_l on either side doubled: d(E_l ^^ c) +
     # E_l ^^ d(c) becomes 2 v_l c, which is wrong exactly where v_l != 0
-    real = boundary_module._bracket_mono
+    real = words._bracket_mono
 
     def doubled(n, alpha_a, beta_a, alpha_b, beta_b):
         out = real(n, alpha_a, beta_a, alpha_b, beta_b)
@@ -232,8 +232,8 @@ def test_verify_homotopy_reports_witnesses(capsys, monkeypatch):
               for l in (1, 2)
               if sum(beta[l - 1] - (l in alpha) for alpha, beta in word)]
     # fresh alphabets, so that their bracket tables fill through `doubled`
-    monkeypatch.setattr(chains, "_ALPHABETS", {})
-    monkeypatch.setattr(boundary_module, "_bracket_mono", doubled)
+    monkeypatch.setattr(words, "_ALPHABETS", {})
+    monkeypatch.setattr(words, "_bracket_mono", doubled)
     rc, out = run(capsys, "verify", "homotopy", "--n", "2", "--w", "0", "--h", "0",
                   "--format", "structured")
     report = json.loads(out)["reports"][0]
@@ -521,7 +521,7 @@ def test_verify_weight_escape_exit_1(capsys, monkeypatch, suite):
     else:
         # dsq catches no escape: with the word boundary replaced by the
         # identity, the first word of C_2 leaves its block
-        monkeypatch.setattr(boundary_module, "_word_boundary", lambda A, word: {word: 1})
+        monkeypatch.setattr(words, "_word_boundary", lambda A, word: {word: 1})
     rc = main(["verify", suite, "--n", "2"])
     captured = capsys.readouterr()
     assert rc == 1

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schouten import chains, cli, counting, homology, linalg, torus
+from schouten import chains, cli, counting, homology, linalg, torus, words
 from schouten.boundary import boundary_columns, boundary_matrix
 from schouten.homology import (
     HomologyInvariantError,
@@ -237,7 +237,7 @@ def test_betti_enumerates_no_whole_block(monkeypatch):
         raise AssertionError("enumerate_basis called")
 
     assert not hasattr(homology, "enumerate_basis") and not hasattr(torus, "enumerate_basis")
-    for module in (chains, boundary_module):
+    for module in (chains, boundary_module, words):
         monkeypatch.setattr(module, "enumerate_basis", refuse)
     for block in [(2, 3, 1, 1), (2, 5, 0, 0), (3, 2, 2, 2), (2, 2, 0, 1), (3, 1, 1, 2)]:
         betti(*block)

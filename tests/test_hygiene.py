@@ -26,21 +26,80 @@ def test_no_assert_statements_in_package():
 
 def test_boundary_module_has_no_memo():
     """The word boundary and the bracket kernel are computed fresh each
-    time: no lru_cache or cache decorator anywhere in boundary.py or
-    multivector.py (the alphabet's bracket table is the one store of
-    brackets)."""
+    time: no lru_cache or cache decorator anywhere in boundary.py,
+    multivector.py or words.py, which holds _word_boundary and
+    _bracket_mono (the alphabet's bracket table is the one store of
+    brackets).  The one exception is the generator list of a bidegree,
+    which holds no word and no bracket."""
+    allowed = {("words.py", "generators_of_bidegree")}
     found = []
-    for module in ("boundary.py", "multivector.py"):
+    defined = set()
+    for module in ("boundary.py", "multivector.py", "words.py"):
         path = SRC / module
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((module, node.name))
                 for dec in node.decorator_list:
                     target = dec.func if isinstance(dec, ast.Call) else dec
                     name = (target.attr if isinstance(target, ast.Attribute)
                             else getattr(target, "id", None))
-                    if name in ("lru_cache", "cache"):
+                    if name in ("lru_cache", "cache") and (module, node.name) not in allowed:
                         found.append("%s:%s:%d" % (module, node.name, node.lineno))
+    assert {("words.py", fn) for fn in
+            ("_word_boundary", "_bracket", "_bracket_mono", "boundary_columns")} <= defined
     assert not found, "memoized functions: %s" % found
+
+
+# module -> the names it re-exports from words, where they are defined
+REEXPORTED = {
+    "chains": ["Alphabet", "BasisIndex", "_class_multisets", "_compositions", "alphabet",
+               "enumerate_basis", "factor_key", "format_factor", "generators_of_bidegree",
+               "place_factor"],
+    "multivector": ["_bracket_mono", "_merge_directions"],
+    "boundary": ["WeightEscapeError", "_bracket", "_word_boundary", "boundary_columns"],
+}
+
+
+def test_words_is_a_leaf():
+    """The int-word kernel imports only the standard library and the
+    counting leaf, so the commands that run on it load nothing else."""
+    path = SRC / "words.py"
+    package, outside = [], []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            outside += [a.name for a in node.names
+                        if a.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                package.append(node.module)
+            elif node.module.split(".")[0] not in sys.stdlib_module_names:
+                outside.append(node.module)
+    assert package == ["counting"]
+    assert not outside
+
+
+def test_reexported_kernel_names_are_the_words_definitions():
+    """chains, multivector and boundary hand out the objects of words under
+    the old names, and no other module of the package defines one."""
+    import importlib
+
+    from schouten import words
+
+    for module, names in REEXPORTED.items():
+        mod = importlib.import_module("schouten." + module)
+        for name in names:
+            assert getattr(mod, name) is getattr(words, name), (module, name)
+            assert getattr(words, name).__module__ == "schouten.words"
+    moved = {name for names in REEXPORTED.values() for name in names}
+    elsewhere = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "words.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name in moved):
+                elsewhere.append("%s:%s" % (path.name, node.name))
+    assert not elsewhere
 
 
 def _fresh(code):
@@ -83,27 +142,29 @@ COMMAND_MODULES = {
     "dims": (["dims", "--n", "2", "--w", "1", "--h", "1"], []),
     "euler": (["euler", "--n", "2", "--w", "1", "--h", "1"], []),
     "betti": (["betti", "--n", "2", "--m", "2", "--w", "0", "--h", "0"],
-              ["boundary", "chains", "homology", "linalg", "multivector", "record", "torus"]),
-    "basis": (["basis", "--n", "1", "--m", "2", "--w", "0", "--h", "0"],
-              ["chains", "multivector"]),
+              ["homology", "linalg", "record", "torus", "words"]),
+    "basis": (["basis", "--n", "1", "--m", "2", "--w", "0", "--h", "0"], ["words"]),
     "certify": (["certify", "--n", "2", "--input", str(DATA / "cycle_2_1.txt")],
-                ["boundary", "chains", "contraction", "multivector", "record"]),
+                ["boundary", "chains", "contraction", "multivector", "record", "words"]),
     "check-certificate": (["check-certificate", "--input", str(DATA / "cycle_2_1.cert.json")],
-                          ["boundary", "chains", "contraction", "multivector", "record"]),
+                          ["boundary", "chains", "contraction", "multivector", "record",
+                           "words"]),
     "psi-matrix": (["psi-matrix", "--n", "2", "--w", "1"],
-                   ["boundary", "chains", "contraction", "linalg", "multivector", "record"]),
+                   ["boundary", "chains", "contraction", "linalg", "multivector", "record",
+                    "words"]),
     "verify-dsq": (["verify", "dsq", "--n", "1"],
-                   ["boundary", "chains", "linalg", "multivector", "verify"]),
-    "verify-jacobi": (["verify", "jacobi", "--n", "1"], ["multivector", "verify"]),
+                   ["boundary", "chains", "linalg", "multivector", "verify", "words"]),
+    "verify-jacobi": (["verify", "jacobi", "--n", "1"], ["multivector", "verify", "words"]),
     "verify-weights": (["verify", "weights", "--n", "1"],
-                       ["boundary", "chains", "multivector", "verify"]),
+                       ["boundary", "chains", "multivector", "verify", "words"]),
     "verify-psi": (["verify", "psi", "--n", "1"],
-                   ["boundary", "chains", "contraction", "multivector", "record", "verify"]),
+                   ["boundary", "chains", "contraction", "multivector", "record", "verify",
+                    "words"]),
     "verify-homotopy": (["verify", "homotopy", "--n", "1"],
-                        ["boundary", "chains", "multivector", "torus", "verify"]),
+                        ["boundary", "chains", "multivector", "torus", "verify", "words"]),
     "verify-all": (["verify", "all", "--n", "1"],
                    ["boundary", "chains", "contraction", "linalg", "multivector", "record",
-                    "torus", "verify"]),
+                    "torus", "verify", "words"]),
 }
 
 
@@ -118,6 +179,10 @@ def test_each_command_loads_exactly_the_modules_it_runs(command):
     assert loaded == sorted("schouten." + m for m in ["cli", "counting"] + modules)
     if command in ("dims", "euler"):
         assert "fractions" not in new and "decimal" not in new
+    if command in ("betti", "basis"):
+        # the int-word kernel builds no Fraction, Chain, MultiVector or regex
+        assert not {"fractions", "decimal", "numbers", "schouten.chains",
+                    "schouten.multivector", "schouten.boundary"} & set(new)
     if command in ("certify", "check-certificate"):
         assert not {"schouten.linalg", "schouten.homology", "schouten.torus"} & set(new)
 
