@@ -17,7 +17,9 @@ less the weight-0 words of C_k, the rank of d: C_k -> C_{k-1} on v != 0 is
 0 at k = 1 and dim_{!=0}(k - 1) less the rank one arity down above it.  A
 w != h block has no weight-0 word, since the entries of v sum to h - w, so
 it needs no matrix at all.  betti checks the Euler-field brackets it relies
-on at run time, and eliminates only the weight-0 words.
+on at run time, through words._bracket, the code that fills the bracket
+table its matrices are assembled from, and eliminates only the weight-0
+words.
 
 On weight 0 the two ranks share work through d^2 = 0 ("clearing", Chen &
 Kerber, Persistent Homology Computation with a Twist, 2011): d_out is

@@ -20,7 +20,7 @@ not compile it.
 from itertools import combinations, combinations_with_replacement
 import math
 
-from .words import BasisIndex, _bracket_mono, _class_multisets, alphabet
+from .words import BasisIndex, _bracket, _class_multisets, alphabet
 
 
 def torus_weight(gen):
@@ -90,20 +90,28 @@ def enumerate_weight_zero(n, m, w, h):
 
 def euler_bracket_failure(n, m, w, h):
     """The first (l, g, v_l(g)) for which [E_l, g] = v_l(g) g or [g, E_l] =
-    -v_l(g) g fails through _bracket_mono, or None when both hold for l =
-    1..n and every generator g that a word of C_1..C_{m+1} of the block
-    (n; m, w, h) can hold: those of class (i, j) with j <= h + m, as each of
-    the other factors of such a word has j >= -1."""
+    -v_l(g) g fails, or None when both hold for l = 1..n and every
+    generator g that a word of C_1..C_{m+1} of the block (n; m, w, h) can
+    hold: those of class (i, j) with j <= h + m, as each of the other
+    factors of such a word has j >= -1.
+
+    Both brackets come from words._bracket, the code that fills the
+    alphabet's bracket table, and are not stored.  An alphabet without the
+    Euler fields (h + n + w < 0) belongs to a block with no word at all,
+    which needs no check.
+    """
     A = alphabet(n, w, h)
-    gens = [A.gens[r] for (_, j), ranks in A.classes.items() if j <= h + m for r in ranks]
+    if (0, 0) not in A.classes:
+        return None
+    ranks = [r for (_, j), rs in A.classes.items() if j <= h + m for r in rs]
+    weights = [torus_weight(A.gens[r]) for r in ranks]
     for l in range(1, n + 1):
-        e = tuple(int(k == l) for k in range(1, n + 1))
-        for gen in gens:
-            v = torus_weight(gen)[l - 1]
-            scaled, negated = (((gen, v),), ((gen, -v),)) if v else ((), ())
-            if (_bracket_mono(n, (l,), e, *gen) != scaled
-                    or _bracket_mono(n, *gen, (l,), e) != negated):
-                return l, gen, v
+        e = A.rank[((l,), tuple(int(k == l) for k in range(1, n + 1)))]
+        for r, weight in zip(ranks, weights):
+            v = weight[l - 1]
+            scaled, negated = (((r, v),), ((r, -v),)) if v else ((), ())
+            if _bracket(A, e, r) != scaled or _bracket(A, r, e) != negated:
+                return l, A.gens[r], v
     return None
 
 

@@ -23,8 +23,8 @@ def _verify_words(args, suite, blocks):
     """The report of a word suite.  blocks(n, w, h, top) yields, for
     m = 2..top, the basis of C_m and the positions of its failing words;
     top is max_arity, and each block is enumerated once."""
-    from .chains import format_factor
     from .counting import max_arity
+    from .words import format_factor
     n, w, h = args.n, args.w, args.h
     failures = []
     checked = 0
@@ -72,8 +72,7 @@ def _verify_jacobi(args):
 def _weight_escapes(n, w, h, top):
     """For m = 2..top, the basis of C_m and the positions of its words
     whose boundary has a term that is no word of C_{m-1}."""
-    from .boundary import WeightEscapeError, boundary_columns
-    from .chains import enumerate_basis
+    from .words import WeightEscapeError, boundary_columns, enumerate_basis
     lower = enumerate_basis(n, 1, w, h)
     for m in range(2, top + 1):
         basis = enumerate_basis(n, m, w, h)
@@ -114,7 +113,8 @@ def _verify_homotopy(args):
     the exponents of x_l in c less the number of its factors that hold d_l,
     through the Chain boundary and wedge_chain."""
     from .boundary import boundary
-    from .chains import Chain, format_factor, wedge_chain
+    from .chains import Chain, wedge_chain
+    from .words import format_factor
     n = args.n
     fields = [Chain(n, {(((l,), tuple(int(k == l) for k in range(1, n + 1))),): 1})
               for l in range(1, n + 1)]
@@ -134,8 +134,8 @@ def _verify_homotopy(args):
 
 
 def _verify_psi(args):
-    from .chains import format_factor
     from .contraction import verify_psi_structure
+    from .words import format_factor
     rep = verify_psi_structure(args.n, args.w)
     failures = [{"word": [format_factor(f) for f in v["word"]],
                  "type": v["type"], "stray_strata": [list(s) for s in v["stray_strata"]]}

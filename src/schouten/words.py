@@ -22,10 +22,15 @@ polynomial x^beta xi_alpha and
     [P, Q] = sum_l (P d/dxi_l)(dQ/dx_l) - (dP/dx_l)(d/dxi_l Q),
 
 where the xi-derivative of P acts from the right and that of Q from the
-left.  _bracket_mono evaluates it on two monomials in one pass, without
-recursion or cache.  The boundary of a word is the pairwise
+left.  Its terms and their signs depend only on the two direction sets:
+_direction_terms builds them once per pair as a template, and one loop,
+_evaluate, applies a template to the exponents.  _bracket_mono does both
+for two monomials; _bracket does it for two ranks of an Alphabet, with the
+template kept on the alphabet.  The boundary of a word is the pairwise
 Chevalley-Eilenberg sum that the boundary module describes; _word_boundary
-evaluates it on int words.
+evaluates it on int words, filling the alphabet's bracket table through
+_bracket, and the Euler-field check of the torus module runs through the
+same _bracket.
 
 This module imports only the standard library and counting, so `basis`
 and `betti` run on it without loading the chain, multivector and boundary
@@ -155,15 +160,18 @@ class Alphabet:
     words sort as their generator words do.  The ranks of class (0, -1)
     are those of d_1, ..., d_n, in this order.
 
-    brackets is the bracket table, filled lazily by _bracket below:
-    brackets[a * len(gens) + b] is [gens[a], gens[b]] as (rank, int) pairs.
+    brackets is the bracket table, filled lazily by _word_boundary below:
+    brackets[a * len(gens) + b] is [gens[a], gens[b]] as (rank, int) pairs,
+    as _bracket computes it.  templates holds what _bracket evaluates:
+    templates[(alpha_a, alpha_b)] is _direction_terms(alpha_a, alpha_b),
+    so it has at most one entry per pair of direction sets (4^n).
     shifts is the table of x_l times a generator, filled lazily by the
     contraction module: shifts[r][l - 1] is the rank of x_l gens[r], or
     None when that generator lies outside the alphabet.
     """
 
-    __slots__ = ("n", "gens", "rank", "parity", "classes", "brackets", "shifts",
-                 "_bidegree")
+    __slots__ = ("n", "gens", "rank", "parity", "classes", "brackets", "templates",
+                 "shifts", "_bidegree")
 
     def __init__(self, n, w, h):
         self.n = n
@@ -178,6 +186,7 @@ class Alphabet:
         self.rank = {gen: r for r, gen in enumerate(gens)}
         self.parity = [(len(alpha) - 1) & 1 for alpha, _ in gens]
         self.brackets = {}
+        self.templates = {}
         self.shifts = {}
         self._bidegree = None
 
@@ -310,41 +319,60 @@ def _merge_directions(a1, a2):
     return sign, tuple(merged)
 
 
-def _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b):
-    """Schouten bracket of two unit monomials, as ((alpha, beta), int) pairs.
+def _direction_terms(alpha_a, alpha_b):
+    """The part of the bracket [x^beta_a d_alpha_a, x^beta_b d_alpha_b]
+    that depends only on the directions, as a tuple of (l - 1, s_a, s_b,
+    alpha): the term of direction l is
 
-    In odd variables xi_l = d_l the monomial x^beta d_alpha is
-    x^beta xi_alpha, and [P, Q] = sum_l (P d/dxi_l)(dQ/dx_l) -
-    (dP/dx_l)(d/dxi_l Q), the first xi-derivative acting from the right,
-    the second from the left.  Each term is x^(beta_a + beta_b - e_l)
-    times the merged directions, signed by _merge_directions:
-      l = alpha_a[t]: beta_b[l] (-1)^(p-1-t), directions alpha_a - l, alpha_b;
-      l = alpha_b[t]: -beta_a[l] (-1)^t, directions alpha_a, alpha_b - l;
-    with p = |alpha_a|.  A repeated direction kills the term.  All
-    structure constants are integers; n is unused.
+        (s_a beta_a[l] + s_b beta_b[l]) x^(beta_a + beta_b - e_l) d_alpha,
+
+    in the order _bracket_mono lists them.  In odd variables xi_l = d_l the
+    monomial x^beta d_alpha is x^beta xi_alpha, and [P, Q] = sum_l
+    (P d/dxi_l)(dQ/dx_l) - (dP/dx_l)(d/dxi_l Q), the first xi-derivative
+    acting from the right, the second from the left.  So, with p =
+    |alpha_a| and the merged directions signed by _merge_directions,
+      l = alpha_a[t]: s_b = (-1)^(p-1-t), directions alpha_a - l, alpha_b;
+      l = alpha_b[t]: s_a = -(-1)^t, directions alpha_a, alpha_b - l.
+    A repeated direction kills a term.  Disjoint directions keep every
+    term, each with one of s_a, s_b zero.  When exactly one direction l is
+    shared, only its two removals survive, and both leave the union of
+    alpha_a and alpha_b, so they are fused into one term.  When two or more
+    are shared, no term survives.
     """
     last = len(alpha_a) - 1
-    terms = []  # (l, signed coefficient, merged directions or None)
+    terms = {}  # l -> [s_a, s_b, alpha]
     for t, l in enumerate(alpha_a):
-        c = beta_b[l - 1]
-        if c:
-            terms.append((l, -c if (last - t) & 1 else c,
-                          _merge_directions(alpha_a[:t] + alpha_a[t + 1:], alpha_b)))
-    for t, l in enumerate(alpha_b):
-        c = beta_a[l - 1]
-        if c:
-            terms.append((l, c if t & 1 else -c,
-                          _merge_directions(alpha_a, alpha_b[:t] + alpha_b[t + 1:])))
-    beta = [x + y for x, y in zip(beta_a, beta_b)]
-    out = {}
-    for l, c, merged in terms:
+        merged = _merge_directions(alpha_a[:t] + alpha_a[t + 1:], alpha_b)
         if merged is not None:
             sign, alpha = merged
-            beta[l - 1] -= 1
-            key = (alpha, tuple(beta))
-            beta[l - 1] += 1
-            out[key] = out.get(key, 0) + sign * c
-    return tuple((k, c) for k, c in out.items() if c)
+            terms[l] = [0, -sign if (last - t) & 1 else sign, alpha]
+    for t, l in enumerate(alpha_b):
+        merged = _merge_directions(alpha_a, alpha_b[:t] + alpha_b[t + 1:])
+        if merged is not None:
+            sign, alpha = merged
+            terms.setdefault(l, [0, 0, alpha])[0] = sign if t & 1 else -sign
+    return tuple((l - 1, s_a, s_b, alpha) for l, (s_a, s_b, alpha) in terms.items())
+
+
+def _evaluate(terms, beta_a, beta_b):
+    """The terms of _direction_terms on the exponents beta_a, beta_b, as
+    ((alpha, beta), int) pairs with nonzero ints."""
+    beta = [x + y for x, y in zip(beta_a, beta_b)]
+    out = []
+    for i, s_a, s_b, alpha in terms:
+        c = s_a * beta_a[i] + s_b * beta_b[i]
+        if c:
+            beta[i] -= 1
+            out.append(((alpha, tuple(beta)), c))
+            beta[i] += 1
+    return out
+
+
+def _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b):
+    """Schouten bracket of two unit monomials, as ((alpha, beta), int) pairs:
+    the closed form of _direction_terms evaluated on the exponents.  All
+    structure constants are integers; n is unused."""
+    return tuple(_evaluate(_direction_terms(alpha_a, alpha_b), beta_a, beta_b))
 
 
 # --- the boundary on int words ----------------------------------------------
@@ -356,13 +384,16 @@ class WeightEscapeError(HomologyInvariantError):
 
 
 def _bracket(A, a, b):
-    """[gens[a], gens[b]] of the alphabet A as (rank, int) pairs, entered
-    in its bracket table."""
+    """[gens[a], gens[b]] of the alphabet A as (rank, int) pairs: the
+    template of their directions, kept in A.templates, evaluated on their
+    exponents.  Stores no bracket; _word_boundary enters the result in the
+    bracket table."""
     (alpha_a, beta_a), (alpha_b, beta_b) = A.gens[a], A.gens[b]
-    terms = tuple((A.rank[key], c)
-                  for key, c in _bracket_mono(A.n, alpha_a, beta_a, alpha_b, beta_b))
-    A.brackets[a * len(A.gens) + b] = terms
-    return terms
+    terms = A.templates.get((alpha_a, alpha_b))
+    if terms is None:
+        terms = A.templates[(alpha_a, alpha_b)] = _direction_terms(alpha_a, alpha_b)
+    rank = A.rank
+    return tuple((rank[key], c) for key, c in _evaluate(terms, beta_a, beta_b))
 
 
 def _word_boundary(A, word):
@@ -385,7 +416,7 @@ def _word_boundary(A, word):
             b = word[i]
             br = table.get(row + b)
             if br is None:
-                br = _bracket(A, a, b)
+                br = table[row + b] = _bracket(A, a, b)
             if br:
                 s = -sign_k if odd_a and between else sign_k
                 rest = word[:k] + word[k + 1:i] + word[i + 1:]

@@ -272,7 +272,7 @@ def test_composite_matrix_is_zero():
 
 def _reached_bracket(domain):
     """A pair (a, b) of factors of one of the words of the basis `domain`
-    with a nonzero bracket, whose table entry is filled."""
+    with a nonzero bracket."""
     A = domain.alphabet
     for word in domain.codes:
         for k in range(len(word)):
@@ -293,7 +293,7 @@ def test_corrupt_bracket_entry_raises_weight_escape(monkeypatch, capsys, leave, 
     domain = enumerate_words(n, m, w, h)
     a, b = _reached_bracket(domain)
     A = domain.alphabet
-    (r, c), *rest = A.brackets[a * len(A.gens) + b]
+    (r, c), *rest = _bracket(A, a, b)
     if leave == "block":
         # an odd generator (never killed by a repeat) of another bidegree:
         # the word leaves the (w, h) block

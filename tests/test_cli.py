@@ -219,12 +219,12 @@ def euler_field(n, gen):
 def test_verify_homotopy_reports_witnesses(capsys, monkeypatch):
     # every bracket with x_l d_l on either side doubled: d(E_l ^^ c) +
     # E_l ^^ d(c) becomes 2 v_l c, which is wrong exactly where v_l != 0
-    real = words._bracket_mono
+    real = words._bracket
 
-    def doubled(n, alpha_a, beta_a, alpha_b, beta_b):
-        out = real(n, alpha_a, beta_a, alpha_b, beta_b)
-        if euler_field(n, (alpha_a, beta_a)) or euler_field(n, (alpha_b, beta_b)):
-            out = tuple((k, 2 * c) for k, c in out)
+    def doubled(A, a, b):
+        out = real(A, a, b)
+        if euler_field(A.n, A.gens[a]) or euler_field(A.n, A.gens[b]):
+            out = tuple((r, 2 * c) for r, c in out)
         return out
 
     expect = [{"l": l, "m": m, "word": [format_factor(f) for f in word]}
@@ -233,7 +233,7 @@ def test_verify_homotopy_reports_witnesses(capsys, monkeypatch):
               if sum(beta[l - 1] - (l in alpha) for alpha, beta in word)]
     # fresh alphabets, so that their bracket tables fill through `doubled`
     monkeypatch.setattr(words, "_ALPHABETS", {})
-    monkeypatch.setattr(words, "_bracket_mono", doubled)
+    monkeypatch.setattr(words, "_bracket", doubled)
     rc, out = run(capsys, "verify", "homotopy", "--n", "2", "--w", "0", "--h", "0",
                   "--format", "structured")
     report = json.loads(out)["reports"][0]
@@ -253,7 +253,7 @@ def test_verify_enumerates_each_block_once(capsys, monkeypatch):
         calls.append(m)
         return real(n, m, w, h)
 
-    for module in (chains, boundary_module):
+    for module in (chains, boundary_module, words):
         monkeypatch.setattr(module, "enumerate_basis", counting)
     for suite in ("dsq", "weights"):
         for clear in (True, False):

@@ -22,7 +22,7 @@ from schouten.homology import (
 from schouten.chains import (alphabet, basis_dim, block_dims, canonicalize_word,
                              enumerate_basis, max_arity)
 from schouten.linalg import pivot_columns, rank_exact
-from schouten.multivector import MultiVector, _bracket_mono, schouten_bracket
+from schouten.multivector import MultiVector, schouten_bracket
 from schouten.torus import enumerate_weight_zero, unrank_words
 
 DATA = Path(__file__).parent / "data"
@@ -41,6 +41,9 @@ def test_dims_table_n2_weight_zero():
 
 def test_dims_table_empty_block():
     assert dims_table(1, 1, 0) == []
+    # h + n + w < 0: no word, and an alphabet without the Euler fields
+    assert dims_table(2, 0, -3) == []
+    assert betti(2, 2, 0, -3).betti == 0
 
 
 def test_dims_and_euler_reject_n_below_one():
@@ -244,18 +247,44 @@ def test_betti_enumerates_no_whole_block(monkeypatch):
 
 
 def test_betti_rejects_a_wrong_euler_bracket(monkeypatch, capsys):
-    # [x_1 d_1, g] doubled: the counts of the weights v != 0 would rest on
-    # a false identity, so betti refuses the block
-    def doubled(n, alpha_a, beta_a, alpha_b, beta_b):
-        out = _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b)
-        if (alpha_a, beta_a) == ((1,), (1,) + (0,) * (n - 1)):
-            out = tuple((k, 2 * c) for k, c in out)
+    # [x_1 d_1, g] doubled in the direction templates, from which the
+    # bracket table and the Euler check are both evaluated: the counts of
+    # the weights v != 0 would rest on a false identity, so betti refuses
+    # the block
+    real = words._direction_terms
+
+    def doubled(alpha_a, alpha_b):
+        out = real(alpha_a, alpha_b)
+        if alpha_a == (1,):
+            out = tuple((i, 2 * s_a, 2 * s_b, alpha) for i, s_a, s_b, alpha in out)
         return out
 
-    monkeypatch.setattr(torus, "_bracket_mono", doubled)
+    # fresh alphabets, so that their templates are built through `doubled`
+    monkeypatch.setattr(words, "_ALPHABETS", {})
+    monkeypatch.setattr(words, "_direction_terms", doubled)
     with pytest.raises(HomologyInvariantError, match="Euler field x_1 d_1"):
         betti(2, 3, 1, 1)
     rc = cli.main(["betti", "--n", "2", "--m", "3", "--w", "1", "--h", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal invariant violated: the Euler field x_1 d_1")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_betti_checks_the_euler_bracket_on_a_block_without_matrices(monkeypatch, capsys):
+    # the w != h block (3; 2, 1, 2) has no weight-0 word, so betti
+    # assembles nothing and rests every rank on the Euler identity; a
+    # doubled [E_1, g] from _bracket must still make it exit 1 with one line
+    real = words._bracket
+
+    def doubled(A, a, b):
+        out = real(A, a, b)
+        if A.gens[a] == ((1,), (1,) + (0,) * (A.n - 1)):
+            out = tuple((r, 2 * c) for r, c in out)
+        return out
+
+    monkeypatch.setattr(torus, "_bracket", doubled)
+    rc = cli.main(["betti", "--n", "3", "--m", "2", "--w", "1", "--h", "2"])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("internal invariant violated: the Euler field x_1 d_1")

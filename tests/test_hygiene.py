@@ -27,10 +27,11 @@ def test_no_assert_statements_in_package():
 def test_boundary_module_has_no_memo():
     """The word boundary and the bracket kernel are computed fresh each
     time: no lru_cache or cache decorator anywhere in boundary.py,
-    multivector.py or words.py, which holds _word_boundary and
-    _bracket_mono (the alphabet's bracket table is the one store of
-    brackets).  The one exception is the generator list of a bidegree,
-    which holds no word and no bracket."""
+    multivector.py or words.py, which holds _word_boundary, _bracket,
+    _direction_terms and _bracket_mono (the alphabet's bracket table and
+    its direction templates are the one store of brackets).  The one
+    exception is the generator list of a bidegree, which holds no word
+    and no bracket."""
     allowed = {("words.py", "generators_of_bidegree")}
     found = []
     defined = set()
@@ -46,7 +47,8 @@ def test_boundary_module_has_no_memo():
                     if name in ("lru_cache", "cache") and (module, node.name) not in allowed:
                         found.append("%s:%s:%d" % (module, node.name, node.lineno))
     assert {("words.py", fn) for fn in
-            ("_word_boundary", "_bracket", "_bracket_mono", "boundary_columns")} <= defined
+            ("_word_boundary", "_bracket", "_direction_terms", "_bracket_mono",
+             "boundary_columns")} <= defined
     assert not found, "memoized functions: %s" % found
 
 
@@ -155,8 +157,7 @@ COMMAND_MODULES = {
     "verify-dsq": (["verify", "dsq", "--n", "1"],
                    ["boundary", "chains", "linalg", "multivector", "verify", "words"]),
     "verify-jacobi": (["verify", "jacobi", "--n", "1"], ["multivector", "verify", "words"]),
-    "verify-weights": (["verify", "weights", "--n", "1"],
-                       ["boundary", "chains", "multivector", "verify", "words"]),
+    "verify-weights": (["verify", "weights", "--n", "1"], ["verify", "words"]),
     "verify-psi": (["verify", "psi", "--n", "1"],
                    ["boundary", "chains", "contraction", "multivector", "record", "verify",
                     "words"]),

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from schouten.multivector import (
     parse_monomial,
     schouten_bracket,
 )
+from schouten.words import _bracket, _direction_terms
 
 
 def mono(n, coeff, beta, alpha):
@@ -247,6 +249,63 @@ def test_bracket_closed_form_matches_recursion(block, stride):
     bad = [(a, b) for a in gens for b in gens
            if dict(_bracket_mono(n, *a, *b)) != dict(reference_bracket_mono(n, *a, *b))]
     assert not bad, bad[:5]
+
+
+SHARED_CASES = ("disjoint", "one shared", "two or more shared")
+
+
+def test_direction_terms_cases():
+    """Disjoint directions keep one term per direction, each read off one
+    side's exponent; one shared direction leaves one fused term that reads
+    both; two or more shared leave none."""
+    for n in range(1, 5):
+        sets = [alpha for k in range(1, n + 1) for alpha in combinations(range(1, n + 1), k)]
+        for alpha_a in sets:
+            for alpha_b in sets:
+                terms = _direction_terms(alpha_a, alpha_b)
+                shared = set(alpha_a) & set(alpha_b)
+                if not shared:
+                    assert sorted(i + 1 for i, _, _, _ in terms) == sorted(alpha_a + alpha_b)
+                    assert all((s_a == 0) != (s_b == 0) for _, s_a, s_b, _ in terms)
+                elif len(shared) == 1:
+                    (i, s_a, s_b, alpha), = terms
+                    assert {i + 1} == shared and s_a and s_b
+                    assert alpha == tuple(sorted(set(alpha_a + alpha_b)))
+                else:
+                    assert terms == ()
+
+
+@pytest.mark.parametrize("block, stride", [((1, 2, 2), None), ((2, 2, 2), None),
+                                           ((3, 0, 0), None), ((4, 1, 1), 200)])
+def test_bracket_templates_match_recursion(block, stride):
+    """_bracket(A, a, b), the template of the two direction sets kept on the
+    alphabet and evaluated on the exponents, equals the recursive
+    characterization mapped to ranks, on every ordered pair of generators
+    of the alphabet (or of a fixed stride sample) whose bracket lies in it.
+    Every case of shared directions that the alphabet holds is reached:
+    disjoint ones need n >= 2, and two shared ones also need w >= 1, as
+    the alphabet's generators have at most w + 1 directions.  The alphabet
+    keeps at most 4^n templates."""
+    n, w, _ = block
+    A = alphabet(*block)
+    ranks = range(len(A.gens))
+    if stride is not None:
+        ranks = ranks[::len(ranks) // stride][:stride]
+    checked = dict.fromkeys(SHARED_CASES, 0)
+    bad = []
+    for a in ranks:
+        for b in ranks:
+            (alpha_a, beta_a), (alpha_b, beta_b) = A.gens[a], A.gens[b]
+            ref = reference_bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b)
+            if any(key not in A.rank for key, _ in ref):
+                continue
+            checked[SHARED_CASES[min(len(set(alpha_a) & set(alpha_b)), 2)]] += 1
+            if dict(_bracket(A, a, b)) != {A.rank[key]: c for key, c in ref}:
+                bad.append((a, b))
+    assert not bad, bad[:5]
+    reachable = [n >= 2, True, n >= 2 and w >= 1]
+    assert [bool(checked[case]) for case in SHARED_CASES] == reachable
+    assert len(A.templates) <= 4 ** n
 
 
 def test_bracket_hand_examples():
