@@ -14,7 +14,7 @@ import math
 
 class HomologyInvariantError(RuntimeError):
     """A count or identity that theory pins down came out otherwise (a
-    negative Betti number, a nonempty block beyond max_arity, d_out . d_in
+    negative Betti number, a nonempty block beyond max_arity, d_{k-1} . d_k
     != 0); signals a rank, counting or boundary bug."""
     pass
 

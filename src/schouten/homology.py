@@ -21,17 +21,24 @@ on at run time, through words._bracket, the code that fills the bracket
 table its matrices are assembled from, and eliminates only the weight-0
 words.
 
-On weight 0 the two ranks share work through d^2 = 0 ("clearing", Chen &
-Kerber, Persistent Homology Computation with a Twist, 2011): d_out is
-eliminated once, d_out . d_in = 0 is proven on the rows of d_out that
-became its echelon pivots (they span its row space), and the rows of d_in
-at d_out's pivot columns, which those relations make dependent on the
-other rows, are dropped before d_in is eliminated.  Both maps come column
-by column from words.boundary_columns: d_out is held as that list of
-columns, and d_in is streamed through the check and the clearing into the
-integer rows that the echelon takes, so it is held once.  d^2 = 0 is thus
-proven on every weight-0 column; on v != 0 it rests on the tests and on
-`verify dsq`.
+On weight 0 the maps d_k: C_k -> C_{k-1}, k = 2..m+1, are taken in order,
+each cleared by the one below it through d^2 = 0 ("clearing", Chen &
+Kerber, Persistent Homology Computation with a Twist, 2011): the rows of
+d_k at the pivot columns S_{k-1} of the cleared d_{k-1} are dropped
+before d_k is ranked, and each column of d_k is first checked against the
+pivot rows of the cleared d_{k-1}.  The echelon rows E_{k-1} of the
+cleared d_{k-1} are triangular on S_{k-1} with a nonzero diagonal and
+annihilate d_k, so the dropped rows are combinations of the kept ones;
+by induction on k (spelled out at betti) the rank of each cleared map is
+the rank of the map, and the check proves d_{k-1} . d_k = 0 in full.  d_2
+needs no clearing, since C_1 has boundary 0.  Clearing makes the deep
+blocks cheap: their largest maps lose most of their rows before they are
+eliminated.  Every map comes column by column from
+words.boundary_columns; those below m + 1 are held as lists of cleared
+columns, and d_{m+1} is streamed into the integer rows that
+linalg.pivot_columns ranks, so it is held once.  d^2 = 0 is thus proven
+on every weight-0 column of C_2..C_{m+1}; on v != 0 it rests on the tests
+and on `verify dsq`.
 
 betti runs on int words alone: this module takes the kernel from the leaf
 module words, not from chains or boundary, and is_poisson imports the
@@ -41,7 +48,7 @@ multivector module when it runs, so `betti` loads no Fraction arithmetic.
 # dims_table, euler_characteristic and HomologyInvariantError are defined in
 # the leaf module counting, which `dims` and `euler` load alone; re-exported
 from .counting import HomologyInvariantError, block_dims, dims_table, euler_characteristic
-from .linalg import column_nonzero, echelon, pivot_columns
+from .linalg import column_nonzero, pivot_columns
 from .record import Record
 from .torus import enumerate_weight_zero, euler_bracket_failure
 from .words import boundary_columns
@@ -71,22 +78,30 @@ def betti(n, m, w, h):
     rank is checked to lie between 0 and the dimensions it maps between,
     after torus.euler_bracket_failure has checked the identity they rest on.
 
-    On weight 0 (none unless w = h), both block maps come as columns from
-    boundary_columns, with the weight-0 words as rows, so a term of any
-    other weight raises WeightEscapeError.  d_out: C_m -> C_{m-1} is held as
-    that list and eliminated once, by pivot_columns, which also names the
-    rows of d_out that became the echelon pivots.  d_in: C_{m+1} -> C_m is
-    never held: its columns come one at a time, and each is
-    1. checked: d_out . column = 0 exactly on those rows of d_out
-       (HomologyInvariantError otherwise).  That is a proof for all of
-       d_out: the pivot rows span its row space, so every other row is a
-       combination of them and annihilates the column too;
-    2. cleared: its entries at d_out's pivot columns are dropped.  That
-       leaves rank_in unchanged: the echelon rows of d_out, restricted to
-       the pivot columns, form a triangular matrix with a nonzero diagonal,
-       and each of them annihilates d_in, so the rows of d_in at the pivot
-       columns lie in the span of its other rows;
-    3. appended to the integer rows of d_in, which echelon then ranks.
+    On weight 0 (none unless w = h), the maps d_k: C_k -> C_{k-1} are taken
+    in order, k = 2..m+1, each cleared by the one before it.  Their columns
+    come one at a time from boundary_columns, with the weight-0 words as
+    rows, so a term of any other weight raises WeightEscapeError.  Each
+    column of d_k is
+    1. checked: d_{k-1} . column = 0 on the pivot rows of the cleared
+       d_{k-1} (HomologyInvariantError otherwise, naming k);
+    2. cleared: its rows at the pivot columns of d_{k-1} are dropped;
+    and pivot_columns then ranks the cleared d_k and names its pivot
+    columns and pivot rows.  For k <= m the cleared columns are held as a
+    list, to be restricted to those pivot rows for the next check; d_{m+1}
+    is streamed into pivot_columns and never held.
+
+    Why this is a proof, by induction on k.  Let S_k be the pivot columns
+    of the cleared d_k and E_k its echelon rows.  E_k restricted to S_k is
+    triangular with a nonzero diagonal, and E_k . d_{k+1} = 0, so the rows
+    of d_{k+1} at S_k are combinations of its other rows: dropping them
+    keeps both the rank of d_{k+1} and its row space.  So the pivot rows of
+    the cleared d_{k-1} span the row space of d_{k-1}, the check on them
+    proves d_{k-1} . d_k = 0 in full, which is what E_{k-1} . d_k = 0
+    needs, and the rank of each cleared d_k is the rank of d_k.  d_2 needs
+    no clearing and no check, since d_1 = 0.  A map whose domain or
+    codomain has no weight-0 word is 0, and the map after it is neither
+    checked nor cleared.
     """
     bad = euler_bracket_failure(n, m, w, h)
     if bad is not None:
@@ -95,49 +110,38 @@ def betti(n, m, w, h):
             % (bad[0], bad[0], bad[1], bad[2], n, w, h))
     dims = block_dims(n, w, h)
     dim = [dims[k] if k < len(dims) else 0 for k in range(m + 2)]
-    bases = {k: enumerate_weight_zero(n, k, w, h) for k in range(max(m - 1, 1), m + 2)}
-    basis_lo, basis_m, basis_hi = bases.get(m - 1), bases[m], bases[m + 1]
-    # zero[k]: the number of weight-0 words of C_k
-    zero = [0] + [len(bases[k]) if k in bases else len(enumerate_weight_zero(n, k, w, h))
-                  for k in range(1, m + 2)]
-    # nonzero[k]: rank of d: C_k -> C_{k-1} on the weights v != 0
-    nonzero = [0, 0]
+    # rank[k]: the rank of d_k: C_k -> C_{k-1}; d_1 = 0
+    rank = [0, 0]
+    nonzero = 0  # the rank of d_{k-1} on the weights v != 0
+    lower = enumerate_weight_zero(n, 1, w, h)
+    a_cols = None  # the columns of the cleared d_{k-1}, on its pivot rows only
+    cleared = ()  # the pivot columns of the cleared d_{k-1}
     for k in range(2, m + 2):
-        r = dim[k - 1] - zero[k - 1] - nonzero[k - 1]
-        if not 0 <= r <= dim[k] - zero[k]:
+        basis = enumerate_weight_zero(n, k, w, h)
+        nonzero = dim[k - 1] - len(lower) - nonzero
+        if not 0 <= nonzero <= dim[k] - len(basis):
             raise HomologyInvariantError(
                 "the weight v != 0 part of d: C_%d -> C_%d would have rank %d, not within "
                 "0..%d, on block (n=%d, m=%d, w=%d, h=%d)"
-                % (k, k - 1, r, dim[k] - zero[k], n, m, w, h))
-        nonzero.append(r)
-    rank_out, rank_in = nonzero[m], nonzero[m + 1]
-    a_cols = None
-    pivot_cols = ()
-    if m >= 2 and len(basis_m) and len(basis_lo):
-        d_out = list(boundary_columns(basis_m.alphabet, basis_m.codes, basis_lo.index, m, w, h))
-        pivot_cols, pivot_rows = pivot_columns(d_out, len(basis_lo))
-        keep = set(pivot_rows)
-        # only the pivot rows of d_out are read from here
-        a_cols = [{r: v for r, v in column.items() if r in keep} for column in d_out]
-        del d_out
-    rank_out += len(pivot_cols)
-    if len(basis_hi) and len(basis_m):
-        cleared = set(pivot_cols)
-        rows = [{} for _ in range(len(basis_m))]
-        columns = boundary_columns(basis_hi.alphabet, basis_hi.codes, basis_m.index,
-                                   m + 1, w, h)
-        for col, column in enumerate(columns):
-            if a_cols is not None:
-                bad = column_nonzero(a_cols, column)
-                if bad is not None:
-                    raise HomologyInvariantError(
-                        "boundary squared is nonzero on block (n=%d, m=%d, w=%d, h=%d): "
-                        "entry (%d, %d) of d_out . d_in is %s"
-                        % (n, m, w, h, bad[0], col, bad[1]))
-            for r, v in column.items():
-                if r not in cleared:
-                    rows[r][col] = v
-        rank_in += len(echelon(rows)[0])
+                % (k, k - 1, nonzero, dim[k] - len(basis), n, m, w, h))
+        rank.append(nonzero)
+        if not (len(basis) and len(lower)):
+            a_cols, cleared = None, ()
+        else:
+            columns = _cleared(boundary_columns(basis.alphabet, basis.codes, lower.index,
+                                                k, w, h),
+                               a_cols, cleared, k, (n, m, w, h))
+            if k <= m:
+                columns = list(columns)
+            pivot_cols, pivot_rows = pivot_columns(columns, len(lower))
+            rank[k] += len(pivot_cols)
+            if k <= m:
+                keep = set(pivot_rows)
+                a_cols = [{r: v for r, v in column.items() if r in keep} for column in columns]
+                cleared = set(pivot_cols)
+            del columns
+        lower = basis
+    rank_out, rank_in = rank[m], rank[m + 1]
     b = dim[m] - rank_out - rank_in
     if b < 0:
         raise HomologyInvariantError(
@@ -146,6 +150,23 @@ def betti(n, m, w, h):
             % (b, n, m, w, h, dim[m], rank_out, rank_in))
     return HomologyReport(n, m, w, h, dim[m], dim[m - 1] if m >= 2 else 0, dim[m + 1],
                           rank_out, rank_in, b)
+
+
+def _cleared(columns, a_cols, cleared, k, block):
+    """The columns of d_k, each checked against the cleared d_{k-1}, given
+    as a_cols (None when there is none to check against), and then with
+    its rows in `cleared` dropped."""
+    for col, column in enumerate(columns):
+        if a_cols is not None:
+            bad = column_nonzero(a_cols, column)
+            if bad is not None:
+                raise HomologyInvariantError(
+                    "boundary squared is nonzero on block (n=%d, m=%d, w=%d, h=%d): "
+                    "entry (%d, %d) of d_%d . d_%d is %s"
+                    % (block + (bad[0], col, k - 1, k, bad[1])))
+        if cleared:
+            column = {r: v for r, v in column.items() if r not in cleared}
+        yield column
 
 
 def is_poisson(pi):

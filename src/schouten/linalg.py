@@ -1,9 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-A block map of the boundary is held as what words.boundary_columns
-yields: a list of columns, each {row: nonzero int}.  pivot_columns ranks
-such a list, and column_nonzero multiplies one by a column; that is the
-one d^2 product of the package.  SparseMatrixQ is the general matrix,
+A block map of the boundary is what words.boundary_columns yields: its
+columns, each {row: nonzero int}, one at a time.  pivot_columns ranks such
+columns, from a list or straight from the stream, in a static order of
+ascending nonzero count, and names the pivot rows that span the row
+space; column_nonzero multiplies a list of them by a column, and that is
+the one d^2 product of the package.  homology.betti runs both on every
+weight-0 map of its tower.  SparseMatrixQ is the general matrix,
 {(row, col): value} with ints where the value is integral and Fractions
 otherwise, which rank_exact and kernel_basis take.  Every rank runs
 through the fraction-free integer echelon below: a row holding fractions
@@ -161,24 +164,31 @@ def rank_exact(M):
 
 def pivot_columns(columns, rows):
     """(pivot_cols, pivot_rows) of the matrix with `rows` rows whose
-    columns are `columns`, each {row: int}: the pivot columns of an
-    echelon form, in its own column indices, and the rows that became the
-    pivot rows.  Both number its rank, and the pivot rows span its row
-    space.
+    columns, each {row: int}, `columns` yields in order: the pivot columns
+    of an echelon form, in its own column indices, and the rows that
+    became the pivot rows.  Both number its rank, and the pivot rows span
+    its row space.
 
-    The echelon runs with the columns taken in ascending order of nonzero
-    count, ties by index: a static Markowitz-style order, in which sparse
-    columns are pivoted first and the eliminations fill in less.
+    The columns are read once, each entered in the integer rows of the
+    matrix as it comes and its nonzeros counted, so a generator of columns
+    is never held as a list.  The echelon then runs with the columns taken
+    in ascending order of nonzero count, ties by index: a static
+    Markowitz-style order, in which sparse columns are pivoted first and
+    the eliminations fill in less.  Each row is relabeled to that order in
+    turn, so the matrix is held once more by one row at most.
     """
-    order = sorted(range(len(columns)), key=lambda c: len(columns[c]))
-    position = [0] * len(columns)
+    row_dicts = [{} for _ in range(rows)]
+    counts = []
+    for c, column in enumerate(columns):
+        counts.append(len(column))
+        for r, v in column.items():
+            row_dicts[r][c] = v
+    order = sorted(range(len(counts)), key=counts.__getitem__)
+    position = [0] * len(order)
     for p, c in enumerate(order):
         position[c] = p
-    row_dicts = [{} for _ in range(rows)]
-    for c, column in enumerate(columns):
-        p = position[c]
-        for r, v in column.items():
-            row_dicts[r][p] = v
+    for i, row in enumerate(row_dicts):
+        row_dicts[i] = {position[c]: v for c, v in row.items()}
     pivots, _, pivot_rows = echelon(row_dicts)
     return [order[p] for p in pivots], pivot_rows
 

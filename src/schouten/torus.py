@@ -6,8 +6,11 @@ The bracket adds weights, so the boundary keeps the weight of a word (the
 sum over its factors), and on a word of the (w, h) block the entries of v
 sum to h - w.  The Euler field E_l = x_l d_l, of class (0, 0) and so in
 every block's alphabet, scales each generator by its weight: [E_l, g] =
-v_l(g) g.  homology.betti eliminates only the weight-0 words and takes the
-ranks of the other weights from counts, which rest on that identity.
+v_l(g) g.  homology.betti eliminates only the weight-0 words, arity by
+arity from C_1 to C_{m+1}, and takes the ranks of the other weights from
+counts, which rest on that identity.  enumerate_weight_zero builds those
+words with each weight held as one int (see there), so that summing
+weights and testing a sum for 0 are int operations.
 
 unrank_words builds the words of a block at given positions without
 building the block, for `verify homotopy`, which checks Cartan's formula
@@ -30,18 +33,6 @@ def torus_weight(gen):
     return tuple(b - (l in alpha) for l, b in enumerate(beta, start=1))
 
 
-def _picks_by_weight(A, i, j, count):
-    """The picks of `count` generators of class (i, j) of the alphabet A,
-    distinct for even i, grouped as {summed torus weight: [int tuple]}."""
-    ranks = A.classes[(i, j)]
-    weight = {r: torus_weight(A.gens[r]) for r in ranks}
-    picks = combinations(ranks, count) if i % 2 == 0 else combinations_with_replacement(ranks, count)
-    groups = {}
-    for pick in picks:
-        groups.setdefault(tuple(map(sum, zip(*[weight[r] for r in pick]))), []).append(pick)
-    return groups
-
-
 def enumerate_weight_zero(n, m, w, h):
     """The words of torus weight 0 of the block (n; m, w, h), in the
     canonical order: those of words.enumerate_basis(n, m, w, h), without
@@ -51,39 +42,67 @@ def enumerate_weight_zero(n, m, w, h):
     is expanded class by class: the picks of a class are grouped by summed
     weight, the sums that the classes after it reach are collected first,
     and a group is taken only when those can bring the running sum back to
-    0, so every partial word that is built ends in a weight-0 word.
+    0, so every partial word that is built ends in a weight-0 word.  The
+    picks of one class and count are grouped once per call and shared by
+    every class multiset that holds them.
+
+    A weight v is held as one int, sum_l v_l K^(l-1) with K = 2m(h + n +
+    w + 2) + 1, in balanced base K.  An entry beta_l - [l in alpha] of the
+    weight of a generator lies in -1..h + n + w + 1, since the alphabet's
+    generators have |beta| <= h + n + w + 1, so every sum of at most m
+    weights, the only sums the expansion forms, has entries of absolute
+    value at most m(h + n + w + 1) < K/2.  Such an int has the entries as
+    its digits: adding the ints adds the weights exactly, and a sum is 0
+    exactly when its int is 0.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     A = alphabet(n, w, h)
     codes = []
     if w == h:
-        zero = (0,) * n
+        places = [(2 * m * (h + n + w + 2) + 1) ** l for l in range(n)]
+        # groups[((i, j), count)]: the picks of `count` generators of class
+        # (i, j), distinct for even i, as {summed weight: [int tuple]}
+        groups = {}
+        weight = {}  # rank -> the weight of its generator, as an int
         for classes in _class_multisets(n, m, w, h, (0, -1)):
-            groups = [_picks_by_weight(A, i, j, count) for (i, j), count in classes]
+            expansion = []
+            for (i, j), count in classes:
+                g = groups.get(((i, j), count))
+                if g is None:
+                    ranks = A.classes[(i, j)]
+                    for r in ranks:
+                        if r not in weight:
+                            weight[r] = sum(map(int.__mul__, torus_weight(A.gens[r]), places))
+                    g = groups[((i, j), count)] = {}
+                    picks = (combinations(ranks, count) if i % 2 == 0
+                             else combinations_with_replacement(ranks, count))
+                    for pick in picks:
+                        g.setdefault(sum(map(weight.__getitem__, pick)), []).append(pick)
+                expansion.append(g)
             # reach[k]: the sums of the picks of classes k, k + 1, ...
-            reach = [{zero}]
-            for g in reversed(groups):
-                reach.append({tuple(map(int.__add__, u, v)) for u in g for v in reach[-1]})
+            reach = [{0}]
+            for g in reversed(expansion):
+                reach.append({u + v for u in g for v in reach[-1]})
             reach.reverse()
-            if zero not in reach[0]:
+            if 0 not in reach[0]:
                 continue
-            last = len(groups) - 1
+            last = len(expansion) - 1
 
             def expand(k, prefix, need):
                 # need: the sum that the picks of classes k, k + 1, ... must make
                 if k == last:
-                    for pick in groups[k].get(need, ()):
+                    for pick in expansion[k].get(need, ()):
                         codes.append(prefix + pick)
                     return
                 ahead = reach[k + 1]
-                for v, picks in groups[k].items():
-                    rest = tuple(map(int.__sub__, need, v))
+                for v, picks in expansion[k].items():
+                    rest = need - v
                     if rest in ahead:
                         for pick in picks:
                             expand(k + 1, prefix + pick, rest)
 
-            expand(0, (), zero)
+            expand(0, (), 0)
     codes.sort()
     return BasisIndex(n, m, w, h, A, codes)
 

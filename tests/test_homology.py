@@ -72,8 +72,9 @@ def test_betti_consistency_identity():
 
 def test_betti_rejects_ranks_that_overshoot(monkeypatch):
     # a rank above what the dimensions allow must fail loudly, also under
-    # python -O, instead of reporting a negative Betti number
-    monkeypatch.setattr(homology, "echelon", lambda rows: ([0] * (len(rows) + 1), [], []))
+    # python -O, instead of reporting a negative Betti number; every map of
+    # the tower is ranked by pivot_columns, through linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda rows: ([0] * (len(rows) + 1), [], []))
     with pytest.raises(HomologyInvariantError, match="negative Betti number"):
         betti(2, 3, 0, 0)
 
@@ -141,7 +142,8 @@ def test_betti_with_clearing_matches_reference_wide(block):
 
 # (n, m, w, h) -> (dim, rank_out, rank_in, betti): every nonzero Betti
 # number of n = 1 and of the n = 2 weight (0, 0) tower, with the m = 6
-# block between them.  Each block takes milliseconds.  A rank that came out
+# block between them, and the n = 2 weight (2, 2) block at m = 7.  Each
+# block but the last takes milliseconds.  A rank that came out
 # too high in betti and in reference_betti alike would show here, and only
 # here, as a Betti number too low.
 NONZERO_BLOCKS = {
@@ -150,10 +152,13 @@ NONZERO_BLOCKS = {
     (2, 6, 0, 0): (134, 80, 54, 0),
     (2, 7, 0, 0): (68, 54, 13, 1),
     (2, 8, 0, 0): (15, 13, 0, 2),
+    # the first deep nonzero block: one to two seconds with the cleared tower
+    (2, 7, 2, 2): (32596, 12779, 19816, 1),
 }
 
 
-@pytest.mark.parametrize("block", sorted(NONZERO_BLOCKS), ids="n{0[0]}-m{0[1]}".format)
+@pytest.mark.parametrize("block", sorted(NONZERO_BLOCKS), ids=lambda b: "n%d-m%d" % b[:2] + (
+    "-w%d-h%d" % b[2:] if b[2:] != (0, 0) else ""))
 def test_betti_pins_nonzero_blocks(block):
     rep = betti(*block)
     assert (rep.dim, rep.rank_out, rep.rank_in, rep.betti) == NONZERO_BLOCKS[block]
@@ -184,13 +189,23 @@ def torus_weight_of(word):
     return tuple(sum(beta[l] - (l + 1 in alpha) for alpha, beta in word) for l in range(n))
 
 
+# blocks whose weights have the widest digits in enumerate_weight_zero's
+# base K = 2m(h + n + w + 2) + 1: n = 2 with large w = h, up to the first
+# arity whose words reach 10^4, and n = 4.  (Over R^1 every generator has
+# i = 0, so an n = 1 word has w = 0, and (1, m, 0, 0) is in CLEARING_GRID
+# up to its top arity.)
+WIDE_DIGIT_BLOCKS = [(2, 4, 4, 4), (2, 5, 4, 4), (2, 5, 5, 5), (2, 6, 6, 6),
+                     (4, 1, 1, 1), (4, 2, 1, 1), (4, 1, 2, 2), (4, 2, 2, 2)]
+
+
 @pytest.mark.parametrize("block", sorted(
     {(n, m, w, h) for (n, w, h), top in CLEARING_GRID.items()
      for m in range(1, (top or max_arity(n, w, h)) + 2)}
-    | {(n, k, w, h) for (n, m, w, h) in WIDE_BLOCKS for k in (m - 1, m, m + 1) if k}),
+    | {(n, k, w, h) for (n, m, w, h) in WIDE_BLOCKS for k in range(1, m + 2)}
+    | set(WIDE_DIGIT_BLOCKS)),
     ids="n{0[0]}-m{0[1]}-w{0[2]}-h{0[3]}".format)
 def test_weight_zero_enumeration_filters_the_basis(block):
-    # the words betti reads: C_{m-1}, C_m and C_{m+1} of every compared block
+    # the words betti reads: C_1, ..., C_{m+1} of every compared block
     basis = enumerate_basis(*block)
     expect = [code for code, word in zip(basis.codes, basis.words)
               if not any(torus_weight_of(word))]
@@ -329,11 +344,49 @@ def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_betti_checks_every_map_of_the_tower(monkeypatch, capsys, k):
+    # betti(2, 5, 1, 1) checks each of d_3..d_6 against the cleared map
+    # below it; one negated entry of d_k, in a row whose column of d_{k-1}
+    # is nonzero, makes d_{k-1} . d_k != 0 and must raise, naming k, also
+    # for the intermediate maps whose rank is never reported
+    d_below = weight_zero_columns(2, k - 1, 1, 1)[2]
+    d_k = weight_zero_columns(2, k, 1, 1)[2]
+    key = next((r, c) for c, column in enumerate(d_k) for r in column if d_below[r])
+    monkeypatch.setattr(homology, "boundary_columns", corrupted_columns(k, key, lambda v: -v))
+    with pytest.raises(HomologyInvariantError, match=r"d_%d \. d_%d is" % (k - 1, k)):
+        betti(2, 5, 1, 1)
+    rc = cli.main(["betti", "--n", "2", "--m", "5", "--w", "1", "--h", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal invariant violated: boundary squared")
+    assert "(n=2, m=5, w=1, h=1)" in err and "d_%d . d_%d" % (k - 1, k) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_betti_streams_only_the_top_map(monkeypatch):
+    # every weight-0 map d_2..d_{m+1} is ranked once by pivot_columns, in
+    # order; each below the top is held as a list of its cleared columns,
+    # and d_{m+1} comes as a stream that is never held
+    calls = []
+    real = homology.pivot_columns
+
+    def recording(columns, rows):
+        calls.append((type(columns) is list, rows))
+        return real(columns, rows)
+
+    monkeypatch.setattr(homology, "pivot_columns", recording)
+    betti(2, 5, 1, 1)
+    rows = [len(enumerate_weight_zero(2, k, 1, 1)) for k in range(1, 6)]
+    assert calls == [(True, r) for r in rows[:-1]] + [(False, rows[-1])]
+
+
 def test_boundary_squared_check_on_pivot_rows_catches_corrupted_entries(monkeypatch):
-    # betti checks d_out . d_in = 0 only on d_out's pivot rows (53 of the
-    # 64 weight-0 rows here); each of 18 corrupted d_in entries, in a row k
-    # whose d_out column is nonzero, must still raise, also where that
-    # column meets non-pivot rows
+    # betti checks d_out . d_in = 0 only on the pivot rows of the cleared
+    # d_out (53 of the 64 weight-0 rows here, as for the uncleared d_out);
+    # each of 18 corrupted d_in entries, in a row k whose d_out column is
+    # nonzero, must still raise, also where that column meets rows that
+    # are not pivots of the uncleared d_out
     _, codomain, d_out = weight_zero_columns(2, 4, 1, 1)
     _, pivot_rows = pivot_columns(d_out, len(codomain))
     d_in = weight_zero_columns(2, 5, 1, 1)[2]
