@@ -38,7 +38,7 @@ come from a sign or bracket bug.
 from fractions import Fraction
 from math import lcm
 
-from .chains import Chain, weight_signature
+from .chains import Chain
 from .words import (WeightEscapeError, _bracket, _word_boundary, alphabet, boundary_columns,
                     enumerate_basis)
 
@@ -50,12 +50,22 @@ def encode_chain(chain):
     denominators, and blocks maps each (w, h) of the chain to its Alphabet
     and the {int word: int} dict of its words, each coefficient multiplied
     by scale.  Every factor must be a valid generator (KeyError otherwise).
+    The weights (|alpha| - 1, |beta| - 1) of each distinct generator are
+    computed once per call.
     """
     n = chain.n
     scale = lcm(*[c.denominator for c in chain.terms.values()])
+    weights = {}
     blocks = {}
     for word, c in chain.terms.items():
-        _, w, h = weight_signature(word)
+        w = h = 0
+        for gen in word:
+            wh = weights.get(gen)
+            if wh is None:
+                alpha, beta = gen
+                wh = weights[gen] = (len(alpha) - 1, sum(beta) - 1)
+            w += wh[0]
+            h += wh[1]
         block = blocks.get((w, h))
         if block is None:
             block = blocks[(w, h)] = (alphabet(n, w, h), {})

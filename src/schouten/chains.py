@@ -144,9 +144,6 @@ class Chain:
 
     __rmul__ = __mul__
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: tuple(factor_key(f) for f in kv[0]))
-
     def arity(self):
         """Common arity of all words; None for the zero chain."""
         ms = {len(w) for w in self.terms}
@@ -187,6 +184,8 @@ def chain_to_vector(c, basis):
 
 
 def format_coeff(c):
+    if type(c) is int:
+        return str(c)
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
@@ -200,12 +199,19 @@ def parse_coeff(text):
 
 
 def chain_to_text(c):
-    """Canonical text serialization, one term per line."""
-    lines = []
-    for word, coeff in c.sorted_terms():
-        lines.append("%s | %s" % (format_coeff(coeff),
-                                  " ; ".join(format_factor(f) for f in word)))
-    return "\n".join(lines)
+    """Canonical text serialization, one term per line, the words in
+    factor order.
+
+    The distinct generators are ranked in factor order and formatted once
+    per call, and the words sorted as the int tuples of their ranks, which
+    compare as the words do.
+    """
+    order = sorted({gen for word in c.terms for gen in word}, key=factor_key)
+    rank = {gen: r for r, gen in enumerate(order)}
+    text = [format_factor(gen) for gen in order]
+    terms = sorted((tuple(rank[gen] for gen in word), coeff) for word, coeff in c.terms.items())
+    return "\n".join("%s | %s" % (format_coeff(coeff), " ; ".join(text[r] for r in code))
+                     for code, coeff in terms)
 
 
 def parse_chain(n, text):

@@ -23,7 +23,12 @@ The operators run on the int words of the block's Alphabet (see chains)
 with int coefficients: each public operator checks the generators of its
 input, encodes it, applies the kernel and decodes.  certify_exact and
 annihilating_polynomial make their Krylov pass there too, fraction-free;
-only p and the primitive's coefficients become Fractions.
+only p and the primitive's coefficients become Fractions.  In a pass the
+operator's column of each 2-word is computed the first time the word
+appears in a power and kept for the rest of the pass (_column_operator),
+so a word that recurs in later powers is not mapped again.  The final
+check of a certificate, boundary(V) == U, is a fresh call of the public
+boundary and shares no column with the pass.
 """
 
 from fractions import Fraction
@@ -227,7 +232,7 @@ def capital_phi(U):
 
 def _check_psi_image(A, codes, w):
     """The (2, w, w) block check on an image of psi, {int word: int} in
-    the alphabet A; certify_exact runs it on every Krylov power too."""
+    the alphabet A; _column_operator runs it on every Krylov power too."""
     bideg = A.bidegree
     for word in codes:
         ij = [bideg[r] for r in word]
@@ -236,11 +241,41 @@ def _check_psi_image(A, codes, w):
     return codes
 
 
-def _psi_codes(A, codes, w):
+def _t_codes(A, codes):
+    """T = boundary . capital_phi on {int word: int} of arity 2 in the
+    alphabet A; T equals psi on cycles."""
+    return boundary_codes(A, _capital_phi_codes(A, codes))
+
+
+def _psi_codes(A, codes):
     """psi = boundary . capital_phi + phi_op . boundary on {int word: int}
-    of arity 2 in the alphabet A, block-checked."""
-    return _check_psi_image(A, _combine([(1, boundary_codes(A, _capital_phi_codes(A, codes))),
-                                         (1, _phi_op_codes(A, boundary_codes(A, codes)))]), w)
+    of arity 2 in the alphabet A; its callers block-check the image."""
+    return _combine([(1, _t_codes(A, codes)),
+                     (1, _phi_op_codes(A, boundary_codes(A, codes)))])
+
+
+def _column_operator(A, linear, w):
+    """The operator X -> linear(A, X) of a Krylov pass, block-checked on
+    every image, with linear's column for each word computed on first use.
+
+    linear is a map on {int word: int} dicts that is linear over the
+    integers, so linear(A, X) is the sum of X[word] * linear(A, {word: 1}).
+    The columns are kept for the life of the operator, one pass: the words
+    of successive powers recur, and each is then applied once.
+    """
+    columns = {}
+
+    def apply(X):
+        out = {}
+        for word, c in X.items():
+            column = columns.get(word)
+            if column is None:
+                column = columns[word] = linear(A, {word: 1})
+            for image, k in column.items():
+                out[image] = out.get(image, 0) + c * k
+        return _check_psi_image(A, {image: v for image, v in out.items() if v}, w)
+
+    return apply
 
 
 def psi(U):
@@ -250,7 +285,7 @@ def psi(U):
     if not U:
         return Chain.zero(U.n)
     w = weight_signature(next(iter(U.terms)))[1]
-    return _on_codes(U, lambda A, codes: _psi_codes(A, codes, w))
+    return _on_codes(U, lambda A, codes: _check_psi_image(A, _psi_codes(A, codes), w))
 
 
 def leading_scalar(n, w, word):
@@ -382,7 +417,7 @@ def annihilating_polynomial(U):
     if not U:
         return [Fraction(1)]
     w, A, u, _ = _block_codes(U)
-    return _krylov_minimal_polynomial(u, lambda X: _psi_codes(A, X, w))[0]
+    return _krylov_minimal_polynomial(u, _column_operator(A, _psi_codes, w))[0]
 
 
 def _block_codes(U):
@@ -412,11 +447,14 @@ def certify_exact(U):
 
     On cycles psi coincides with T = boundary . capital_phi, and every
     T^k U is a cycle, so one Krylov pass under T finds p(t) = p0 + t g(t)
-    annihilating U and the powers that build V = -(1/p0) capital_phi(g(T) U),
-    with boundary V = U, re-verified exactly before the certificate is emitted.
+    annihilating U and the powers that build V = -(1/p0) capital_phi(g(T) U).
     The pass runs on the int words of the block's alphabet, U scaled to
-    integers by the lcm of its denominators, and V is built from the
-    integer powers it stores.
+    integers by the lcm of its denominators; T's column of each word is
+    computed when the word first appears in a power and kept for the pass,
+    and every power is block-checked.  V is built from the integer powers
+    the pass stores.  boundary V = U is then verified exactly by a fresh
+    call of the public boundary, which shares no column with the pass,
+    before the certificate is emitted.
     """
     n = U.n
     if not U:
@@ -426,8 +464,7 @@ def certify_exact(U):
     if du:
         raise CertificateError("input is not a cycle; its boundary is:\n%s"
                                % chain_to_text(decode_chain(n, [(A, du)], Fraction(1, den))))
-    p, powers, scales = _krylov_minimal_polynomial(
-        u, lambda X: _check_psi_image(A, boundary_codes(A, _capital_phi_codes(A, X)), w))
+    p, powers, scales = _krylov_minimal_polynomial(u, _column_operator(A, _t_codes, w))
     g = p[1:]
     # g(T) U = (1/den) sum_k g[k] scales[k] P_k; its denominators cleared by m
     weights = [c * s for c, s in zip(g, scales)]

@@ -349,3 +349,14 @@ def test_encode_decode_round_trip():
     assert set(blocks) == {(w, h) for _, w, h in map(weight_signature, c.terms)}
     assert all(type(v) is int for _, codes in blocks.values() for v in codes.values())
     assert decode_chain(2, blocks.values(), Fraction(1, scale)) == c
+    # two weight blocks whose words share generators: each generator's
+    # weights are computed once, and each word still lands in its own block
+    ones = rng.sample(enumerate_basis(2, 1, 0, 0).words, 3)
+    shared = [word for word in enumerate_basis(2, 2, 1, 1).words
+              if any(one[0] in word for one in ones)]
+    two = ones + rng.sample(shared, 4)
+    c = Chain(2, {word: rng.choice([-2, 3, Fraction(-1, 2)]) for word in two})
+    scale, blocks = encode_chain(c)
+    assert set(blocks) == {(0, 0), (1, 1)} and scale == 2
+    assert sum(map(len, (codes for _, codes in blocks.values()))) == len(c.terms)
+    assert decode_chain(2, blocks.values(), Fraction(1, scale)) == c

@@ -424,6 +424,40 @@ def test_text_round_trip_and_reordering():
     assert parse_chain(2, swapped) == -parse_chain(2, straight)
 
 
+def reference_chain_to_text(c):
+    """chain_to_text as it was first written: the words sorted by their
+    tuples of factor keys, every factor of every word formatted, every
+    coefficient taken through Fraction."""
+    def coeff(x):
+        x = Fraction(x)
+        return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+    lines = []
+    for word, x in sorted(c.terms.items(), key=lambda kv: tuple(factor_key(f) for f in kv[0])):
+        lines.append("%s | %s" % (coeff(x), " ; ".join(words.format_factor(f) for f in word)))
+    return "\n".join(lines)
+
+
+def test_chain_to_text_matches_reference():
+    """Seeded chains of arity 2, of arity 3 and of both, over two weight
+    blocks, with negative int and Fraction coefficients."""
+    rng = random.Random(61)
+    for n in (2, 3):
+        by_arity = {m: [word for w, h in [(0, 0), (1, 1)]
+                        for word in rng.sample(enumerate_basis(n, m, w, h).words, 6)]
+                    for m in (2, 3)}
+        for picks in [by_arity[2], by_arity[3], by_arity[2] + by_arity[3]]:
+            terms = {word: rng.choice([rng.randint(-9, 9),
+                                       Fraction(rng.randint(-9, 9), rng.randint(2, 5))])
+                     for word in picks}
+            c = Chain(n, terms)
+            assert any(type(x) is int and x < 0 for x in c.terms.values())
+            assert any(type(x) is Fraction for x in c.terms.values())
+            text = chain_to_text(c)
+            assert text == reference_chain_to_text(c)
+            assert parse_chain(n, text) == c
+
+
 def test_parse_chain_sums_repeated_and_cancelling_lines():
     a = "x[1,0] d[1] ; x[0,1] d[2]"
     b = "x[0,0] d[1,2] ; x[1,0] d[2]"

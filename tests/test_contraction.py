@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from schouten.boundary import boundary, boundary_matrix
-from schouten.chains import Chain, enumerate_basis, parse_chain, wedge_chain
+from schouten.chains import Chain, enumerate_basis, parse_chain, wedge_chain, weight_signature
 from schouten.contraction import (
     TL,
     TR,
@@ -367,30 +367,78 @@ def test_certificate_annihilator_is_the_psi_minimal_polynomial():
 
 def test_certify_runs_the_krylov_sequence_once(monkeypatch):
     """For annihilator degree d: d applications of T = boundary .
-    capital_phi on int words, each block-checked, one more capital_phi
-    for V, and at most the public boundaries of U and V."""
+    capital_phi on int words, each block-checked; T's column reaches
+    capital_phi once for each word of the Krylov support U, T U, ...,
+    T^{d-1} U, then one more capital_phi builds V; at most the public
+    boundaries of U and V."""
     import schouten.contraction as contraction
     calls = dict.fromkeys(("_capital_phi_codes", "boundary", "_check_psi_image"), 0)
+    phi_words = []
 
     def counting(name, real):
         def wrapper(*args):
             calls[name] += 1
+            if name == "_capital_phi_codes":
+                phi_words.append(list(args[1]))
             return real(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(contraction, name, counting(name, getattr(contraction, name)))
     degrees = set()
     for U in seeded_cycles():
         d = len(annihilating_polynomial(U)) - 1
-        calls.update(dict.fromkeys(calls, 0))
-        certify_exact(U)
+        # psi equals T on cycles, so these are the supports of the powers
+        support = set()
+        power = U
+        for _ in range(d):
+            support.update(power.terms)
+            power = psi(power)
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(contraction, name, counting(name, getattr(contraction, name)))
+            calls.update(dict.fromkeys(calls, 0))
+            phi_words.clear()
+            certify_exact(U)
         if d < 2:
             continue
         degrees.add(d)
-        assert calls["_capital_phi_codes"] <= d + 1
+        columns = phi_words[:-1]
+        assert all(len(words) == 1 for words in columns)
+        assert len({words[0] for words in columns}) == len(columns) == len(support)
+        assert calls["_capital_phi_codes"] == len(support) + 1
         assert calls["boundary"] <= 2
         assert calls["_check_psi_image"] == d
+    assert max(degrees) >= 4
+
+
+def test_certify_powers_match_a_fresh_operator(monkeypatch):
+    """Each power the pass stores, times its scale, is T of the power
+    before it (the first is den * U), with T = boundary . capital_phi
+    recomputed on the whole vector, no column kept."""
+    import schouten.contraction as contraction
+    from schouten.boundary import boundary_codes, encode_chain
+    real = contraction._krylov_minimal_polynomial
+    passes = []
+
+    def recording(u, operator):
+        out = real(u, operator)
+        passes.append((u, out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(contraction, "_krylov_minimal_polynomial", recording)
+    degrees = set()
+    for U in seeded_cycles():
+        passes.clear()
+        certify_exact(U)
+        (u, powers, scales), = passes
+        _, w, h = weight_signature(next(iter(U.terms)))
+        A, encoded = encode_chain(U)[1][(w, h)]
+        assert u == encoded
+        assert {word: v * scales[0] for word, v in powers[0].items()} == u
+        for k in range(1, len(powers)):
+            fresh = boundary_codes(A, contraction._capital_phi_codes(A, powers[k - 1]))
+            assert {word: v * scales[k] for word, v in powers[k].items()} == \
+                {word: v * scales[k - 1] for word, v in fresh.items()}
+        degrees.add(len(powers))
     assert max(degrees) >= 4
 
 
