@@ -19,9 +19,11 @@ Alphabet by words._word_boundary, which reads each bracket [A_k, A_i] from
 the alphabet's bracket table and puts it in place by place_factor.  The
 int-word kernel (_word_boundary, boundary_columns, WeightEscapeError) lives
 in the leaf module words, which `betti` runs on without loading this
-module, and is re-exported here.  encode_chain and decode_chain carry a
-Chain to int words with int coefficients and back; the contraction
-operators run on the same encoding.
+module, and is re-exported here.  encode_chain and decode_chain, which
+carry a Chain to the int-word form (int words with int coefficients over
+one denominator) and back, live in chains beside the parser and the
+formatter of that form and are re-exported here; boundary_codes is d on
+the form, and the contraction operators run on it too.
 
 A block map d: C_m -> C_{m-1} is what boundary_columns yields, one
 {row: int} column per word of C_m.  betti ranks it, and
@@ -36,57 +38,10 @@ come from a sign or bracket bug.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from .chains import Chain
+from .chains import decode_chain, encode_chain
 from .words import (WeightEscapeError, _bracket, _word_boundary, alphabet, boundary_columns,
                     enumerate_basis)
-
-
-def encode_chain(chain):
-    """The chain as int words, weight block by weight block.
-
-    Returns (scale, blocks): scale is the lcm of the coefficient
-    denominators, and blocks maps each (w, h) of the chain to its Alphabet
-    and the {int word: int} dict of its words, each coefficient multiplied
-    by scale.  Every factor must be a valid generator (KeyError otherwise).
-    The weights (|alpha| - 1, |beta| - 1) of each distinct generator are
-    computed once per call.
-    """
-    n = chain.n
-    scale = lcm(*[c.denominator for c in chain.terms.values()])
-    weights = {}
-    blocks = {}
-    for word, c in chain.terms.items():
-        w = h = 0
-        for gen in word:
-            wh = weights.get(gen)
-            if wh is None:
-                alpha, beta = gen
-                wh = weights[gen] = (len(alpha) - 1, sum(beta) - 1)
-            w += wh[0]
-            h += wh[1]
-        block = blocks.get((w, h))
-        if block is None:
-            block = blocks[(w, h)] = (alphabet(n, w, h), {})
-        A, codes = block
-        codes[tuple(A.rank[gen] for gen in word)] = c.numerator * (scale // c.denominator)
-    return scale, blocks
-
-
-def decode_chain(n, blocks, factor=1):
-    """The Chain of the (alphabet, {int word: int}) pairs `blocks`, each
-    coefficient multiplied by the rational `factor`; int words in distinct
-    blocks never coincide, since they differ in weight."""
-    num, den = factor.numerator, factor.denominator
-    terms = {}
-    for A, codes in blocks:
-        gens = A.gens
-        for code, v in codes.items():
-            v *= num
-            q, r = divmod(v, den)
-            terms[tuple(gens[x] for x in code)] = Fraction(v, den) if r else q
-    return Chain(n, terms)
 
 
 def boundary_codes(A, codes):

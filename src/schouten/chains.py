@@ -15,14 +15,24 @@ re-exported here.  Chains and BasisIndex.words keep generator tuples.
 
 A chain is a rational combination of canonical words.  Serialized form, one
 term per line:  ``coeff | x[..] d[..] ; x[..] d[..] ; ...``
+
+Its int-word form holds, per weight block (w, h), the block's Alphabet and
+an {int word: int} dict, over one common denominator: (den, {(w, h): (A,
+codes)}).  encode_chain and decode_chain carry a Chain to it and back.
+The text form is read and written only through this form: parse_codes is
+the one parser (parse_chain decodes what it reads) and codes_to_text the
+one formatter (chain_to_text writes through it), so the certify and
+check-certificate commands go from text to int words and back to text
+without building a Chain.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # the block counts live in the leaf module counting, and the int-word
 # kernel in the leaf module words; re-exported here
 from .counting import basis_dim, block_dims, dim_generators, max_arity, max_arity_bound
-from .multivector import DimensionMismatchError, check_generator, parse_monomial
+from .multivector import DimensionMismatchError, check_generator, parse_factor
 from .words import (Alphabet, BasisIndex, _class_multisets, _compositions, alphabet,
                     enumerate_basis, factor_key, format_factor, generators_of_bidegree,
                     place_factor)
@@ -198,33 +208,101 @@ def parse_coeff(text):
         raise ValueError("zero denominator in %r" % (text,)) from None
 
 
+def encode_chain(chain):
+    """The chain as int words, weight block by weight block.
+
+    Returns (scale, blocks): scale is the lcm of the coefficient
+    denominators, and blocks maps each (w, h) of the chain to its Alphabet
+    and the {int word: int} dict of its words, each coefficient multiplied
+    by scale: the int-word form, which parse_codes returns for chain text.
+    Every factor must be a valid generator
+    (KeyError otherwise).  The weights (|alpha| - 1, |beta| - 1) of each
+    distinct generator are computed once per call.
+    """
+    n = chain.n
+    scale = lcm(*[c.denominator for c in chain.terms.values()])
+    weights = {}
+    blocks = {}
+    for word, c in chain.terms.items():
+        w = h = 0
+        for gen in word:
+            wh = weights.get(gen)
+            if wh is None:
+                alpha, beta = gen
+                wh = weights[gen] = (len(alpha) - 1, sum(beta) - 1)
+            w += wh[0]
+            h += wh[1]
+        block = blocks.get((w, h))
+        if block is None:
+            block = blocks[(w, h)] = (alphabet(n, w, h), {})
+        A, codes = block
+        codes[tuple(A.rank[gen] for gen in word)] = c.numerator * (scale // c.denominator)
+    return scale, blocks
+
+
+def decode_chain(n, blocks, factor=1):
+    """The Chain of the (alphabet, {int word: int}) pairs `blocks`, each
+    coefficient multiplied by the rational `factor`; int words in distinct
+    blocks never coincide, since they differ in weight."""
+    num, den = factor.numerator, factor.denominator
+    terms = {}
+    for A, codes in blocks:
+        gens = A.gens
+        for code, v in codes.items():
+            v *= num
+            q, r = divmod(v, den)
+            terms[tuple(gens[x] for x in code)] = Fraction(v, den) if r else q
+    return Chain(n, terms)
+
+
+def codes_to_text(gens, den, codes):
+    """The text of (1/den) * codes, one term per line: codes is an
+    {int word: int} dict over the ranks into gens, which follow factor
+    order, so the words are sorted as int tuples.  Each rank in use is
+    formatted once, and each coefficient is reduced by one gcd.  The one
+    formatter of chain text: chain_to_text and the certify command write
+    through it."""
+    names = {r: format_factor(gens[r]) for r in {r for word in codes for r in word}}
+    lines = []
+    for word, v in sorted(codes.items()):
+        g = gcd(v, den)
+        coeff = str(v // g) if g == den else "%d/%d" % (v // g, den // g)
+        lines.append("%s | %s" % (coeff, " ; ".join([names[r] for r in word])))
+    return "\n".join(lines)
+
+
 def chain_to_text(c):
     """Canonical text serialization, one term per line, the words in
     factor order.
 
-    The distinct generators are ranked in factor order and formatted once
-    per call, and the words sorted as the int tuples of their ranks, which
-    compare as the words do.
+    The distinct generators of the chain, of all its blocks, are ranked
+    together in factor order, and its words written through codes_to_text
+    as int words over their common denominator.
     """
     order = sorted({gen for word in c.terms for gen in word}, key=factor_key)
     rank = {gen: r for r, gen in enumerate(order)}
-    text = [format_factor(gen) for gen in order]
-    terms = sorted((tuple(rank[gen] for gen in word), coeff) for word, coeff in c.terms.items())
-    return "\n".join("%s | %s" % (format_coeff(coeff), " ; ".join(text[r] for r in code))
-                     for code, coeff in terms)
+    den = lcm(*[x.denominator for x in c.terms.values()])
+    return codes_to_text(order, den, {tuple([rank[gen] for gen in word]):
+                                      x.numerator * (den // x.denominator)
+                                      for word, x in c.terms.items()})
 
 
-def parse_chain(n, text):
-    """Inverse of chain_to_text; accepts any factor order and blank lines.
+def parse_codes(n, text):
+    """The int-word form (den, blocks) of a chain in text form, as
+    encode_chain returns it for the chain: den is the least common
+    denominator and blocks maps each (w, h) to its Alphabet and the
+    {int word: int} dict of den times its terms, with no zero coefficient
+    and no empty block.  Accepts any factor order, blank lines and `#`
+    comments; repeated words add up.
 
-    Terms accumulate in one dict, so parsing is linear in the line count.
     Each distinct coefficient text and each distinct factor text is parsed
-    (and the factor validated) once per call, and the distinct generators
-    of the whole text are ranked in factor order once.
+    (and the factor validated) once per call.  A line's factors give its
+    block, and its word is canonicalized by place_factor on the ranks of
+    that block's alphabet, each factor text ranked once per block.
     """
     coeffs = {}
-    gens = {}
-    lines = []
+    factors = {}  # factor text -> (generator, i, j)
+    blocks = {}  # (w, h) -> (alphabet, {int word: coefficient}, {factor text: rank})
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -235,22 +313,56 @@ def parse_chain(n, text):
         if coeff is None:
             coeff = parse_coeff(head)
             coeff = coeffs[head] = coeff.numerator if coeff.denominator == 1 else coeff
-        factors = []
-        for part in tail.split(";"):
-            part = part.strip()
-            gen = gens.get(part)
-            if gen is None:
-                _, beta, alpha = parse_monomial("1 * " + part)
+        parts = [part.strip() for part in tail.split(";")]
+        w = h = 0
+        for part in parts:
+            f = factors.get(part)
+            if f is None:
+                beta, alpha = parse_factor(part)
                 check_generator(n, alpha, beta)
-                gen = gens[part] = (alpha, beta)
-            factors.append(gen)
-        lines.append((coeff, factors))
-    terms = {}
-    words = _canonical_words([factors for _, factors in lines])
-    for (coeff, _), (sign, word) in zip(lines, words):
-        if sign:
+                f = factors[part] = ((alpha, beta), len(alpha) - 1, sum(beta) - 1)
+            w += f[1]
+            h += f[2]
+        block = blocks.get((w, h))
+        if block is None:
+            block = blocks[(w, h)] = (alphabet(n, w, h), {}, {})
+        A, codes, ranks = block
+        try:
+            rs = tuple([ranks[part] for part in parts])
+        except KeyError:
+            for part in parts:
+                if part not in ranks:
+                    ranks[part] = A.rank.get(factors[part][0])
+            rs = tuple([ranks[part] for part in parts])
+        if None in rs:
+            # every factor of a nonzero word lies in its block's alphabet
+            # (see Alphabet), so this word repeats an even factor and is 0
+            even = [factors[part][0] for part in parts if not factors[part][1] & 1]
+            if len(set(even)) == len(even):
+                raise ValueError("a factor of %r lies outside its block" % line)
+            continue
+        sign, word = 1, rs[:1]
+        for r in rs[1:]:
+            s, word = place_factor(word, len(word), r, A.parity)
+            if not s:
+                break
+            sign *= s
+        else:
             c = coeff if sign > 0 else -coeff
-            prev = terms.get(word)
-            terms[word] = c if prev is None else prev + c
-    return Chain(n, terms)
+            prev = codes.get(word)
+            codes[word] = c if prev is None else prev + c
+    den = lcm(*[c.denominator for _, codes, _ in blocks.values() for c in codes.values()])
+    form = {}
+    for key, (A, codes, _) in blocks.items():
+        ints = {word: c.numerator * (den // c.denominator) for word, c in codes.items() if c}
+        if ints:
+            form[key] = (A, ints)
+    return den, form
 
+
+def parse_chain(n, text):
+    """Inverse of chain_to_text: the Chain that parse_codes reads, decoded
+    block by block, so its terms come in the order of their blocks' first
+    lines."""
+    den, blocks = parse_codes(n, text)
+    return decode_chain(n, blocks.values(), Fraction(1, den))

@@ -169,37 +169,37 @@ def _read_input(args):
 
 
 def cmd_certify(args):
-    from .chains import parse_chain
-    from .contraction import CertificateError, certificate_to_dict, certify_exact
+    from .chains import parse_codes
+    from .contraction import CertificateError, _certify_form
     try:
-        U = parse_chain(args.n, _read_input(args))
+        U = parse_codes(args.n, _read_input(args))
     except (OSError, ValueError, KeyError) as e:
         sys.stderr.write("malformed input: %s\n" % e)
         return 2
     try:
-        cert = certify_exact(U)
+        cert = _certify_form(args.n, U)
     except (CertificateError, ValueError) as e:
         sys.stderr.write("certification failed: %s\n" % e)
         return 1
-    _emit(_json(certificate_to_dict(cert)), args.output)
+    _emit(_json(cert), args.output)
     return 0
 
 
 def cmd_check_certificate(args):
-    from .contraction import certificate_from_dict, check_certificate
+    from .contraction import _check_codes, _read_certificate
     try:
-        cert = certificate_from_dict(json.loads(_read_input(args)))
+        n, w, U, V, p = _read_certificate(json.loads(_read_input(args)))
     except (OSError, ValueError, KeyError, TypeError) as e:
         sys.stderr.write("malformed certificate: %s\n" % e)
         return 2
-    ok = check_certificate(cert)
+    ok = _check_codes(w, p, U, V)
     if ok:
         text = "certificate valid: boundary(V) == U"
     else:
         text = ("certificate INVALID: p is not monic with p(0) != 0, a word lies outside "
                 "the declared block, or boundary(V) != U")
     if args.format == "structured":
-        text = _json({"command": "check-certificate", "block": [cert.n, cert.w],
+        text = _json({"command": "check-certificate", "block": [n, w],
                       "valid": ok})
     _emit(text, args.output)
     return 0 if ok else 1
@@ -275,60 +275,64 @@ def _add_common(p, *names, formats=("structured", "csv", "plain")):
     p.add_argument("--format", choices=formats, default="plain")
 
 
-def build_parser():
+# command -> (help, function), in the order of --help
+COMMANDS = {
+    "dims": ("chain space dimensions of a weight block", cmd_dims),
+    "betti": ("Betti number of one block", cmd_betti),
+    "euler": ("Euler characteristic of a weight block", cmd_euler),
+    "verify": ("property suites: dsq, jacobi, weights, psi, homotopy", cmd_verify),
+    "certify": ("build an exactness certificate for a 2-cycle", cmd_certify),
+    "check-certificate": ("re-verify a certificate file", cmd_check_certificate),
+    "basis": ("list the canonical basis words of a block", cmd_basis),
+    "psi-matrix": ("matrix of the psi operator on a (2, w, w) block", cmd_psi_matrix),
+}
+
+
+def build_parser(argv=None):
+    """The command line parser.  When argv[0] names a command, only that
+    command's subparser is built, and the usage still lists all eight;
+    otherwise (--help, no command, an unknown one) all eight are."""
     ap = argparse.ArgumentParser(
         prog="schouten",
         description="Exact homology of polynomial multivector fields under "
                     "the Schouten bracket.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="chain space dimensions of a weight block")
-    _add_common(p, "n", "w", "h")
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("betti", help="Betti number of one block")
-    _add_common(p, "n", "m", "w", "h")
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("euler", help="Euler characteristic of a weight block")
-    _add_common(p, "n", "w", "h")
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("verify", help="property suites: dsq, jacobi, weights, psi, homotopy")
-    p.add_argument("suite", choices=("dsq", "jacobi", "weights", "psi", "homotopy", "all"))
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--w", type=int, default=0)
-    p.add_argument("--h", type=int, default=0)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("structured", "csv", "plain"), default="plain")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("certify", help="build an exactness certificate for a 2-cycle")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--input", help="cycle file in chain text form (default stdin)")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("check-certificate", help="re-verify a certificate file")
-    p.add_argument("--input", help="certificate JSON (default stdin)")
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("structured", "plain"), default="plain")
-    p.set_defaults(func=cmd_check_certificate)
-
-    p = sub.add_parser("basis", help="list the canonical basis words of a block")
-    _add_common(p, "n", "m", "w", "h", formats=("structured", "plain"))
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("psi-matrix", help="matrix of the psi operator on a (2, w, w) block")
-    _add_common(p, "n", "w", formats=("structured", "plain"))
-    p.set_defaults(func=cmd_psi_matrix)
-
+    names = [argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{%s}" % ",".join(COMMANDS) if len(names) == 1 else None)
+    for name in names:
+        p = sub.add_parser(name, help=COMMANDS[name][0])
+        p.set_defaults(func=COMMANDS[name][1])
+        if name in ("dims", "euler"):
+            _add_common(p, "n", "w", "h")
+        elif name == "betti":
+            _add_common(p, "n", "m", "w", "h")
+        elif name == "verify":
+            p.add_argument("suite", choices=("dsq", "jacobi", "weights", "psi", "homotopy",
+                                             "all"))
+            p.add_argument("--n", type=_positive_int, required=True)
+            p.add_argument("--w", type=int, default=0)
+            p.add_argument("--h", type=int, default=0)
+            p.add_argument("--seed", type=int, default=7)
+            p.add_argument("--output")
+            p.add_argument("--format", choices=("structured", "csv", "plain"), default="plain")
+        elif name == "certify":
+            p.add_argument("--n", type=_positive_int, required=True)
+            p.add_argument("--input", help="cycle file in chain text form (default stdin)")
+            p.add_argument("--output")
+        elif name == "check-certificate":
+            p.add_argument("--input", help="certificate JSON (default stdin)")
+            p.add_argument("--output")
+            p.add_argument("--format", choices=("structured", "plain"), default="plain")
+        elif name == "basis":
+            _add_common(p, "n", "m", "w", "h", formats=("structured", "plain"))
+        else:
+            _add_common(p, "n", "w", formats=("structured", "plain"))
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     from .counting import HomologyInvariantError
     try:
         return args.func(args)

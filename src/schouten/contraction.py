@@ -26,17 +26,26 @@ annihilating_polynomial make their Krylov pass there too, fraction-free;
 only p and the primitive's coefficients become Fractions.  In a pass the
 operator's column of each 2-word is computed the first time the word
 appears in a power and kept for the rest of the pass (_column_operator),
-so a word that recurs in later powers is not mapped again.  The final
-check of a certificate, boundary(V) == U, is a fresh call of the public
-boundary and shares no column with the pass.
+so a word that recurs in later powers is not mapped again.
+
+Certificates stay in the int-word form of chains (see encode_chain) from
+input text to output text.  certify_exact and check_certificate are Chain
+adapters over the cores _certify_codes and _check_codes, which the
+`certify` and `check-certificate` commands call on the int words that
+parse_codes reads and codes_to_text writes, so V is never decoded into
+Fractions and re-encoded.  The block and arity checks read the block keys
+and the word lengths.  The final check of a certificate, boundary(V) == U,
+is a fresh boundary_codes over V's int words, compared with U as exact
+integers; it shares no column with the pass.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .chains import (Chain, chain_to_text, enumerate_basis, format_coeff, parse_chain,
-                     parse_coeff, place_factor, weight_signature)
-from .boundary import boundary, boundary_codes, decode_chain, encode_chain
+from .chains import (Chain, chain_to_text, codes_to_text, decode_chain, encode_chain,
+                     enumerate_basis, format_coeff, parse_codes, parse_coeff, place_factor,
+                     weight_signature)
+from .boundary import boundary_codes
 from .multivector import check_generator
 from .record import Record
 
@@ -121,11 +130,19 @@ class Stratification:
         return [s for s in self.all_strata() if not s.is_tl]
 
 
-def _check_block(U, w):
-    for word in U.terms:
-        sig = weight_signature(word)
-        if sig != (2, w, w):
-            raise ValueError("term signature %r outside the (2, %d, %d) block" % (sig, w, w))
+def _one_block(blocks, m):
+    """(w, A, codes) of the one (m, w, w) block of the int-word form
+    `blocks` (see encode_chain), w read off its first block; ValueError
+    naming the first term, block by block, outside it.  Reads the block
+    keys and the word lengths only."""
+    w = next(iter(blocks))[0]
+    for key, (_, codes) in blocks.items():
+        other = key != (w, w)
+        for word in codes:
+            if other or len(word) != m:
+                raise ValueError("term signature %r outside the (%d, %d, %d) block"
+                                 % ((len(word),) + key, m, w, w))
+    return (w,) + blocks[(w, w)]
 
 
 def decompose_by_stratum(U):
@@ -306,8 +323,7 @@ def structured_descent(U):
     if not U:
         return []
     n = U.n
-    w = weight_signature(next(iter(U.terms)))[1]
-    _check_block(U, w)
+    w = _block_codes(U)[0]
     strat = Stratification(w)
     bound = 2 * len(strat.all_strata()) + 4
     cs = []
@@ -422,14 +438,11 @@ def annihilating_polynomial(U):
 
 def _block_codes(U):
     """(w, A, u, den) for a nonzero chain U of one (2, w, w) block: U's
-    words and generators checked, u = den * U as {int word: int} in the
+    generators and block checked, u = den * U as {int word: int} in the
     block's alphabet A, den the lcm of U's denominators."""
-    w = weight_signature(next(iter(U.terms)))[1]
-    _check_block(U, w)
     _check_generators(U)
     den, blocks = encode_chain(U)
-    A, u = blocks[(w, w)]
-    return w, A, u, den
+    return _one_block(blocks, 2) + (den,)
 
 
 class ExactnessCertificate(Record):
@@ -448,22 +461,38 @@ def certify_exact(U):
     On cycles psi coincides with T = boundary . capital_phi, and every
     T^k U is a cycle, so one Krylov pass under T finds p(t) = p0 + t g(t)
     annihilating U and the powers that build V = -(1/p0) capital_phi(g(T) U).
-    The pass runs on the int words of the block's alphabet, U scaled to
-    integers by the lcm of its denominators; T's column of each word is
-    computed when the word first appears in a power and kept for the pass,
-    and every power is block-checked.  V is built from the integer powers
-    the pass stores.  boundary V = U is then verified exactly by a fresh
-    call of the public boundary, which shares no column with the pass,
-    before the certificate is emitted.
+    A Chain adapter over _certify_codes, which runs on the int-word form of
+    U (its generators checked first) and whose V is decoded once here.
     """
     n = U.n
     if not U:
         return ExactnessCertificate(n, 0, U, Chain.zero(n), (Fraction(1),), ())
-    w, A, u, den = _block_codes(U)
+    _check_generators(U)
+    w, p, A, _, (vden, v) = _certify_codes(*encode_chain(U))
+    V = decode_chain(n, [(A, v)], Fraction(1, vden))
+    return ExactnessCertificate(n, w, U, V, tuple(p), tuple(p[1:]))
+
+
+def _certify_codes(den, blocks):
+    """certify_exact on the int-word form (den, blocks) of a nonzero U.
+
+    U must be one (2, w, w) block (ValueError otherwise) and a cycle
+    (CertificateError, with the text of its boundary, otherwise).  The
+    pass runs on the int words of the block's alphabet A with U scaled to
+    integers by den; T's column of each word is computed when the word
+    first appears in a power and kept for the pass, and every power is
+    block-checked.  V is built from the integer powers the pass stores, as
+    int words over one denominator, and boundary V = U is then verified
+    exactly by _bounds, a fresh boundary that shares no column with the
+    pass, before the certificate is emitted.  Returns (w, p, A, u, (vden,
+    v)): p the annihilator (Fractions, constant first), u = den * U and
+    v = vden * V as {int word: int} in A.
+    """
+    w, A, u = _one_block(blocks, 2)
     du = boundary_codes(A, u)
     if du:
         raise CertificateError("input is not a cycle; its boundary is:\n%s"
-                               % chain_to_text(decode_chain(n, [(A, du)], Fraction(1, den))))
+                               % codes_to_text(A.gens, den, du))
     p, powers, scales = _krylov_minimal_polynomial(u, _column_operator(A, _t_codes, w))
     g = p[1:]
     # g(T) U = (1/den) sum_k g[k] scales[k] P_k; its denominators cleared by m
@@ -471,26 +500,54 @@ def certify_exact(U):
     m = lcm(*[c.denominator for c in weights])
     acc = _combine((c.numerator * (m // c.denominator), power)
                    for c, power in zip(weights, powers))
-    V = decode_chain(n, [(A, _capital_phi_codes(A, acc))], Fraction(-1) / (p[0] * den * m))
-    if boundary(V) != U:
+    # V = -(1/(p0 den m)) capital_phi(acc)
+    f = Fraction(-1) / (p[0] * den * m)
+    v = {word: x * f.numerator for word, x in _capital_phi_codes(A, acc).items()}
+    if not _bounds(A, f.denominator, v, den, u):
         raise CertificateError("primitive verification failed")
-    return ExactnessCertificate(n, w, U, V, tuple(p), tuple(g))
+    return w, p, A, u, (f.denominator, v)
+
+
+def _bounds(A, vden, v, uden, u):
+    """Whether boundary(v / vden) == u / uden exactly, for {int word: int}
+    dicts in the alphabet A: a fresh boundary_codes over v, compared with
+    u as integers."""
+    return ({word: x * uden for word, x in boundary_codes(A, v).items()}
+            == {word: x * vden for word, x in u.items()})
+
+
+def _certify_form(n, form):
+    """certificate_to_dict(certify_exact(U)) for the U of the int-word form
+    (den, blocks) of parse_codes, with no Chain built: both chains are
+    written from their int words."""
+    den, blocks = form
+    if not blocks:
+        return _certificate_dict(n, 0, "", "", (Fraction(1),))
+    w, p, A, u, (vden, v) = _certify_codes(den, blocks)
+    return _certificate_dict(n, w, codes_to_text(A.gens, den, u),
+                             codes_to_text(A.gens, vden, v), p)
+
+
+def _certificate_dict(n, w, cycle, primitive, p):
+    return {
+        "block": [n, w],
+        "U": cycle.splitlines(),
+        "V": primitive.splitlines(),
+        "p": [format_coeff(c) for c in p],
+    }
 
 
 def certificate_to_dict(cert):
     """JSON-ready certificate: block, both chains, p coefficients
     (constant first)."""
-    return {
-        "block": [cert.n, cert.w],
-        "U": chain_to_text(cert.cycle).splitlines(),
-        "V": chain_to_text(cert.primitive).splitlines(),
-        "p": [format_coeff(c) for c in cert.annihilator],
-    }
+    return _certificate_dict(cert.n, cert.w, chain_to_text(cert.cycle),
+                             chain_to_text(cert.primitive), cert.annihilator)
 
 
-def certificate_from_dict(data):
-    """Inverse of certificate_to_dict; ValueError on a value that is not
-    a JSON object, a missing field or a malformed one."""
+def _read_certificate(data):
+    """(n, w, U, V, p) of a certificate dict, U and V in the int-word form
+    of parse_codes; ValueError on a value that is not a JSON object, a
+    missing field or a malformed one."""
     if not isinstance(data, dict):
         raise ValueError("the certificate must be a JSON object")
     for field in ("block", "U", "V", "p"):
@@ -506,9 +563,17 @@ def certificate_from_dict(data):
         if not isinstance(data[field], list) or any(type(x) is not str for x in data[field]):
             raise ValueError("%s must be a list of strings" % field)
     n, w = block
-    U = parse_chain(n, "\n".join(data["U"]))
-    V = parse_chain(n, "\n".join(data["V"]))
+    U = parse_codes(n, "\n".join(data["U"]))
+    V = parse_codes(n, "\n".join(data["V"]))
     p = tuple(parse_coeff(c) for c in data["p"])
+    return n, w, U, V, p
+
+
+def certificate_from_dict(data):
+    """Inverse of certificate_to_dict; ValueError on a value that is not
+    a JSON object, a missing field or a malformed one."""
+    n, w, U, V, p = _read_certificate(data)
+    U, V = [decode_chain(n, blocks.values(), Fraction(1, den)) for den, blocks in (U, V)]
     return ExactnessCertificate(n, w, U, V, p, p[1:])
 
 
@@ -518,17 +583,36 @@ def check_certificate(cert):
     primitive in (3, w, w), and boundary(primitive) == cycle, exactly.
 
     Trusts nothing from the producer beyond the chains and the block.  Of
-    p it checks the form only, not that p(psi) annihilates the cycle.
+    p it checks the form only, not that p(psi) annihilates the cycle.  A
+    Chain adapter over _check_codes; a chain with a factor that is no
+    generator of its block's alphabet is no certificate.
     """
-    p = cert.annihilator
+    U, V = cert.cycle, cert.primitive
+    if U.n != V.n:
+        return False
+    try:
+        U, V = encode_chain(U), encode_chain(V)
+    except KeyError:
+        return False
+    return _check_codes(cert.w, cert.annihilator, U, V)
+
+
+def _check_codes(w, p, U, V):
+    """check_certificate on the int-word forms (den, blocks) of the cycle
+    U and the primitive V: the block and arity checks read the block keys
+    and the word lengths, and boundary V = U is checked by _bounds."""
     if not p or p[0] == 0 or p[-1] != 1:
         return False
-    w = cert.w
-    if any(weight_signature(word) != (2, w, w) for word in cert.cycle.terms):
-        return False
-    if any(weight_signature(word) != (3, w, w) for word in cert.primitive.terms):
-        return False
-    return boundary(cert.primitive) == cert.cycle
+    (uden, ublocks), (vden, vblocks) = U, V
+    for blocks, m in ((ublocks, 2), (vblocks, 3)):
+        if any(key != (w, w) or any(len(word) != m for word in codes)
+               for key, (_, codes) in blocks.items()):
+            return False
+    u = ublocks.get((w, w), (None, {}))[1]
+    if not vblocks:
+        return not u
+    A, v = vblocks[(w, w)]
+    return _bounds(A, vden, v, uden, u)
 
 
 def verify_psi_structure(n, w):

@@ -131,8 +131,9 @@ def format_monomial(coeff, beta, alpha):
     return "%s * x[%s] d[%s]" % (cs, ",".join(map(str, beta)), ",".join(map(str, alpha)))
 
 
-_MONO_RE = re.compile(
-    r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*x\[([0-9,]*)\]\s*d\[([0-9,]+)\]\s*$")
+_FACTOR = r"x\[([0-9,]*)\]\s*d\[([0-9,]+)\]\s*$"
+_MONO_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*" + _FACTOR)
+_FACTOR_RE = re.compile(r"^\s*" + _FACTOR)
 
 
 def parse_monomial(text):
@@ -140,10 +141,20 @@ def parse_monomial(text):
     m = _MONO_RE.match(text)
     if m is None:
         raise ValueError("malformed monomial: %r" % text)
-    coeff = Fraction(m.group(1))
-    beta = tuple(int(t) for t in m.group(2).split(",")) if m.group(2) else ()
-    alpha = tuple(int(t) for t in m.group(3).split(","))
-    return coeff, beta, alpha
+    return (Fraction(m.group(1)),) + _exponents(m.group(2), m.group(3))
+
+
+def parse_factor(text):
+    """Parse the text x[beta] d[alpha] of a generator, the monomial form
+    without its coefficient; returns (beta, alpha)."""
+    m = _FACTOR_RE.match(text)
+    if m is None:
+        raise ValueError("malformed factor: %r" % text)
+    return _exponents(m.group(1), m.group(2))
+
+
+def _exponents(beta, alpha):
+    return (tuple(map(int, beta.split(","))) if beta else (), tuple(map(int, alpha.split(","))))
 
 
 def schouten_bracket(A, B):

@@ -18,13 +18,16 @@ from schouten.chains import (
     canonicalize_word,
     chain_to_text,
     chain_to_vector,
+    codes_to_text,
     dim_generators,
+    encode_chain,
     enumerate_basis,
     factor_key,
     generators_of_bidegree,
     max_arity,
     max_arity_bound,
     parse_chain,
+    parse_codes,
     place_factor,
     wedge_chain,
     weight_signature,
@@ -456,6 +459,41 @@ def test_chain_to_text_matches_reference():
             text = chain_to_text(c)
             assert text == reference_chain_to_text(c)
             assert parse_chain(n, text) == c
+
+
+def test_parse_codes_is_the_encoding_of_the_parsed_chain():
+    """parse_codes gives the int-word form that encode_chain gives for
+    parse_chain's Chain: the least common denominator, the blocks in the
+    order of their first lines, no zero term and no empty block, on
+    seeded chains of two blocks and two arities whose lines come shuffled,
+    with a zero line, a line repeated and a block that cancels away."""
+    rng = random.Random(67)
+    for n in (2, 3):
+        words_ = [word for w, h in [(0, 0), (1, 1)] for m in (2, 3)
+                  for word in rng.sample(enumerate_basis(n, m, w, h).words, 4)]
+        c = Chain(n, {word: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                      for word in words_})
+        lines = chain_to_text(c).splitlines()
+        gone = chain_to_text(Chain(n, {enumerate_basis(n, 2, 2, 2).words[0]: 1}))
+        repeated = lines[1]
+        lines += ["0 | " + lines[0].partition(" | ")[2], repeated, gone, "-" + gone]
+        rng.shuffle(lines)
+        text = "\n".join(lines)
+        den, blocks = parse_codes(n, text)
+        U = parse_chain(n, text)
+        assert U == c + parse_chain(n, repeated)
+        scale, encoded = encode_chain(U)
+        assert den == scale
+        first_lines = [weight_signature(next(iter(parse_chain(n, "1 | " + line.partition(
+            " | ")[2]).terms)))[1:] for line in lines]
+        assert list(blocks) == list(encoded) == [key for key in dict.fromkeys(first_lines)
+                                                 if key != (2, 2)]
+        for key, (A, codes) in blocks.items():
+            assert A.gens == encoded[key][0].gens
+            assert codes == encoded[key][1]
+            assert list(codes) == list(encoded[key][1])
+            assert codes_to_text(A.gens, den, codes) == chain_to_text(
+                Chain(n, {w: x for w, x in U.terms.items() if weight_signature(w)[1:] == key}))
 
 
 def test_parse_chain_sums_repeated_and_cancelling_lines():

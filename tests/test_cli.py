@@ -1,7 +1,9 @@
 """The command line frontend: formats, exit codes, reproducibility."""
 
+import argparse
 import importlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from schouten import chains, counting, verify, words
 from schouten.boundary import WeightEscapeError, boundary, boundary_columns
 from schouten.chains import (Chain, chain_to_text, enumerate_basis, format_factor, parse_chain,
                              wedge_chain)
-from schouten.cli import main
+from schouten.cli import build_parser, main
 
 boundary_module = importlib.import_module("schouten.boundary")
 
@@ -451,6 +453,179 @@ def test_check_tampered_annihilator_exit_1(capsys, tmp_path, p):
     assert "INVALID" in out
 
 
+def _line_of(chain):
+    """The text of a one-term chain."""
+    text = chain_to_text(chain)
+    assert len(text.splitlines()) == 1
+    return text
+
+
+@pytest.mark.parametrize("field, change", [
+    ("U", lambda U, V: ["%s | %s" % (Fraction(U[0].partition(" | ")[0]) + 1,
+                                     U[0].partition(" | ")[2])] + U[1:]),
+    ("V", lambda U, V: V + [U[0]]),
+    ("V", lambda U, V: V + [_line_of(Chain(2, {enumerate_basis(2, 3, 1, 1).words[0]: 1}))]),
+], ids=["U-coefficient", "V-arity-2-word", "V-word-of-another-block"])
+def test_check_tampered_cycle_or_primitive_exit_1(capsys, tmp_path, field, change):
+    """The pinned pi^^pi certificate, (n, w) = (2, 2), with one term of U
+    changed or one line added to V."""
+    data = json.loads((DATA / "pipi_n2.cert.json").read_text())
+    rc, out = run(capsys, "check-certificate", "--input",
+                  str(_pinned_with(tmp_path, field, change(data["U"], data["V"]))))
+    assert rc == 1
+    assert "INVALID" in out
+
+
+def seeded_cycle_text(n, w, seed, rational=False):
+    """The text of U = boundary(3-chain) on four seeded words of the
+    (3, w, w) block, its lines shuffled and each line's factors reversed,
+    so that the parser must reorder them; with rational coefficients when
+    asked."""
+    rng = random.Random("%d:%d:%d" % (n, w, seed))
+    picks = rng.sample(enumerate_basis(n, 3, w, w).words, 4)
+    coeffs = [Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3) if rational else (1,)))
+              for _ in picks]
+    U = boundary(Chain(n, dict(zip(picks, coeffs))))
+    assert U
+    lines = []
+    for word, c in U.terms.items():
+        # reversed word = sign * word
+        sign, canonical = chains.canonicalize_word(word[::-1])
+        assert canonical == word
+        lines.append("%s | %s" % (chains.format_coeff(sign * c),
+                                  " ; ".join(format_factor(f) for f in word[::-1])))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _tampered_copies(data):
+    """The certificate dict and copies of it: some still valid, some
+    not, one malformed."""
+    U, V, p = data["U"], data["V"], data["p"]
+    bump = lambda line: "%s | %s" % (Fraction(line.partition(" | ")[0]) * 2,
+                                     line.partition(" | ")[2])
+    other = _line_of(Chain(data["block"][0], {enumerate_basis(data["block"][0], 3, 0, 0)
+                                               .words[0]: 1}))
+    return [data,
+            dict(data, V=list(reversed(V)) + ["0 | " + V[0].partition(" | ")[2]]),
+            dict(data, U=[bump(U[0])] + U[1:]),
+            dict(data, V=V[:-1] + [bump(V[-1])]),
+            dict(data, V=V[1:]),
+            dict(data, V=V + [U[0]]),
+            dict(data, V=V + [other]),
+            dict(data, U=U + [other]),
+            dict(data, block=[data["block"][0], data["block"][1] + 1]),
+            dict(data, p=p[:-1] + ["2"]),
+            dict(data, p=["0"] + p[1:]),
+            dict(data, V=V + ["1 | x[9] d[1]"])]
+
+
+@pytest.mark.parametrize("n, w, rational", [(2, 1, False), (3, 1, False), (3, 2, False),
+                                            (4, 1, False), (2, 1, True)],
+                         ids=["2-1", "3-1", "3-2", "4-1", "2-1-rational"])
+def test_cli_matches_the_chain_api(capsys, tmp_path, n, w, rational):
+    """certify writes certificate_to_dict(certify_exact(parse_chain(n,
+    text))) byte for byte, and check-certificate gives the verdict of
+    check_certificate(certificate_from_dict(...)) on it and on tampered
+    copies of it (exit 2 where certificate_from_dict refuses one)."""
+    from schouten.cli import _json
+    from schouten.contraction import (certificate_from_dict, certificate_to_dict,
+                                      certify_exact, check_certificate)
+    for seed in range(2):
+        text = seeded_cycle_text(n, w, seed, rational)
+        cycle, cert = tmp_path / "cycle.txt", tmp_path / "cert.json"
+        cycle.write_text(text)
+        rc = main(["certify", "--n", str(n), "--input", str(cycle), "--output", str(cert)])
+        assert rc == 0
+        expect = _json(certificate_to_dict(certify_exact(parse_chain(n, text)))) + "\n"
+        assert cert.read_text() == expect
+        verdicts = []
+        for data in _tampered_copies(json.loads(expect)):
+            cert.write_text(json.dumps(data))
+            rc = main(["check-certificate", "--input", str(cert)])
+            capsys.readouterr()
+            try:
+                verdict = 0 if check_certificate(certificate_from_dict(data)) else 1
+            except ValueError:
+                verdict = 2
+            assert rc == verdict
+            verdicts.append(rc)
+        assert verdicts[:2] == [0, 0] and verdicts[-1] == 2 and set(verdicts[2:-1]) == {1}
+
+
+def test_certify_zero_line_with_a_factor_outside_its_block(capsys, tmp_path):
+    """x[5] d[1] has bidegree (0, 4), outside the alphabet of the line's
+    (0, 2) block, next to a repeated even factor d[1]: the line is the
+    zero chain, and its certificate is the trivial one."""
+    text = "1 | x[5] d[1] ; x[0] d[1] ; x[0] d[1]\n"
+    assert parse_chain(1, text).is_zero()
+    p, cert = tmp_path / "zero.txt", tmp_path / "cert.json"
+    p.write_text(text)
+    rc = main(["certify", "--n", "1", "--input", str(p), "--output", str(cert)])
+    assert rc == 0
+    assert json.loads(cert.read_text()) == {"block": [1, 0], "U": [], "V": [], "p": ["1"]}
+    rc, out = run(capsys, "check-certificate", "--input", str(cert))
+    assert rc == 0
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 0)])
+def test_certify_cycle_in_two_blocks_exit_1(capsys, tmp_path, first, second):
+    """Cycles of the (2, 0, 0) and (2, 1, 1) blocks in one file: the
+    block of the first term is the one the others must lie in."""
+    texts = [chain_to_text(boundary(Chain(2, {enumerate_basis(2, 3, w, w).words[3]: 1})))
+             for w in (0, 1)]
+    p = tmp_path / "two.txt"
+    p.write_text(texts[first] + "\n" + texts[second] + "\n")
+    rc = main(["certify", "--n", "2", "--input", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "certification failed: term signature (2, %d, %d) outside the (2, %d, %d) block\n"
+        % (second, second, first, first))
+
+
+def test_certify_arity_3_exit_1(capsys, tmp_path):
+    p = tmp_path / "three.txt"
+    p.write_text(_line_of(Chain(2, {enumerate_basis(2, 3, 1, 1).words[5]: 1})) + "\n")
+    rc = main(["certify", "--n", "2", "--input", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "certification failed: term signature (3, 1, 1) outside the (2, 1, 1) block\n")
+
+
+def test_certify_factor_invalid_for_n_exit_2(capsys, tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("1 | x[0,0] d[3] ; x[1,0] d[1]\n")
+    rc = main(["certify", "--n", "2", "--input", str(p)])
+    assert rc == 2
+    assert capsys.readouterr().err == "malformed input: direction out of range 1..2 in (3,)\n"
+
+
+def test_certificate_commands_build_no_chain(capsys, monkeypatch, tmp_path):
+    """certify and check-certificate carry U and V as int words from the
+    input text to the output text: no Chain is decoded or encoded."""
+    contraction = importlib.import_module("schouten.contraction")
+    calls = []
+
+    def refuse(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError("%s called" % name)
+        return wrapper
+
+    for module in (chains, boundary_module, contraction):
+        for name in ("decode_chain", "encode_chain", "parse_chain", "chain_to_text"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    cert = tmp_path / "cert.json"
+    rc = main(["certify", "--n", "3", "--input", str(DATA / "cycle_3_2.txt"),
+               "--output", str(cert)])
+    assert rc == 0
+    assert cert.read_bytes() == (DATA / "cycle_3_2.cert.json").read_bytes()
+    rc, out = run(capsys, "check-certificate", "--input", str(cert))
+    assert rc == 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--n", "2", "--format", "structured"],
     ["check-certificate", "--format", "csv"],
@@ -551,6 +726,43 @@ def test_command_help_exit_0(capsys, command):
         main([command, "--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith("usage: schouten %s " % command)
+
+
+def _built_commands(ap):
+    sub, = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_build_parser_builds_only_the_named_command():
+    assert _built_commands(build_parser(["certify", "--n", "2"])) == ["certify"]
+    for argv in (None, [], ["--help"], ["-h"], ["nope"], ["--n", "2", "dims"]):
+        assert _built_commands(build_parser(argv)) == COMMANDS
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--help"],
+    ["certify", "--n", "2", "--input", "cycle.txt"],
+    ["certify", "--n", "2", "extra"],
+    ["certify", "--n"],
+    ["dims", "--n", "0", "--w", "0", "--h", "0"],
+    ["dims", "dims"],
+    ["betti", "--n", "1", "--m", "2", "--w", "0", "--h", "0", "--format", "xml"],
+    ["verify", "bogus", "--n", "1"],
+    ["verify", "jacobi", "--n", "1", "--seed", "3"],
+    ["check-certificate", "--format", "csv"],
+    ["psi-matrix", "--n", "2"],
+])
+def test_one_command_parser_matches_the_full_parser(capsys, argv):
+    """The parser built for argv's command alone parses argv as the parser
+    of all eight commands does, down to each usage, help and error text."""
+    results = []
+    for ap in (build_parser(argv), build_parser()):
+        try:
+            result = vars(ap.parse_args(argv))
+        except SystemExit as exit_:
+            result = exit_.code
+        results.append((result, capsys.readouterr()))
+    assert results[0] == results[1]
 
 
 def test_no_partial_output_on_failure(tmp_path, capsys):

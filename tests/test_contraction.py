@@ -369,11 +369,19 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
     """For annihilator degree d: d applications of T = boundary .
     capital_phi on int words, each block-checked; T's column reaches
     capital_phi once for each word of the Krylov support U, T U, ...,
-    T^{d-1} U, then one more capital_phi builds V; at most the public
-    boundaries of U and V."""
+    T^{d-1} U, then one more capital_phi builds V.  boundary_codes runs on
+    U (the cycle check), once in each column of T, and once after the
+    pass: a fresh boundary over exactly the int words of V, with one
+    _word_boundary per word of V."""
+    import importlib
     import schouten.contraction as contraction
-    calls = dict.fromkeys(("_capital_phi_codes", "boundary", "_check_psi_image"), 0)
+    from schouten.boundary import encode_chain
+    # schouten.boundary names the exported function, not the module
+    boundary_module = importlib.import_module("schouten.boundary")
+    calls = dict.fromkeys(("_capital_phi_codes", "_check_psi_image"), 0)
     phi_words = []
+    boundaries = []  # (the words, the _word_boundary calls) of each boundary_codes
+    word_boundaries = []
 
     def counting(name, real):
         def wrapper(*args):
@@ -383,6 +391,18 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
             return real(*args)
         return wrapper
 
+    def word_boundary(A, word):
+        word_boundaries.append(word)
+        return real_word_boundary(A, word)
+
+    def boundary_codes(A, codes):
+        before = len(word_boundaries)
+        out = real_boundary_codes(A, codes)
+        boundaries.append((set(codes), len(word_boundaries) - before))
+        return out
+
+    real_word_boundary = boundary_module._word_boundary
+    real_boundary_codes = contraction.boundary_codes
     degrees = set()
     for U in seeded_cycles():
         d = len(annihilating_polynomial(U)) - 1
@@ -395,9 +415,17 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
         with monkeypatch.context() as m:
             for name in calls:
                 m.setattr(contraction, name, counting(name, getattr(contraction, name)))
+            m.setattr(boundary_module, "_word_boundary", word_boundary)
+            m.setattr(contraction, "boundary_codes", boundary_codes)
             calls.update(dict.fromkeys(calls, 0))
             phi_words.clear()
-            certify_exact(U)
+            boundaries.clear()
+            cert = certify_exact(U)
+        (_, u), = encode_chain(U)[1].values()
+        (_, v), = encode_chain(cert.primitive)[1].values()
+        assert boundaries[0] == (set(u), len(u))
+        assert boundaries[-1] == (set(v), len(v))
+        assert len(boundaries) == len(support) + 2
         if d < 2:
             continue
         degrees.add(d)
@@ -405,7 +433,6 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
         assert all(len(words) == 1 for words in columns)
         assert len({words[0] for words in columns}) == len(columns) == len(support)
         assert calls["_capital_phi_codes"] == len(support) + 1
-        assert calls["boundary"] <= 2
         assert calls["_check_psi_image"] == d
     assert max(degrees) >= 4
 
@@ -509,6 +536,21 @@ def test_tampered_certificate_detected():
     bad = ExactnessCertificate(cert.n, cert.w, cert.cycle, broken,
                                cert.annihilator, cert.quotient)
     assert not check_certificate(bad)
+
+
+def test_check_certificate_refuses_chains_outside_the_alphabet():
+    """A primitive with a factor that is no generator over R^n, or chains
+    over different n, make no certificate: check_certificate says False."""
+    from schouten.contraction import ExactnessCertificate
+    cert = certify_exact(parse_chain(2, (DATA / "pipi_n2.txt").read_text()))
+    assert check_certificate(cert)
+    word = next(iter(cert.primitive.terms))
+    bad = word[:-1] + (((1, 3), word[-1][1]),)  # direction 3 over R^2
+    for primitive in [Chain(2, {**cert.primitive.terms, bad: 1}),
+                      Chain(3, cert.primitive.terms)]:
+        forged = ExactnessCertificate(cert.n, cert.w, cert.cycle, primitive,
+                                      cert.annihilator, cert.quotient)
+        assert not check_certificate(forged)
 
 
 # --- lemma structure sweep ---------------------------------------------------

@@ -16,10 +16,11 @@ from schouten.multivector import (
     _merge_directions,
     bidegree,
     format_monomial,
+    parse_factor,
     parse_monomial,
     schouten_bracket,
 )
-from schouten.words import _bracket, _direction_terms
+from schouten.words import _bracket, _direction_terms, format_factor
 
 
 def mono(n, coeff, beta, alpha):
@@ -154,6 +155,19 @@ def test_parse_rejects_garbage():
     for bad in ("", "x[1] d[1]", "1 * x[1,0] d[]", "1 * d[1] x[1,0]"):
         with pytest.raises(ValueError):
             parse_monomial(bad)
+
+
+def test_parse_factor_reads_the_monomial_form_without_coefficient():
+    rng = random.Random(13)
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        ((alpha, beta),) = random_mono(rng, n).terms
+        assert parse_factor(format_factor((alpha, beta))) == (beta, alpha)
+        assert parse_factor(" x[%s]  d[%s] " % (",".join(map(str, beta)),
+                                                ",".join(map(str, alpha)))) == (beta, alpha)
+    for bad in ("", "1 * x[1] d[1]", "x[1,0] d[]", "d[1] x[1,0]", "x[1] d[1] ; x[0] d[1]"):
+        with pytest.raises(ValueError):
+            parse_factor(bad)
 
 
 # --- wedge product of unit monomials ----------------------------------------
