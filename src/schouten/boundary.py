@@ -29,12 +29,12 @@ A block map d: C_m -> C_{m-1} is what boundary_columns yields, one
 {row: int} column per word of C_m.  betti ranks it, and
 boundary_squared_failures, the one d . d check behind `verify dsq` and
 the tests, multiplies it by the columns of the arity below;
-boundary_matrix packs it into a SparseMatrixQ for export and for
-reference ranks.  Only these two import linalg, when they run, so the
-commands that take the boundary of a chain (certify, check-certificate)
-never load it.  The double weight (m, w, h) -> (m-1, w, h) is preserved;
-a term outside the block raises WeightEscapeError, because it can only
-come from a sign or bracket bug.
+boundary_matrix packs it into a SparseMatrixQ for reference ranks; no
+formatter of matrices lives here.  Only these two import linalg, when
+they run, so the commands that take the boundary of a chain (certify,
+check-certificate, psi-matrix) never load it.  The double weight
+(m, w, h) -> (m-1, w, h) is preserved; a term outside the block raises
+WeightEscapeError, because it can only come from a sign or bracket bug.
 """
 
 from fractions import Fraction
@@ -128,14 +128,3 @@ def boundary_matrix(n, m, w, h, domain=None, codomain=None):
             entries[(r, col)] = c
     return BoundaryMatrix(SparseMatrixQ(len(codomain), len(domain), entries),
                           domain, codomain)
-
-
-def matrix_to_text(M):
-    """Coordinate-list export: header `rows cols nnz`, lines `row col p/q`,
-    sorted by (col, row)."""
-    lines = ["%d %d %d" % (M.rows, M.cols, len(M.entries))]
-    for (r, c) in sorted(M.entries, key=lambda rc: (rc[1], rc[0])):
-        v = M.entries[(r, c)]
-        vs = str(v.numerator) if v.denominator == 1 else "%d/%d" % (v.numerator, v.denominator)
-        lines.append("%d %d %s" % (r, c, vs))
-    return "\n".join(lines)

@@ -49,25 +49,16 @@ def canonicalize_word(factors):
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
-    return next(_canonical_words([factors]))
-
-
-def _canonical_words(factor_lists):
-    """canonicalize_word of each nonempty list of raw factors in turn; the
-    distinct factors of all the lists are ranked once."""
-    order = sorted({gen for factors in factor_lists for gen in factors}, key=factor_key)
+    order = sorted(set(factors), key=factor_key)
     rank = {gen: r for r, gen in enumerate(order)}
     parity = [(len(gen[0]) - 1) & 1 for gen in order]
-    for factors in factor_lists:
-        sign, word = 1, ()
-        for gen in factors:
-            s, word = place_factor(word, len(word), rank[gen], parity)
-            if s == 0:
-                yield 0, None
-                break
-            sign *= s
-        else:
-            yield sign, tuple(order[r] for r in word)
+    sign, word = 1, ()
+    for gen in factors:
+        s, word = place_factor(word, len(word), rank[gen], parity)
+        if s == 0:
+            return 0, None
+        sign *= s
+    return sign, tuple(order[r] for r in word)
 
 
 def weight_signature(word):

@@ -16,14 +16,15 @@ the package besides cli (tests/test_hygiene.py pins the sets):
     basis                  counting words
     betti                  counting words linalg record homology torus
     certify,               counting words multivector chains boundary
-      check-certificate      record contraction
-    psi-matrix             the same, and linalg
+      check-certificate,     record contraction
+      psi-matrix
     verify jacobi          counting verify words multivector
-    verify weights         counting verify words multivector chains
-                             boundary
-    verify dsq             the same, and linalg
-    verify homotopy        the same as weights, and torus
-    verify psi             the same as weights, and record contraction
+    verify weights         counting verify words
+    verify dsq             counting verify words multivector chains
+                             boundary linalg
+    verify homotopy        counting verify words multivector chains
+                             boundary torus
+    verify psi             as certify, and verify
 
 verify all loads the union of its suites.
 
@@ -224,26 +225,18 @@ def cmd_basis(args):
 
 def cmd_psi_matrix(args):
     """Matrix of psi on the canonical basis of the (2, w, w) block,
-    coordinate-list format."""
-    from fractions import Fraction
-    from .boundary import matrix_to_text
-    from .chains import Chain, chain_to_vector, enumerate_basis
-    from .contraction import psi
-    from .linalg import SparseMatrixQ
-    n, w = args.n, args.w
-    basis = enumerate_basis(n, 2, w, w)
-    entries = {}
-    for col, word in enumerate(basis.words):
-        img = psi(Chain(n, {word: Fraction(1)}))
-        for r, v in enumerate(chain_to_vector(img, basis)):
-            if v:
-                entries[(r, col)] = v
-    M = SparseMatrixQ(len(basis), len(basis), entries)
+    coordinate-list format: header `rows cols nnz`, then `row col value`
+    sorted by (col, row)."""
+    from .contraction import _psi_columns
+    basis, columns = _psi_columns(args.n, args.w)
+    lines = ["%d %d %d" % (len(basis), len(basis), sum(map(len, columns)))]
+    for col, column in enumerate(columns):
+        lines += ["%d %d %d" % (r, col, v)
+                  for r, v in sorted((basis.index[x], v) for x, v in column.items())]
+    text = "\n".join(lines)
     if args.format == "structured":
-        text = _json({"command": "psi-matrix", "n": n, "w": w, "dim": len(basis),
-                      "matrix": matrix_to_text(M).splitlines()})
-    else:
-        text = matrix_to_text(M)
+        text = _json({"command": "psi-matrix", "n": args.n, "w": args.w, "dim": len(basis),
+                      "matrix": lines})
     _emit(text, args.output)
     return 0
 
@@ -337,8 +330,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except HomologyInvariantError as e:
-        # raised by betti, dims, euler and verify on a rank, counting or
-        # boundary bug; WeightEscapeError is one
+        # raised on a rank, counting, bracket, boundary or psi-block bug;
+        # WeightEscapeError is one
         sys.stderr.write("internal invariant violated: %s\n" % e)
         return 1
     except OutputError as e:

@@ -20,13 +20,15 @@ strata yields nonzero constants c_i with (psi+c_1)...(psi+c_m) U = 0; for a
 cycle U this turns into an explicit primitive V with boundary(V) = U.
 
 The operators run on the int words of the block's Alphabet (see chains)
-with int coefficients: each public operator checks the generators of its
-input, encodes it, applies the kernel and decodes.  certify_exact and
-annihilating_polynomial make their Krylov pass there too, fraction-free;
-only p and the primitive's coefficients become Fractions.  In a pass the
-operator's column of each 2-word is computed the first time the word
-appears in a power and kept for the rest of the pass (_column_operator),
-so a word that recurs in later powers is not mapped again.
+with int coefficients.  psi, phi_op and capital_phi are Chain adapters
+for callers outside the package: each checks the generators of its
+input, encodes it, applies the kernel and decodes.  Inside it psi is
+applied one way, by _column_operator: each 2-word's column is computed
+on first use and kept, and every image is block-checked.  The Krylov
+passes of certify_exact and annihilating_polynomial, structured_descent
+and the basis columns of verify_psi_structure and psi-matrix
+(_psi_columns) run on it, fraction-free; only p and the primitive's
+coefficients become Fractions.
 
 Certificates stay in the int-word form of chains (see encode_chain) from
 input text to output text.  certify_exact and check_certificate are Chain
@@ -45,7 +47,7 @@ from math import gcd, lcm
 from .chains import (Chain, chain_to_text, codes_to_text, decode_chain, encode_chain,
                      enumerate_basis, format_coeff, parse_codes, parse_coeff, place_factor,
                      weight_signature)
-from .boundary import boundary_codes
+from .boundary import WeightEscapeError, boundary_codes
 from .multivector import check_generator
 from .record import Record
 
@@ -145,13 +147,10 @@ def _one_block(blocks, m):
     return (w,) + blocks[(w, w)]
 
 
-def decompose_by_stratum(U):
-    """Split an arity-2 chain into its stratum components."""
-    parts = {}
-    for word, c in U.terms.items():
-        key = stratum_of(word)
-        parts.setdefault(key, {})[word] = c
-    return {key: Chain(U.n, terms) for key, terms in parts.items()}
+def _word_stratum(A, word):
+    """stratum_of for an int word (r1, r2) of the alphabet A."""
+    i1, j1 = A.bidegree[word[0]]
+    return i1 + 1, j1 + 1
 
 
 def project_stratum(U, stratum):
@@ -249,12 +248,12 @@ def capital_phi(U):
 
 def _check_psi_image(A, codes, w):
     """The (2, w, w) block check on an image of psi, {int word: int} in
-    the alphabet A; _column_operator runs it on every Krylov power too."""
+    the alphabet A; _column_operator runs it on every image it makes."""
     bideg = A.bidegree
     for word in codes:
         ij = [bideg[r] for r in word]
         if len(ij) != 2 or ij[0][0] + ij[1][0] != w or ij[0][1] + ij[1][1] != w:
-            raise RuntimeError("psi left the (2, %d, %d) block" % (w, w))
+            raise WeightEscapeError("psi left the (2, %d, %d) block" % (w, w))
     return codes
 
 
@@ -272,13 +271,13 @@ def _psi_codes(A, codes):
 
 
 def _column_operator(A, linear, w):
-    """The operator X -> linear(A, X) of a Krylov pass, block-checked on
-    every image, with linear's column for each word computed on first use.
+    """The operator X -> linear(A, X) of a Krylov pass or a stratum walk,
+    each image block-checked, linear's column of a word made on first use.
 
     linear is a map on {int word: int} dicts that is linear over the
     integers, so linear(A, X) is the sum of X[word] * linear(A, {word: 1}).
-    The columns are kept for the life of the operator, one pass: the words
-    of successive powers recur, and each is then applied once.
+    The columns are kept for the life of the operator: the words of
+    successive powers recur, and each is then applied once.
     """
     columns = {}
 
@@ -317,21 +316,22 @@ def structured_descent(U):
 
     Follows the stratum flow: ascend the TL diagonals, clear the TR roof
     diagonal by diagonal, walk the rectangle layers down, then remember the
-    (1, 0) contribution and kill it with its eigenvalue n+w+1.  The composite
-    is verified step by step; exceeding the theoretical step bound aborts.
+    (1, 0) contribution and kill it with its eigenvalue n+w+1.  The walk
+    runs on U's int words under psi's column operator; exceeding the
+    theoretical step bound aborts.
     """
     if not U:
         return []
     n = U.n
-    w = _block_codes(U)[0]
+    w, A, cur, _ = _block_codes(U)
+    apply_psi = _column_operator(A, _psi_codes, w)
     strat = Stratification(w)
     bound = 2 * len(strat.all_strata()) + 4
     cs = []
-    cur = U
     while cur:
         if len(cs) >= bound:
             raise DescentError("descent exceeded %d steps; stratum flow is broken" % bound)
-        parts = decompose_by_stratum(cur)
+        parts = {_word_stratum(A, word) for word in cur}
         tl = [key for key in parts if key[0] + key[1] > 2 + w]
         if tl:
             # lowest occupied TL diagonal, then its lowest a1
@@ -354,7 +354,7 @@ def structured_descent(U):
                 else:
                     c = -(n + w + 1)
         cs.append(c)
-        cur = psi(cur) + c * cur
+        cur = _combine([(1, apply_psi(cur)), (c, cur)])
     return cs
 
 
@@ -615,35 +615,35 @@ def _check_codes(w, p, U, V):
     return _bounds(A, vden, v, uden, u)
 
 
+def _psi_columns(n, w):
+    """The basis of the (2, w, w) block and psi's column of each of its
+    int words, {int word: int} in the basis's alphabet, block-checked."""
+    basis = enumerate_basis(n, 2, w, w)
+    apply_psi = _column_operator(basis.alphabet, _psi_codes, w)
+    return basis, [apply_psi({code: 1}) for code in basis.codes]
+
+
 def verify_psi_structure(n, w):
     """Check psi's per-word leading scalar and residual strata on the full
     basis of the (2, w, w) block.
 
     For every canonical basis word: psi(word) - scalar*word must live in the
     predicted strata -- (a1, b1-1) for TR, (a1, b1+1) for TL, plus (1, 0).
-    Returns a report dict; violations land in report['violations'].
+    The type, stratum and scalar are read off the decoded word, the
+    residual off psi's int-word column.  Returns a report dict; violations
+    land in report['violations'].
     """
-    strat = Stratification(w)
-    basis = enumerate_basis(n, 2, w, w)
+    basis, columns = _psi_columns(n, w)
     violations = []
-    checked = 0
-    for word in basis.words:
+    for word, code, column in zip(basis.words, basis.codes, columns):
         a1, b1 = stratum_of(word)
         typ = classify_type(word)
         scalar = leading_scalar(n, w, word)
-        resid = psi(Chain(n, {word: Fraction(1)})) - scalar * Chain(n, {word: Fraction(1)})
-        target = (a1, b1 - 1) if typ == TR else (a1, b1 + 1)
-        allowed = {target, (1, 0)}
-        bad = {key for key in decompose_by_stratum(resid) if key not in allowed}
+        resid = _combine([(1, column), (-scalar, {code: 1})])
+        allowed = {(a1, b1 - 1) if typ == TR else (a1, b1 + 1), (1, 0)}
+        bad = {_word_stratum(basis.alphabet, image) for image in resid} - allowed
         if bad:
             violations.append({"word": word, "type": typ, "scalar": scalar,
                                "stray_strata": sorted(bad)})
-        checked += 1
-    return {
-        "n": n,
-        "w": w,
-        "dim": len(basis),
-        "checked": checked,
-        "tl_vacuous": not strat.tl_strata(),
-        "violations": violations,
-    }
+    return {"n": n, "w": w, "dim": len(basis), "checked": len(basis),
+            "tl_vacuous": not Stratification(w).tl_strata(), "violations": violations}

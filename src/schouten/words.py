@@ -171,10 +171,11 @@ class Alphabet:
     """
 
     __slots__ = ("n", "gens", "rank", "parity", "classes", "brackets", "templates",
-                 "shifts", "_bidegree")
+                 "shifts", "_bidegree", "_block")
 
     def __init__(self, n, w, h):
         self.n = n
+        self._block = (n, w, h)
         gens = []
         self.classes = {}
         for i in range(min(n - 1, w) + 1):
@@ -387,13 +388,18 @@ def _bracket(A, a, b):
     """[gens[a], gens[b]] of the alphabet A as (rank, int) pairs: the
     template of their directions, kept in A.templates, evaluated on their
     exponents.  Stores no bracket; _word_boundary enters the result in the
-    bracket table."""
+    bracket table.  A term outside the alphabet raises WeightEscapeError."""
     (alpha_a, beta_a), (alpha_b, beta_b) = A.gens[a], A.gens[b]
     terms = A.templates.get((alpha_a, alpha_b))
     if terms is None:
         terms = A.templates[(alpha_a, alpha_b)] = _direction_terms(alpha_a, alpha_b)
     rank = A.rank
-    return tuple((rank[key], c) for key, c in _evaluate(terms, beta_a, beta_b))
+    try:
+        return tuple((rank[key], c) for key, c in _evaluate(terms, beta_a, beta_b))
+    except KeyError:  # a bracket term outside the alphabet
+        raise WeightEscapeError("bracket [%s, %s] left the alphabet of block (n=%d, w=%d, h=%d)"
+                                % ((format_factor(A.gens[a]), format_factor(A.gens[b]))
+                                   + A._block)) from None
 
 
 def _word_boundary(A, word):

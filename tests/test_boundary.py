@@ -15,7 +15,6 @@ from schouten.boundary import (
     boundary_squared_failures,
     decode_chain,
     encode_chain,
-    matrix_to_text,
 )
 from schouten.chains import (
     Chain,
@@ -321,21 +320,6 @@ def test_boundary_matrix_rejects_bases_of_another_block():
         boundary_matrix(2, 3, 1, 2, domain)
     with pytest.raises(ValueError):
         boundary_matrix(2, 3, 1, 1, domain, enumerate_basis(2, 2, 1, 2))
-
-
-def test_matrix_text_format():
-    bm = boundary_matrix(2, 2, 0, 0)
-    text = matrix_to_text(bm.matrix)
-    lines = text.splitlines()
-    rows, cols, nnz = map(int, lines[0].split())
-    assert (rows, cols) == (bm.matrix.rows, bm.matrix.cols)
-    assert nnz == len(lines) - 1 == len(bm.matrix.entries)
-    keys = []
-    for line in lines[1:]:
-        r, c, v = line.split()
-        keys.append((int(c), int(r)))
-        Fraction(v)  # parses
-    assert keys == sorted(keys)
 
 
 def test_encode_decode_round_trip():

@@ -789,6 +789,62 @@ def test_psi_matrix_header(capsys):
     assert nnz == len(out.splitlines()) - 1
 
 
+@pytest.mark.parametrize("argv, pinned", [
+    (["psi-matrix", "--n", "2", "--w", "1"], "psi_matrix_2_1.txt"),
+    (["psi-matrix", "--n", "2", "--w", "1", "--format", "structured"], "psi_matrix_2_1.json"),
+    (["verify", "psi", "--n", "3", "--w", "1", "--format", "structured"], "verify_psi_3_1.json"),
+], ids=["psi-matrix", "psi-matrix-structured", "verify-psi-structured"])
+def test_psi_outputs_pinned_byte_for_byte(capsys, argv, pinned):
+    """psi-matrix, plain and structured, on the (2, 1, 1) block over R^2
+    and the verify psi report on the (2, 1, 1) block over R^3 write
+    exactly the files kept in tests/data."""
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    assert out == (DATA / pinned).read_text()
+
+
+@pytest.mark.parametrize("argv, block", [
+    (["betti", "--n", "2", "--m", "2", "--w", "1", "--h", "1"], "(n=2, w=1, h=1)"),
+    (["verify", "dsq", "--n", "2"], "(n=2, w=0, h=0)"),
+], ids=["betti", "verify-dsq"])
+def test_bracket_escape_exit_1(capsys, monkeypatch, argv, block):
+    """A bracket term outside the alphabet, here from exponents shifted by
+    50, is an invariant violation: one line, no traceback."""
+    real = words._evaluate
+
+    def shifted(terms, beta_a, beta_b):
+        return [((alpha, tuple(x + 50 for x in beta)), c)
+                for (alpha, beta), c in real(terms, beta_a, beta_b)]
+
+    monkeypatch.setattr(words, "_evaluate", shifted)
+    # fresh alphabets, so no bracket comes from a filled table
+    monkeypatch.setattr(words, "_ALPHABETS", {})
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert _one_invariant_line(captured.err)
+    assert "left the alphabet of block " + block in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "2", "--input", str(DATA / "cycle_2_1.txt")],
+    ["psi-matrix", "--n", "2", "--w", "1"],
+], ids=["certify", "psi-matrix"])
+def test_psi_block_escape_exit_1(capsys, monkeypatch, argv):
+    """An image of psi outside the (2, w, w) block, here an added arity-3
+    word, is an invariant violation: one line, no traceback."""
+    contraction = importlib.import_module("schouten.contraction")
+    real = contraction._t_codes
+    monkeypatch.setattr(contraction, "_t_codes", lambda A, codes: {**real(A, codes), (0, 1, 2): 1})
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert _one_invariant_line(captured.err)
+    assert "psi left the (2, 1, 1) block" in captured.err
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     rc, out = run(capsys, "dims", "--n", "2", "--w", "1", "--h", "1",
                   "--format", "structured")

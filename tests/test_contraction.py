@@ -15,6 +15,7 @@ from schouten.contraction import (
     CertificateError,
     PairStratum,
     Stratification,
+    _word_stratum,
     annihilating_polynomial,
     capital_phi,
     certificate_from_dict,
@@ -22,7 +23,6 @@ from schouten.contraction import (
     certify_exact,
     check_certificate,
     classify_type,
-    decompose_by_stratum,
     leading_scalar,
     phi_op,
     project_stratum,
@@ -95,15 +95,28 @@ def test_classify_type_matches_stratum():
 
 
 def test_decompose_and_project_are_consistent():
+    """Each projection of a cycle onto a stratum lies in that stratum, and
+    the projections sum to the cycle."""
     rng = random.Random(101)
     U = random_cycle(rng, 2, 1)
-    parts = decompose_by_stratum(U)
+    assert len({stratum_of(word) for word in U.terms}) > 1
     total = Chain.zero(2)
     for s in Stratification(1).all_strata():
         p = project_stratum(U, s)
-        assert p == parts.get((s.a1, s.b1), Chain.zero(2))
+        assert all(stratum_of(word) == (s.a1, s.b1) for word in p.terms)
         total = total + p
     assert total == U
+
+
+def test_word_stratum_is_stratum_of_on_int_words():
+    """The stratum read off an int word's first factor, as the descent and
+    verify psi read it, is stratum_of of the decoded word."""
+    for n in (2, 3):
+        for w in (0, 1, 2):
+            basis = enumerate_basis(n, 2, w, w)
+            assert len(basis) > 0
+            for word, code in zip(basis.words, basis.codes):
+                assert _word_stratum(basis.alphabet, code) == stratum_of(word)
 
 
 # --- operators ---------------------------------------------------------------

@@ -52,6 +52,22 @@ def test_boundary_module_has_no_memo():
     assert not found, "memoized functions: %s" % found
 
 
+def test_no_function_of_the_package_calls_the_chain_operators():
+    """psi, phi_op and capital_phi are Chain adapters for callers outside
+    the package: every algorithm inside it applies the operators on int
+    words (contraction's _psi_codes, _phi_op_codes and _capital_phi_codes)."""
+    adapters = {"psi", "phi_op", "capital_phi"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = (node.func.attr if isinstance(node.func, ast.Attribute)
+                        else getattr(node.func, "id", None))
+                if name in adapters:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, "calls of a Chain adapter: %s" % found
+
+
 # module -> the names it re-exports from words, where they are defined
 REEXPORTED = {
     "chains": ["Alphabet", "BasisIndex", "_class_multisets", "_compositions", "alphabet",
@@ -152,8 +168,7 @@ COMMAND_MODULES = {
                           ["boundary", "chains", "contraction", "multivector", "record",
                            "words"]),
     "psi-matrix": (["psi-matrix", "--n", "2", "--w", "1"],
-                   ["boundary", "chains", "contraction", "linalg", "multivector", "record",
-                    "words"]),
+                   ["boundary", "chains", "contraction", "multivector", "record", "words"]),
     "verify-dsq": (["verify", "dsq", "--n", "1"],
                    ["boundary", "chains", "linalg", "multivector", "verify", "words"]),
     "verify-jacobi": (["verify", "jacobi", "--n", "1"], ["multivector", "verify", "words"]),
@@ -184,7 +199,7 @@ def test_each_command_loads_exactly_the_modules_it_runs(command):
         # the int-word kernel builds no Fraction, Chain, MultiVector or regex
         assert not {"fractions", "decimal", "numbers", "schouten.chains",
                     "schouten.multivector", "schouten.boundary"} & set(new)
-    if command in ("certify", "check-certificate"):
+    if command in ("certify", "check-certificate", "psi-matrix"):
         assert not {"schouten.linalg", "schouten.homology", "schouten.torus"} & set(new)
 
 
