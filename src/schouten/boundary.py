@@ -23,7 +23,10 @@ module, and is re-exported here.  encode_chain and decode_chain, which
 carry a Chain to the int-word form (int words with int coefficients over
 one denominator) and back, live in chains beside the parser and the
 formatter of that form and are re-exported here; boundary_codes is d on
-the form, and the contraction operators run on it too.
+the form, and the contraction operators run on it too.  boundary, d on a
+Chain, is chains._on_codes over boundary_codes, the adapter that phi_op
+and capital_phi use, so a factor that is no generator raises the
+ValueError of check_generator here as there.
 
 A block map d: C_m -> C_{m-1} is what boundary_columns yields, one
 {row: int} column per word of C_m.  betti ranks it, and
@@ -37,9 +40,7 @@ check-certificate, psi-matrix) never load it.  The double weight
 WeightEscapeError, because it can only come from a sign or bracket bug.
 """
 
-from fractions import Fraction
-
-from .chains import decode_chain, encode_chain
+from .chains import _on_codes, decode_chain, encode_chain
 from .words import (WeightEscapeError, _bracket, _word_boundary, alphabet, boundary_columns,
                     enumerate_basis)
 
@@ -56,15 +57,10 @@ def boundary_codes(A, codes):
 
 
 def boundary(chain):
-    """The boundary operator, extended linearly over words.
-
-    The chain goes to int words of its blocks' alphabets, scaled to
-    integers by the common denominator of its coefficients; the images are
-    summed as integers and each output word is decoded once.
-    """
-    scale, blocks = encode_chain(chain)
-    return decode_chain(chain.n, [(A, boundary_codes(A, codes)) for A, codes in blocks.values()],
-                        Fraction(1, scale))
+    """The boundary operator, extended linearly over words: boundary_codes
+    on the int words of each block, through chains._on_codes, so a factor
+    that is no generator raises check_generator's ValueError."""
+    return _on_codes(chain, boundary_codes)
 
 
 class BoundaryMatrix:

@@ -13,12 +13,17 @@ compare and hash as plain int tuples.  The alphabets, the factor order
 (place_factor) and basis enumeration live in the leaf module words and are
 re-exported here.  Chains and BasisIndex.words keep generator tuples.
 
-A chain is a rational combination of canonical words.  Serialized form, one
-term per line:  ``coeff | x[..] d[..] ; x[..] d[..] ; ...``
+A chain is a rational combination of canonical words; Chain shares its
+arithmetic with MultiVector.  Serialized form, one term per line:
+``coeff | x[..] d[..] ; x[..] d[..] ; ...``
 
 Its int-word form holds, per weight block (w, h), the block's Alphabet and
 an {int word: int} dict, over one common denominator: (den, {(w, h): (A,
-codes)}).  encode_chain and decode_chain carry a Chain to it and back.
+codes)}).  encode_chain and decode_chain carry a Chain to it and back;
+encode_chain validates, so a factor that is no generator raises
+check_generator's ValueError.  _on_codes (encode, apply a kernel,
+decode) is the adapter of the Chain operators boundary, phi_op and
+capital_phi.
 The text form is read and written only through this form: parse_codes is
 the one parser (parse_chain decodes what it reads) and codes_to_text the
 one formatter (chain_to_text writes through it), so the certify and
@@ -32,7 +37,7 @@ from math import gcd, lcm
 # the block counts live in the leaf module counting, and the int-word
 # kernel in the leaf module words; re-exported here
 from .counting import basis_dim, block_dims, dim_generators, max_arity, max_arity_bound
-from .multivector import DimensionMismatchError, check_generator, parse_factor
+from .multivector import _Combination, check_generator, format_coeff, parse_coeff, parse_factor
 from .words import (Alphabet, BasisIndex, _class_multisets, _compositions, alphabet,
                     enumerate_basis, factor_key, format_factor, generators_of_bidegree,
                     place_factor)
@@ -69,16 +74,16 @@ def weight_signature(word):
     return m, w, h
 
 
-class Chain:
+class Chain(_Combination):
     """Rational combination of canonical wedge words over a fixed n.
 
     An integral coefficient is stored as an int and any other as a
     Fraction, as in SparseMatrixQ, so integral chains carry no Fraction
     arithmetic; dividing two coefficients needs Fraction, since `/` on
-    ints gives a float.
+    ints gives a float.  A Chain has no hash.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -95,10 +100,6 @@ class Chain:
         self.terms = clean
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def from_word(cls, n, raw_factors, coeff=1):
         """Build c * (f1 ^^ f2 ^^ ...) from raw factors, each validated,
         canonicalizing."""
@@ -113,37 +114,6 @@ class Chain:
     def from_multivector(cls, A):
         """A 1-chain: each monomial of A becomes a single-factor word."""
         return cls(A.n, {((alpha, beta),): c for (alpha, beta), c in A.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Chain) and self.n == other.n and self.terms == other.terms
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError("mixing n=%d with n=%d" % (self.n, other.n))
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return Chain(self.n, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Chain(self.n, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        return Chain(self.n, {w: c * scalar for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def arity(self):
         """Common arity of all words; None for the zero chain."""
@@ -184,21 +154,6 @@ def chain_to_vector(c, basis):
     return v
 
 
-def format_coeff(c):
-    if type(c) is int:
-        return str(c)
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
-
-
-def parse_coeff(text):
-    """Fraction(text), with a zero denominator reported as ValueError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (text,)) from None
-
-
 def encode_chain(chain):
     """The chain as int words, weight block by weight block.
 
@@ -206,9 +161,10 @@ def encode_chain(chain):
     denominators, and blocks maps each (w, h) of the chain to its Alphabet
     and the {int word: int} dict of its words, each coefficient multiplied
     by scale: the int-word form, which parse_codes returns for chain text.
-    Every factor must be a valid generator
-    (KeyError otherwise).  The weights (|alpha| - 1, |beta| - 1) of each
-    distinct generator are computed once per call.
+    The weights (|alpha| - 1, |beta| - 1) of each distinct generator are
+    computed once per call.  A factor outside its block's alphabet raises
+    ValueError: check_generator's for one that is no generator over R^n,
+    else one naming the word, which then repeats an even factor.
     """
     n = chain.n
     scale = lcm(*[c.denominator for c in chain.terms.values()])
@@ -227,7 +183,13 @@ def encode_chain(chain):
         if block is None:
             block = blocks[(w, h)] = (alphabet(n, w, h), {})
         A, codes = block
-        codes[tuple(A.rank[gen] for gen in word)] = c.numerator * (scale // c.denominator)
+        try:
+            code = tuple([A.rank[gen] for gen in word])
+        except KeyError:
+            for alpha, beta in word:
+                check_generator(n, alpha, beta)
+            raise ValueError("a factor of %r lies outside its block" % (word,)) from None
+        codes[code] = c.numerator * (scale // c.denominator)
     return scale, blocks
 
 
@@ -244,6 +206,14 @@ def decode_chain(n, blocks, factor=1):
             q, r = divmod(v, den)
             terms[tuple(gens[x] for x in code)] = Fraction(v, den) if r else q
     return Chain(n, terms)
+
+
+def _on_codes(chain, kernel):
+    """kernel(A, codes) on each weight block of the chain's int-word form,
+    decoded back into one Chain."""
+    scale, blocks = encode_chain(chain)
+    return decode_chain(chain.n, [(A, kernel(A, codes)) for A, codes in blocks.values()],
+                        Fraction(1, scale))
 
 
 def codes_to_text(gens, den, codes):

@@ -21,8 +21,12 @@ cycle U this turns into an explicit primitive V with boundary(V) = U.
 
 The operators run on the int words of the block's Alphabet (see chains)
 with int coefficients.  psi, phi_op and capital_phi are Chain adapters
-for callers outside the package: each checks the generators of its
-input, encodes it, applies the kernel and decodes.  Inside it psi is
+for callers outside the package: phi_op and capital_phi are chains._on_codes
+over their kernels, and psi, structured_descent and annihilating_polynomial
+enter their (2, w, w) block through _block_codes.  encode_chain validates
+the factors of every adapter's input, so a factor that is no generator
+raises check_generator's ValueError and a term outside the block a
+ValueError naming its signature.  Inside the package psi is
 applied one way, by _column_operator: each 2-word's column is computed
 on first use and kept, and every image is block-checked.  The Krylov
 passes of certify_exact and annihilating_polynomial, structured_descent
@@ -44,11 +48,10 @@ integers; it shares no column with the pass.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .chains import (Chain, chain_to_text, codes_to_text, decode_chain, encode_chain,
-                     enumerate_basis, format_coeff, parse_codes, parse_coeff, place_factor,
-                     weight_signature)
+from .chains import (Chain, _on_codes, chain_to_text, codes_to_text, decode_chain,
+                     encode_chain, enumerate_basis, format_coeff, parse_codes, parse_coeff,
+                     place_factor)
 from .boundary import WeightEscapeError, boundary_codes
-from .multivector import check_generator
 from .record import Record
 
 
@@ -159,14 +162,6 @@ def project_stratum(U, stratum):
     return Chain(U.n, {word: c for word, c in U.terms.items() if stratum_of(word) == key})
 
 
-def _check_generators(U):
-    """check_generator on each distinct factor of the chain U, once.  The
-    other factors phi_op and capital_phi build, d_l and x_l times a checked
-    generator, are valid by construction."""
-    for alpha, beta in dict.fromkeys(f for word in U.terms for f in word):
-        check_generator(U.n, alpha, beta)
-
-
 def _shifts(A, r):
     """Ranks of x_1 gens[r], ..., x_n gens[r] in the alphabet A, entered
     in its shift table; None for one outside the alphabet, which no
@@ -221,15 +216,6 @@ def _capital_phi_codes(A, codes):
                 if t:
                     out[word] = out.get(word, 0) + s * t * c
     return {word: v for word, v in out.items() if v}
-
-
-def _on_codes(U, kernel):
-    """kernel(A, codes) on each weight block of U, its generators checked
-    first; the results decoded back into one Chain."""
-    _check_generators(U)
-    scale, blocks = encode_chain(U)
-    return decode_chain(U.n, [(A, kernel(A, codes)) for A, codes in blocks.values()],
-                        Fraction(1, scale))
 
 
 def phi_op(U):
@@ -295,13 +281,14 @@ def _column_operator(A, linear, w):
 
 
 def psi(U):
-    """boundary(capital_phi(U)) + phi_op(boundary(U)); block-preserving."""
+    """boundary(capital_phi(U)) + phi_op(boundary(U)) on a 2-chain U of one
+    (2, w, w) block; block-preserving."""
     if U.arity() not in (None, 2):
         raise ValueError("psi expects a 2-chain")
     if not U:
         return Chain.zero(U.n)
-    w = weight_signature(next(iter(U.terms)))[1]
-    return _on_codes(U, lambda A, codes: _check_psi_image(A, _psi_codes(A, codes), w))
+    w, A, u, den = _block_codes(U)
+    return decode_chain(U.n, [(A, _check_psi_image(A, _psi_codes(A, u), w))], Fraction(1, den))
 
 
 def leading_scalar(n, w, word):
@@ -438,9 +425,10 @@ def annihilating_polynomial(U):
 
 def _block_codes(U):
     """(w, A, u, den) for a nonzero chain U of one (2, w, w) block: U's
-    generators and block checked, u = den * U as {int word: int} in the
-    block's alphabet A, den the lcm of U's denominators."""
-    _check_generators(U)
+    factors checked by encode_chain and its block by _one_block (ValueError
+    either way), u = den * U as {int word: int} in the block's alphabet A,
+    den the lcm of U's denominators.  The one entry of the Chain adapters
+    psi, structured_descent and annihilating_polynomial into their block."""
     den, blocks = encode_chain(U)
     return _one_block(blocks, 2) + (den,)
 
@@ -462,12 +450,11 @@ def certify_exact(U):
     T^k U is a cycle, so one Krylov pass under T finds p(t) = p0 + t g(t)
     annihilating U and the powers that build V = -(1/p0) capital_phi(g(T) U).
     A Chain adapter over _certify_codes, which runs on the int-word form of
-    U (its generators checked first) and whose V is decoded once here.
+    U (its factors checked by encode_chain) and whose V is decoded once here.
     """
     n = U.n
     if not U:
         return ExactnessCertificate(n, 0, U, Chain.zero(n), (Fraction(1),), ())
-    _check_generators(U)
     w, p, A, _, (vden, v) = _certify_codes(*encode_chain(U))
     V = decode_chain(n, [(A, v)], Fraction(1, vden))
     return ExactnessCertificate(n, w, U, V, tuple(p), tuple(p[1:]))
@@ -592,7 +579,7 @@ def check_certificate(cert):
         return False
     try:
         U, V = encode_chain(U), encode_chain(V)
-    except KeyError:
+    except ValueError:
         return False
     return _check_codes(cert.w, cert.annihilator, U, V)
 

@@ -9,15 +9,21 @@ schouten_bracket extends the closed-form bracket of two monomials,
 _bracket_mono (defined in the leaf module words and re-exported here),
 bilinearly over the terms.
 
+_Combination holds the arithmetic of a rational combination once;
+MultiVector and chains.Chain subclass it and differ only in what their
+constructors accept.  check_generator is the one test of a generator:
+MultiVector runs it on each term, chains on the factors of chains.
+
 Text form of one monomial (bit-exact, used by the CLI and serialization):
     c * x[b1,...,bn] d[a1,...,am]      with c printed as p or p/q
-e.g. ``-3/2 * x[1,1] d[1,2]`` is -(3/2) x1 x2 d1^d2.
+e.g. ``-3/2 * x[1,1] d[1,2]`` is -(3/2) x1 x2 d1^d2.  format_coeff and
+parse_coeff write and read the coefficient of monomial and chain text.
 """
 
 from fractions import Fraction
 import re
 
-from .words import _bracket_mono, _merge_directions
+from .words import _bracket_mono, _merge_directions, format_factor
 
 
 class DimensionMismatchError(ValueError):
@@ -47,14 +53,59 @@ def g_degree(gen):
     return len(gen[0]) - 1
 
 
-class MultiVector:
-    """Normalized rational combination of monomial generators.
-
-    terms maps (alpha, beta) -> nonzero Fraction.  The zero multivector is
-    the empty dict.  Instances are treated as immutable.
-    """
+class _Combination:
+    """The arithmetic of a rational combination over R^n, shared by
+    MultiVector (of generators) and Chain (of words).  terms maps each key
+    to its nonzero coefficient; the zero combination is the empty dict.
+    Every result goes through the subclass's constructor, which normalizes
+    the terms, and an instance equals only one of its own class."""
 
     __slots__ = ("n", "terms")
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.n == other.n and self.terms == other.terms
+
+    def _check(self, other):
+        if self.n != other.n:
+            raise DimensionMismatchError("mixing n=%d with n=%d" % (self.n, other.n))
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return type(self)(self.n, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.n, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        return type(self)(self.n, {k: c * scalar for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+class MultiVector(_Combination):
+    """Normalized rational combination of monomial generators.
+
+    terms maps (alpha, beta) -> nonzero Fraction, each generator checked.
+    Instances are treated as immutable.
+    """
+
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -76,43 +127,8 @@ class MultiVector:
         """The constant vector field d_l."""
         return cls.monomial(n, 1, (0,) * n, (l,))
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiVector) and self.n == other.n and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError("mixing n=%d with n=%d" % (self.n, other.n))
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return MultiVector(self.n, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MultiVector(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        return MultiVector(self.n, {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def sorted_terms(self):
         """Terms in the canonical order: lexicographic on (alpha, beta)."""
@@ -125,10 +141,24 @@ class MultiVector:
             format_monomial(c, beta, alpha) for (alpha, beta), c in self.sorted_terms()))
 
 
+def format_coeff(c):
+    """The text p or p/q of a rational coefficient."""
+    if type(c) is int:
+        return str(c)
+    c = Fraction(c)
+    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+
+
+def parse_coeff(text):
+    """Fraction(text), with a zero denominator reported as ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
+
+
 def format_monomial(coeff, beta, alpha):
-    c = Fraction(coeff)
-    cs = str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
-    return "%s * x[%s] d[%s]" % (cs, ",".join(map(str, beta)), ",".join(map(str, alpha)))
+    return "%s * %s" % (format_coeff(coeff), format_factor((alpha, beta)))
 
 
 _FACTOR = r"x\[([0-9,]*)\]\s*d\[([0-9,]+)\]\s*$"
@@ -141,7 +171,7 @@ def parse_monomial(text):
     m = _MONO_RE.match(text)
     if m is None:
         raise ValueError("malformed monomial: %r" % text)
-    return (Fraction(m.group(1)),) + _exponents(m.group(2), m.group(3))
+    return (parse_coeff(m.group(1)),) + _exponents(m.group(2), m.group(3))
 
 
 def parse_factor(text):

@@ -297,27 +297,14 @@ def enumerate_basis(n, m, w, h):
 def _merge_directions(a1, a2):
     """Merge two strictly increasing direction tuples.
 
-    Returns (sign, merged) with sign the parity of the interleaving
-    permutation, or None when the tuples intersect.
+    Returns (sign, merged) with sign the parity of the permutation that
+    sorts a1 + a2, (-1) to the number of pairs x in a1, y in a2 with
+    x > y, or None when the tuples intersect.
     """
     if set(a1) & set(a2):
         return None
-    merged = []
-    i = j = 0
-    sign = 1
-    while i < len(a1) and j < len(a2):
-        if a1[i] < a2[j]:
-            merged.append(a1[i])
-            i += 1
-        else:
-            # a2[j] jumps over the remaining len(a1)-i entries of a1
-            if (len(a1) - i) % 2:
-                sign = -sign
-            merged.append(a2[j])
-            j += 1
-    merged.extend(a1[i:])
-    merged.extend(a2[j:])
-    return sign, tuple(merged)
+    inversions = sum(x > y for x in a1 for y in a2)
+    return -1 if inversions & 1 else 1, tuple(sorted(a1 + a2))
 
 
 def _direction_terms(alpha_a, alpha_b):

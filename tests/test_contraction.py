@@ -32,6 +32,7 @@ from schouten.contraction import (
     verify_psi_structure,
 )
 from schouten.linalg import kernel_basis
+from schouten.multivector import check_generator
 
 
 def random_cycle(rng, n, w, max_terms=4):
@@ -188,10 +189,12 @@ def test_phi_operators_match_reference():
                 assert capital_phi(U2) == reference_capital_phi(U2)
 
 
-@pytest.mark.parametrize("bad", [((1,), (0, 0, 0)), ((3,), (0, 0)), ((2, 1), (0, 0)),
-                                 ((1,), (-1, 0))],
-                         ids=["beta-length", "direction-range", "direction-order",
-                              "negative-exponent"])
+BAD_FACTORS = pytest.mark.parametrize(
+    "bad", [((1,), (0, 0, 0)), ((3,), (0, 0)), ((2, 1), (0, 0)), ((1,), (-1, 0))],
+    ids=["beta-length", "direction-range", "direction-order", "negative-exponent"])
+
+
+@BAD_FACTORS
 def test_phi_operators_reject_invalid_generator(bad):
     good = ((1,), (1, 0))
     for op, ref, word in [(phi_op, reference_phi_op, (bad,)),
@@ -201,6 +204,48 @@ def test_phi_operators_reject_invalid_generator(bad):
             ref(U)
         with pytest.raises(type(expect.value)):
             op(U)
+
+
+@BAD_FACTORS
+@pytest.mark.parametrize("op", [boundary, phi_op, capital_phi, psi, structured_descent,
+                                annihilating_polynomial, certify_exact],
+                         ids=lambda op: op.__name__)
+def test_chain_operators_raise_the_check_generator_error(op, bad):
+    """Every public Chain operator reaches int words through encode_chain,
+    which reports a factor that is no generator by check_generator's
+    ValueError, whatever the block the bad factor puts its word in."""
+    with pytest.raises(ValueError) as expect:
+        check_generator(2, *bad)
+    word = (bad,) if op is phi_op else (((1,), (1, 0)), bad)
+    with pytest.raises(ValueError) as got:
+        op(Chain(2, {word: Fraction(1, 2)}))
+    assert type(got.value) is type(expect.value)
+    assert str(got.value) == str(expect.value)
+
+
+def _two_block_chain():
+    """The first basis words of (2, 0, 0) and (2, 1, 1) over R^2."""
+    return Chain(2, {enumerate_basis(2, 2, 0, 0).words[0]: 1,
+                     enumerate_basis(2, 2, 1, 1).words[0]: 1})
+
+
+def _w_ne_h_chain():
+    """The first basis word of (2, 1, 2) over R^2."""
+    return Chain(2, {enumerate_basis(2, 2, 1, 2).words[0]: 1})
+
+
+@pytest.mark.parametrize("chain, stray", [
+    (_two_block_chain, r"term signature \(2, 1, 1\) outside the \(2, 0, 0\) block"),
+    (_w_ne_h_chain, r"term signature \(2, 1, 2\) outside the \(2, 1, 1\) block")],
+    ids=["two-blocks", "w-ne-h"])
+@pytest.mark.parametrize("op", [psi, structured_descent, annihilating_polynomial, certify_exact],
+                         ids=lambda op: op.__name__)
+def test_block_operators_name_the_stray_signature(op, chain, stray):
+    """psi and the descent, the annihilator and the certificate enter one
+    (2, w, w) block the same way: a chain outside it is the caller's
+    error, a ValueError naming the first stray term signature."""
+    with pytest.raises(ValueError, match=stray):
+        op(chain())
 
 
 def test_operators_preserve_block():
@@ -559,10 +604,14 @@ def test_check_certificate_refuses_chains_outside_the_alphabet():
     assert check_certificate(cert)
     word = next(iter(cert.primitive.terms))
     bad = word[:-1] + (((1, 3), word[-1][1]),)  # direction 3 over R^2
-    for primitive in [Chain(2, {**cert.primitive.terms, bad: 1}),
-                      Chain(3, cert.primitive.terms)]:
-        forged = ExactnessCertificate(cert.n, cert.w, cert.cycle, primitive,
-                                      cert.annihilator, cert.quotient)
+    short = word[:-1] + ((word[-1][0], word[-1][1][:1]),)  # beta of length 1
+    cycle = next(iter(cert.cycle.terms))
+    for U, V in [(cert.cycle, Chain(2, {**cert.primitive.terms, bad: 1})),
+                 (cert.cycle, Chain(2, {**cert.primitive.terms, short: 1})),
+                 (Chain(2, {**cert.cycle.terms, cycle[:1] + (((3,), (0, 0)),): 1}),
+                  cert.primitive),
+                 (cert.cycle, Chain(3, cert.primitive.terms))]:
+        forged = ExactnessCertificate(cert.n, cert.w, U, V, cert.annihilator, cert.quotient)
         assert not check_certificate(forged)
 
 

@@ -52,20 +52,50 @@ def test_boundary_module_has_no_memo():
     assert not found, "memoized functions: %s" % found
 
 
-def test_no_function_of_the_package_calls_the_chain_operators():
-    """psi, phi_op and capital_phi are Chain adapters for callers outside
-    the package: every algorithm inside it applies the operators on int
-    words (contraction's _psi_codes, _phi_op_codes and _capital_phi_codes)."""
-    adapters = {"psi", "phi_op", "capital_phi"}
+def _calls(names):
+    """(module file, line) of each call in the package of a function or
+    method named in names."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 name = (node.func.attr if isinstance(node.func, ast.Attribute)
                         else getattr(node.func, "id", None))
-                if name in adapters:
-                    found.append("%s:%d" % (path.name, node.lineno))
+                if name in names:
+                    found.append((path.name, node.lineno))
+    return found
+
+
+def test_no_function_of_the_package_calls_the_chain_operators():
+    """psi, phi_op and capital_phi are Chain adapters for callers outside
+    the package: every algorithm inside it applies the operators on int
+    words (contraction's _psi_codes, _phi_op_codes and _capital_phi_codes)."""
+    found = _calls({"psi", "phi_op", "capital_phi"})
     assert not found, "calls of a Chain adapter: %s" % found
+
+
+def test_generators_are_checked_only_by_multivector_and_chains():
+    """MultiVector checks its terms, and chains its text and the factors of
+    the chains it encodes (encode_chain, the one bridge of every Chain
+    operator to int words); no other module checks a generator."""
+    found = {module for module, _ in _calls({"check_generator"})}
+    assert found == {"multivector.py", "chains.py"}
+
+
+def test_one_class_holds_the_combination_arithmetic():
+    """Chain and MultiVector share the arithmetic of a rational combination:
+    exactly one class of the package defines __add__, __neg__, __mul__
+    and __eq__, and no other defines any of the first three."""
+    arithmetic = {"__add__", "__neg__", "__mul__", "__eq__"}
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                defined = arithmetic & {item.name for item in node.body
+                                        if isinstance(item, ast.FunctionDef)}
+                if defined - {"__eq__"}:
+                    found["%s:%s" % (path.name, node.name)] = defined
+    assert found == {"multivector.py:_Combination": arithmetic}
 
 
 # module -> the names it re-exports from words, where they are defined

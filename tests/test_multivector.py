@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from schouten.chains import alphabet
+from schouten.chains import Chain, alphabet
 from schouten.multivector import (
     DimensionMismatchError,
     MixedDegreeError,
@@ -152,9 +152,35 @@ def test_monomial_text_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x[1] d[1]", "1 * x[1,0] d[]", "1 * d[1] x[1,0]"):
+    for bad in ("", "x[1] d[1]", "1 * x[1,0] d[]", "1 * d[1] x[1,0]", "1/0 * x[0,0] d[1]"):
         with pytest.raises(ValueError):
             parse_monomial(bad)
+
+
+def test_multivector_repr_pinned():
+    """The repr writes the terms in canonical order through the monomial
+    text form; pinned byte for byte."""
+    A = MultiVector(2, {((1, 2), (1, 0)): Fraction(-3, 2), ((1,), (0, 0)): 2,
+                        ((2,), (0, 3)): Fraction(4, 2)})
+    assert repr(A) == ("MultiVector(2, 2 * x[0,0] d[1] + -3/2 * x[1,0] d[1,2] "
+                       "+ 2 * x[0,3] d[2])")
+    assert repr(MultiVector.zero(3)) == "MultiVector(3, 0)"
+    B = schouten_bracket(mono(2, Fraction(1, 3), (2, 1), (1,)), mono(2, -5, (1, 1), (1, 2)))
+    assert repr(B) == "MultiVector(2, 5/3 * x[2,2] d[1,2])"
+
+
+def test_chain_and_multivector_share_arithmetic_not_equality():
+    """Chain and MultiVector share one arithmetic, but a Chain never equals
+    a MultiVector, even one with the very same terms, and has no hash."""
+    A = mono(2, 3, (1, 0), (1, 2)) - mono(2, 1, (0, 0), (1,))
+    C = Chain(2, A.terms)
+    assert C.terms == A.terms
+    assert C != A and A != C
+    assert 2 * A - A == A and 2 * C - C == C
+    assert type(-C) is Chain and type(A * 2) is MultiVector
+    assert hash(A) == hash(mono(2, 3, (1, 0), (1, 2)) + mono(2, -1, (0, 0), (1,)))
+    with pytest.raises(TypeError):
+        hash(C)
 
 
 def test_parse_factor_reads_the_monomial_form_without_coefficient():
@@ -171,6 +197,38 @@ def test_parse_factor_reads_the_monomial_form_without_coefficient():
 
 
 # --- wedge product of unit monomials ----------------------------------------
+
+
+def _permutation_sign(seq):
+    """The sign of the permutation that sorts the distinct items of seq,
+    by its cycle decomposition: (-1) to the sum of (length - 1)."""
+    target = {x: i for i, x in enumerate(sorted(seq))}
+    perm = [target[x] for x in seq]
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_merge_directions_against_permutation_sign():
+    """Every pair of direction sets for n <= 4: None when they meet,
+    else the sorted union signed by the permutation that sorts a1 + a2."""
+    for n in range(1, 5):
+        sets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+        for a1 in sets:
+            for a2 in sets:
+                if set(a1) & set(a2):
+                    assert _merge_directions(a1, a2) is None
+                else:
+                    assert _merge_directions(a1, a2) == (_permutation_sign(a1 + a2),
+                                                         tuple(sorted(a1 + a2)))
 
 
 def test_wedge_repeated_direction_vanishes():
