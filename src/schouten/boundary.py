@@ -21,9 +21,11 @@ int-word kernel (_word_boundary, boundary_columns, WeightEscapeError) lives
 in the leaf module words, which `betti` runs on without loading this
 module, and is re-exported here.  encode_chain and decode_chain, which
 carry a Chain to the int-word form (int words with int coefficients over
-one denominator) and back, live in chains beside the parser and the
-formatter of that form and are re-exported here; boundary_codes is d on
-the form, and the contraction operators run on it too.  boundary, d on a
+one denominator) and back, live in chains and are re-exported here.
+boundary_codes, d on that form, is defined in the leaf module certificate
+beside the parser and the formatter of the form, so the certificate
+commands take boundaries without loading this module; it is re-exported
+here, and the contraction operators run on it too.  boundary, d on a
 Chain, is chains._on_codes over boundary_codes, the adapter that phi_op
 and capital_phi use, so a factor that is no generator raises the
 ValueError of check_generator here as there.
@@ -34,26 +36,18 @@ boundary_squared_failures, the one d . d check behind `verify dsq` and
 the tests, multiplies it by the columns of the arity below;
 boundary_matrix packs it into a SparseMatrixQ for reference ranks; no
 formatter of matrices lives here.  Only these two import linalg, when
-they run, so the commands that take the boundary of a chain (certify,
-check-certificate, psi-matrix) never load it.  The double weight
-(m, w, h) -> (m-1, w, h) is preserved; a term outside the block raises
-WeightEscapeError, because it can only come from a sign or bracket bug.
+they run, so taking the boundary of a chain never loads linalg.  The
+double weight (m, w, h) -> (m-1, w, h) is preserved; a term outside the
+block raises WeightEscapeError, because it can only come from a sign or
+bracket bug.
 """
 
+# boundary_codes, d on the int-word form, lives in the leaf module
+# certificate; re-exported here
+from .certificate import boundary_codes
 from .chains import _on_codes, decode_chain, encode_chain
 from .words import (WeightEscapeError, _bracket, _word_boundary, alphabet, boundary_columns,
                     enumerate_basis)
-
-
-def boundary_codes(A, codes):
-    """d of {int word: int} in the alphabet A, as {int word: int} without
-    zero coefficients."""
-    acc = {}
-    for word, k in codes.items():
-        for out, c in _word_boundary(A, word).items():
-            if c:
-                acc[out] = acc.get(out, 0) + c * k
-    return {out: v for out, v in acc.items() if v}
 
 
 def boundary(chain):

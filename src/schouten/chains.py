@@ -26,18 +26,22 @@ decode) is the adapter of the Chain operators boundary, phi_op and
 capital_phi.
 The text form is read and written only through this form: parse_codes is
 the one parser (parse_chain decodes what it reads) and codes_to_text the
-one formatter (chain_to_text writes through it), so the certify and
+one formatter (chain_to_text writes through it).  Both are defined in the
+leaf module certificate and re-exported here, so the certify and
 check-certificate commands go from text to int words and back to text
-without building a Chain.
+without loading this module or building a Chain.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 # the block counts live in the leaf module counting, and the int-word
 # kernel in the leaf module words; re-exported here
 from .counting import basis_dim, block_dims, dim_generators, max_arity, max_arity_bound
-from .multivector import _Combination, check_generator, format_coeff, parse_coeff, parse_factor
+# the parser and the formatter of the int-word form live in the leaf module
+# certificate; re-exported here
+from .certificate import check_generator, codes_to_text, format_coeff, parse_codes
+from .multivector import _Combination
 from .words import (Alphabet, BasisIndex, _class_multisets, _compositions, alphabet,
                     enumerate_basis, factor_key, format_factor, generators_of_bidegree,
                     place_factor)
@@ -216,22 +220,6 @@ def _on_codes(chain, kernel):
                         Fraction(1, scale))
 
 
-def codes_to_text(gens, den, codes):
-    """The text of (1/den) * codes, one term per line: codes is an
-    {int word: int} dict over the ranks into gens, which follow factor
-    order, so the words are sorted as int tuples.  Each rank in use is
-    formatted once, and each coefficient is reduced by one gcd.  The one
-    formatter of chain text: chain_to_text and the certify command write
-    through it."""
-    names = {r: format_factor(gens[r]) for r in {r for word in codes for r in word}}
-    lines = []
-    for word, v in sorted(codes.items()):
-        g = gcd(v, den)
-        coeff = str(v // g) if g == den else "%d/%d" % (v // g, den // g)
-        lines.append("%s | %s" % (coeff, " ; ".join([names[r] for r in word])))
-    return "\n".join(lines)
-
-
 def chain_to_text(c):
     """Canonical text serialization, one term per line, the words in
     factor order.
@@ -246,79 +234,6 @@ def chain_to_text(c):
     return codes_to_text(order, den, {tuple([rank[gen] for gen in word]):
                                       x.numerator * (den // x.denominator)
                                       for word, x in c.terms.items()})
-
-
-def parse_codes(n, text):
-    """The int-word form (den, blocks) of a chain in text form, as
-    encode_chain returns it for the chain: den is the least common
-    denominator and blocks maps each (w, h) to its Alphabet and the
-    {int word: int} dict of den times its terms, with no zero coefficient
-    and no empty block.  Accepts any factor order, blank lines and `#`
-    comments; repeated words add up.
-
-    Each distinct coefficient text and each distinct factor text is parsed
-    (and the factor validated) once per call.  A line's factors give its
-    block, and its word is canonicalized by place_factor on the ranks of
-    that block's alphabet, each factor text ranked once per block.
-    """
-    coeffs = {}
-    factors = {}  # factor text -> (generator, i, j)
-    blocks = {}  # (w, h) -> (alphabet, {int word: coefficient}, {factor text: rank})
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, tail = line.partition("|")
-        head = head.strip()
-        coeff = coeffs.get(head)
-        if coeff is None:
-            coeff = parse_coeff(head)
-            coeff = coeffs[head] = coeff.numerator if coeff.denominator == 1 else coeff
-        parts = [part.strip() for part in tail.split(";")]
-        w = h = 0
-        for part in parts:
-            f = factors.get(part)
-            if f is None:
-                beta, alpha = parse_factor(part)
-                check_generator(n, alpha, beta)
-                f = factors[part] = ((alpha, beta), len(alpha) - 1, sum(beta) - 1)
-            w += f[1]
-            h += f[2]
-        block = blocks.get((w, h))
-        if block is None:
-            block = blocks[(w, h)] = (alphabet(n, w, h), {}, {})
-        A, codes, ranks = block
-        try:
-            rs = tuple([ranks[part] for part in parts])
-        except KeyError:
-            for part in parts:
-                if part not in ranks:
-                    ranks[part] = A.rank.get(factors[part][0])
-            rs = tuple([ranks[part] for part in parts])
-        if None in rs:
-            # every factor of a nonzero word lies in its block's alphabet
-            # (see Alphabet), so this word repeats an even factor and is 0
-            even = [factors[part][0] for part in parts if not factors[part][1] & 1]
-            if len(set(even)) == len(even):
-                raise ValueError("a factor of %r lies outside its block" % line)
-            continue
-        sign, word = 1, rs[:1]
-        for r in rs[1:]:
-            s, word = place_factor(word, len(word), r, A.parity)
-            if not s:
-                break
-            sign *= s
-        else:
-            c = coeff if sign > 0 else -coeff
-            prev = codes.get(word)
-            codes[word] = c if prev is None else prev + c
-    den = lcm(*[c.denominator for _, codes, _ in blocks.values() for c in codes.values()])
-    form = {}
-    for key, (A, codes, _) in blocks.items():
-        ints = {word: c.numerator * (den // c.denominator) for word, c in codes.items() if c}
-        if ints:
-            form[key] = (A, ints)
-    return den, form
 
 
 def parse_chain(n, text):

@@ -15,16 +15,20 @@ the package besides cli (tests/test_hygiene.py pins the sets):
     dims, euler            counting
     basis                  counting words
     betti                  counting words linalg record homology torus
-    certify,               counting words multivector chains boundary
-      check-certificate,     record contraction
-      psi-matrix
-    verify jacobi          counting verify words multivector
+    certify,               counting words certificate
+      check-certificate
+    psi-matrix             counting words certificate multivector chains
+                             record contraction
+    verify jacobi          counting verify words certificate multivector
     verify weights         counting verify words
-    verify dsq             counting verify words multivector chains
-                             boundary linalg
-    verify homotopy        counting verify words multivector chains
-                             boundary torus
-    verify psi             as certify, and verify
+    verify dsq             counting verify words certificate multivector
+                             chains boundary linalg
+    verify homotopy        counting verify words certificate multivector
+                             chains boundary torus
+    verify psi             counting verify words certificate multivector
+                             chains record contraction
+    verify all             counting verify words certificate multivector
+                             chains boundary linalg record contraction torus
 
 verify all loads the union of its suites.
 
@@ -170,8 +174,7 @@ def _read_input(args):
 
 
 def cmd_certify(args):
-    from .chains import parse_codes
-    from .contraction import CertificateError, _certify_form
+    from .certificate import CertificateError, _certify_form, parse_codes
     try:
         U = parse_codes(args.n, _read_input(args))
     except (OSError, ValueError, KeyError) as e:
@@ -187,7 +190,7 @@ def cmd_certify(args):
 
 
 def cmd_check_certificate(args):
-    from .contraction import _check_codes, _read_certificate
+    from .certificate import _check_codes, _read_certificate
     try:
         n, w, U, V, p = _read_certificate(json.loads(_read_input(args)))
     except (OSError, ValueError, KeyError, TypeError) as e:

@@ -39,28 +39,29 @@ input text to output text.  certify_exact and check_certificate are Chain
 adapters over the cores _certify_codes and _check_codes, which the
 `certify` and `check-certificate` commands call on the int words that
 parse_codes reads and codes_to_text writes, so V is never decoded into
-Fractions and re-encoded.  The block and arity checks read the block keys
-and the word lengths.  The final check of a certificate, boundary(V) == U,
-is a fresh boundary_codes over V's int words, compared with U as exact
-integers; it shares no column with the pass.
+Fractions and re-encoded.  Those cores, the operators they run on
+(_capital_phi_codes, _t_codes, _column_operator with its block check) and
+the Krylov pass are defined in the leaf module certificate, so the two
+commands load neither this module nor chains, multivector, boundary or
+record; they are imported back here, where the Chain adapters, psi, the
+descent and the stratification run on them.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
-from .chains import (Chain, _on_codes, chain_to_text, codes_to_text, decode_chain,
-                     encode_chain, enumerate_basis, format_coeff, parse_codes, parse_coeff,
-                     place_factor)
-from .boundary import WeightEscapeError, boundary_codes
+# the int-word certificate path, and the operators and the Krylov pass it
+# runs on, live in the leaf module certificate; imported back here
+from .certificate import (CertificateError, _bounds, _capital_phi_codes, _certificate_dict,
+                          _certify_codes, _certify_form, _check_codes, _check_psi_image,
+                          _column_operator, _combine, _content, _krylov_minimal_polynomial,
+                          _one_block, _read_certificate, _shifts, _t_codes, boundary_codes)
+from .chains import (Chain, _on_codes, chain_to_text, decode_chain, encode_chain,
+                     enumerate_basis, place_factor)
 from .record import Record
 
 
 class DescentError(RuntimeError):
     """Stratum descent failed to terminate within its theoretical bound."""
-
-
-class CertificateError(RuntimeError):
-    pass
 
 
 TR = "TR"
@@ -135,21 +136,6 @@ class Stratification:
         return [s for s in self.all_strata() if not s.is_tl]
 
 
-def _one_block(blocks, m):
-    """(w, A, codes) of the one (m, w, w) block of the int-word form
-    `blocks` (see encode_chain), w read off its first block; ValueError
-    naming the first term, block by block, outside it.  Reads the block
-    keys and the word lengths only."""
-    w = next(iter(blocks))[0]
-    for key, (_, codes) in blocks.items():
-        other = key != (w, w)
-        for word in codes:
-            if other or len(word) != m:
-                raise ValueError("term signature %r outside the (%d, %d, %d) block"
-                                 % ((len(word),) + key, m, w, w))
-    return (w,) + blocks[(w, w)]
-
-
 def _word_stratum(A, word):
     """stratum_of for an int word (r1, r2) of the alphabet A."""
     i1, j1 = A.bidegree[word[0]]
@@ -160,18 +146,6 @@ def project_stratum(U, stratum):
     """The sub-chain of words whose representative lies in the stratum."""
     key = (stratum.a1, stratum.b1)
     return Chain(U.n, {word: c for word, c in U.terms.items() if stratum_of(word) == key})
-
-
-def _shifts(A, r):
-    """Ranks of x_1 gens[r], ..., x_n gens[r] in the alphabet A, entered
-    in its shift table; None for one outside the alphabet, which no
-    nonzero word of A's block can hold."""
-    out = A.shifts.get(r)
-    if out is None:
-        alpha, beta = A.gens[r]
-        out = A.shifts[r] = tuple(A.rank.get((alpha, beta[:l] + (beta[l] + 1,) + beta[l + 1:]))
-                                  for l in range(A.n))
-    return out
 
 
 def _phi_op_codes(A, codes):
@@ -189,35 +163,6 @@ def _phi_op_codes(A, codes):
     return {word: v for word, v in out.items() if v}
 
 
-def _capital_phi_codes(A, codes):
-    """capital_phi on {int word: int} of arity 2 in the alphabet A.
-
-    The TR word f1 ^^ f2 goes to d_l ^^ f1 ^^ (x_l f2) and the TL word to
-    d_l ^^ (x_l f1) ^^ f2: x_l times a factor is placed next to the other
-    factor, then d_l in front, by two place_factor insertions.
-    """
-    parity = A.parity
-    bideg = A.bidegree
-    d = A.classes[(0, -1)]
-    out = {}
-    for (r1, r2), c in codes.items():
-        (i1, j1), (i2, j2) = bideg[r1], bideg[r2]
-        # classify_type: |A| + |B| = i + j + 2 per factor
-        if i1 + j1 < i2 + j2 or (i1 + j1 == i2 + j2 and i1 <= i2):
-            kept, slot, moved = r1, 1, r2
-        else:
-            kept, slot, moved = r2, 0, r1
-        for dl, xr in zip(d, _shifts(A, moved)):
-            if xr is None:
-                continue
-            s, pair = place_factor((kept,), slot, xr, parity)
-            if s:
-                t, word = place_factor(pair, 0, dl, parity)
-                if t:
-                    out[word] = out.get(word, 0) + s * t * c
-    return {word: v for word, v in out.items() if v}
-
-
 def phi_op(U):
     """sum_l d_l ^^ (x_l U) for a 1-chain U."""
     if U.arity() not in (None, 1):
@@ -232,52 +177,11 @@ def capital_phi(U):
     return _on_codes(U, _capital_phi_codes)
 
 
-def _check_psi_image(A, codes, w):
-    """The (2, w, w) block check on an image of psi, {int word: int} in
-    the alphabet A; _column_operator runs it on every image it makes."""
-    bideg = A.bidegree
-    for word in codes:
-        ij = [bideg[r] for r in word]
-        if len(ij) != 2 or ij[0][0] + ij[1][0] != w or ij[0][1] + ij[1][1] != w:
-            raise WeightEscapeError("psi left the (2, %d, %d) block" % (w, w))
-    return codes
-
-
-def _t_codes(A, codes):
-    """T = boundary . capital_phi on {int word: int} of arity 2 in the
-    alphabet A; T equals psi on cycles."""
-    return boundary_codes(A, _capital_phi_codes(A, codes))
-
-
 def _psi_codes(A, codes):
     """psi = boundary . capital_phi + phi_op . boundary on {int word: int}
     of arity 2 in the alphabet A; its callers block-check the image."""
     return _combine([(1, _t_codes(A, codes)),
                      (1, _phi_op_codes(A, boundary_codes(A, codes)))])
-
-
-def _column_operator(A, linear, w):
-    """The operator X -> linear(A, X) of a Krylov pass or a stratum walk,
-    each image block-checked, linear's column of a word made on first use.
-
-    linear is a map on {int word: int} dicts that is linear over the
-    integers, so linear(A, X) is the sum of X[word] * linear(A, {word: 1}).
-    The columns are kept for the life of the operator: the words of
-    successive powers recur, and each is then applied once.
-    """
-    columns = {}
-
-    def apply(X):
-        out = {}
-        for word, c in X.items():
-            column = columns.get(word)
-            if column is None:
-                column = columns[word] = linear(A, {word: 1})
-            for image, k in column.items():
-                out[image] = out.get(image, 0) + c * k
-        return _check_psi_image(A, {image: v for image, v in out.items() if v}, w)
-
-    return apply
 
 
 def psi(U):
@@ -345,72 +249,6 @@ def structured_descent(U):
     return cs
 
 
-def _krylov_minimal_polynomial(u, operator):
-    """Minimal monic annihilator p of u under the operator, fraction-free.
-
-    u is a nonzero {int word: int} dict and the operator maps such dicts
-    to such dicts.  Each Krylov vector is stored as an integer power P_k
-    with its content divided out, so T^k u = scales[k] * P_k; each is
-    reduced against the earlier ones by integer row operations, its
-    combination of the powers carried along.  Returns p (Fractions,
-    constant first), the powers P_0, ..., P_{d-1} and their scales,
-    d = deg p.  A zero constant term aborts.
-    """
-    pivots = []  # (pivot word, reduced vector, its combination of the powers)
-    powers = []
-    scales = []
-    vec = u
-    scale = 1
-    while True:
-        content = _content(vec.values())
-        if content != 1:
-            vec = {word: v // content for word, v in vec.items()}
-        scale *= content
-        red = vec
-        # vec = P_k with k = len(powers); earlier combinations are shorter
-        rep = [0] * len(powers) + [1]
-        for pword, pvec, pcombo in pivots:
-            x = red.get(pword)
-            if x:
-                a = pvec[pword]
-                g = gcd(a, x)
-                a //= g
-                x //= g
-                red = _combine([(a, red), (-x, pvec)])  # clears pword
-                rep = [a * r for r in rep]
-                for i, y in enumerate(pcombo):
-                    rep[i] -= x * y
-        if not red:
-            # sum_k rep[k] P_k = 0, and rep[-1] != 0 since a != 0 at every step
-            p = [Fraction(r * scale, rep[-1] * s) for r, s in zip(rep, scales + [scale])]
-            if p[0] == 0:
-                raise CertificateError("annihilator has zero constant term")
-            return p, powers, scales
-        g = _content(rep + list(red.values()))
-        if g != 1:
-            red = {word: v // g for word, v in red.items()}
-            rep = [r // g for r in rep]
-        pivots.append((next(iter(red)), red, rep))
-        powers.append(vec)
-        scales.append(scale)
-        vec = operator(vec)
-
-
-def _content(values):
-    """gcd of the ints, positive; 1 for none."""
-    return gcd(*values) or 1
-
-
-def _combine(pairs):
-    """sum of k * vec over the (int k, {int word: int} vec) pairs, without
-    zero coefficients."""
-    out = {}
-    for k, vec in pairs:
-        for word, v in vec.items():
-            out[word] = out.get(word, 0) + k * v
-    return {word: v for word, v in out.items() if v}
-
-
 def annihilating_polynomial(U):
     """Minimal monic p with p(psi) U = 0 and p(0) != 0, ascending coeffs.
 
@@ -460,100 +298,11 @@ def certify_exact(U):
     return ExactnessCertificate(n, w, U, V, tuple(p), tuple(p[1:]))
 
 
-def _certify_codes(den, blocks):
-    """certify_exact on the int-word form (den, blocks) of a nonzero U.
-
-    U must be one (2, w, w) block (ValueError otherwise) and a cycle
-    (CertificateError, with the text of its boundary, otherwise).  The
-    pass runs on the int words of the block's alphabet A with U scaled to
-    integers by den; T's column of each word is computed when the word
-    first appears in a power and kept for the pass, and every power is
-    block-checked.  V is built from the integer powers the pass stores, as
-    int words over one denominator, and boundary V = U is then verified
-    exactly by _bounds, a fresh boundary that shares no column with the
-    pass, before the certificate is emitted.  Returns (w, p, A, u, (vden,
-    v)): p the annihilator (Fractions, constant first), u = den * U and
-    v = vden * V as {int word: int} in A.
-    """
-    w, A, u = _one_block(blocks, 2)
-    du = boundary_codes(A, u)
-    if du:
-        raise CertificateError("input is not a cycle; its boundary is:\n%s"
-                               % codes_to_text(A.gens, den, du))
-    p, powers, scales = _krylov_minimal_polynomial(u, _column_operator(A, _t_codes, w))
-    g = p[1:]
-    # g(T) U = (1/den) sum_k g[k] scales[k] P_k; its denominators cleared by m
-    weights = [c * s for c, s in zip(g, scales)]
-    m = lcm(*[c.denominator for c in weights])
-    acc = _combine((c.numerator * (m // c.denominator), power)
-                   for c, power in zip(weights, powers))
-    # V = -(1/(p0 den m)) capital_phi(acc)
-    f = Fraction(-1) / (p[0] * den * m)
-    v = {word: x * f.numerator for word, x in _capital_phi_codes(A, acc).items()}
-    if not _bounds(A, f.denominator, v, den, u):
-        raise CertificateError("primitive verification failed")
-    return w, p, A, u, (f.denominator, v)
-
-
-def _bounds(A, vden, v, uden, u):
-    """Whether boundary(v / vden) == u / uden exactly, for {int word: int}
-    dicts in the alphabet A: a fresh boundary_codes over v, compared with
-    u as integers."""
-    return ({word: x * uden for word, x in boundary_codes(A, v).items()}
-            == {word: x * vden for word, x in u.items()})
-
-
-def _certify_form(n, form):
-    """certificate_to_dict(certify_exact(U)) for the U of the int-word form
-    (den, blocks) of parse_codes, with no Chain built: both chains are
-    written from their int words."""
-    den, blocks = form
-    if not blocks:
-        return _certificate_dict(n, 0, "", "", (Fraction(1),))
-    w, p, A, u, (vden, v) = _certify_codes(den, blocks)
-    return _certificate_dict(n, w, codes_to_text(A.gens, den, u),
-                             codes_to_text(A.gens, vden, v), p)
-
-
-def _certificate_dict(n, w, cycle, primitive, p):
-    return {
-        "block": [n, w],
-        "U": cycle.splitlines(),
-        "V": primitive.splitlines(),
-        "p": [format_coeff(c) for c in p],
-    }
-
-
 def certificate_to_dict(cert):
     """JSON-ready certificate: block, both chains, p coefficients
     (constant first)."""
     return _certificate_dict(cert.n, cert.w, chain_to_text(cert.cycle),
                              chain_to_text(cert.primitive), cert.annihilator)
-
-
-def _read_certificate(data):
-    """(n, w, U, V, p) of a certificate dict, U and V in the int-word form
-    of parse_codes; ValueError on a value that is not a JSON object, a
-    missing field or a malformed one."""
-    if not isinstance(data, dict):
-        raise ValueError("the certificate must be a JSON object")
-    for field in ("block", "U", "V", "p"):
-        if field not in data:
-            raise ValueError("missing field %r" % field)
-    block = data["block"]
-    if (not isinstance(block, list) or len(block) != 2
-            or any(type(x) is not int for x in block)
-            or block[0] < 1 or block[1] < 0):
-        raise ValueError("block must be [n, w] with integers n >= 1, w >= 0; got %r"
-                         % (block,))
-    for field in ("U", "V", "p"):
-        if not isinstance(data[field], list) or any(type(x) is not str for x in data[field]):
-            raise ValueError("%s must be a list of strings" % field)
-    n, w = block
-    U = parse_codes(n, "\n".join(data["U"]))
-    V = parse_codes(n, "\n".join(data["V"]))
-    p = tuple(parse_coeff(c) for c in data["p"])
-    return n, w, U, V, p
 
 
 def certificate_from_dict(data):
@@ -582,24 +331,6 @@ def check_certificate(cert):
     except ValueError:
         return False
     return _check_codes(cert.w, cert.annihilator, U, V)
-
-
-def _check_codes(w, p, U, V):
-    """check_certificate on the int-word forms (den, blocks) of the cycle
-    U and the primitive V: the block and arity checks read the block keys
-    and the word lengths, and boundary V = U is checked by _bounds."""
-    if not p or p[0] == 0 or p[-1] != 1:
-        return False
-    (uden, ublocks), (vden, vblocks) = U, V
-    for blocks, m in ((ublocks, 2), (vblocks, 3)):
-        if any(key != (w, w) or any(len(word) != m for word in codes)
-               for key, (_, codes) in blocks.items()):
-            return False
-    u = ublocks.get((w, w), (None, {}))[1]
-    if not vblocks:
-        return not u
-    A, v = vblocks[(w, w)]
-    return _bounds(A, vden, v, uden, u)
 
 
 def _psi_columns(n, w):

@@ -12,40 +12,33 @@ bilinearly over the terms.
 _Combination holds the arithmetic of a rational combination once;
 MultiVector and chains.Chain subclass it and differ only in what their
 constructors accept.  check_generator is the one test of a generator:
-MultiVector runs it on each term, chains on the factors of chains.
+MultiVector runs it on each term, chains on the factors of the chains it
+encodes, and certificate.parse_codes on the factors of chain text.
 
 Text form of one monomial (bit-exact, used by the CLI and serialization):
     c * x[b1,...,bn] d[a1,...,am]      with c printed as p or p/q
 e.g. ``-3/2 * x[1,1] d[1,2]`` is -(3/2) x1 x2 d1^d2.  format_coeff and
-parse_coeff write and read the coefficient of monomial and chain text.
+parse_coeff write and read the coefficient of monomial and chain text, and
+parse_factor reads the text of a generator.  These three, check_generator
+and DimensionMismatchError are defined in the leaf module certificate,
+which the certificate commands run on without loading this module, and
+are re-exported here; parse_monomial's pattern extends certificate's
+factor pattern.
 """
 
 from fractions import Fraction
 import re
 
+# the generator check and the text of coefficients and factors live in
+# the leaf module certificate; re-exported here
+from .certificate import (DimensionMismatchError, _FACTOR, _FACTOR_RE, _exponents,
+                          check_generator, format_coeff, parse_coeff, parse_factor)
 from .words import _bracket_mono, _merge_directions, format_factor
-
-
-class DimensionMismatchError(ValueError):
-    pass
 
 
 class MixedDegreeError(ValueError):
     """Raised when an operation needs a bihomogeneous multivector."""
     pass
-
-
-def check_generator(n, alpha, beta):
-    if len(beta) != n:
-        raise DimensionMismatchError("beta has length %d, ambient dimension is %d" % (len(beta), n))
-    if any(b < 0 for b in beta):
-        raise ValueError("negative exponent in %r" % (beta,))
-    if not alpha:
-        raise ValueError("empty direction set")
-    if any(not 1 <= a <= n for a in alpha):
-        raise ValueError("direction out of range 1..%d in %r" % (n, alpha))
-    if any(alpha[i] >= alpha[i + 1] for i in range(len(alpha) - 1)):
-        raise ValueError("directions not strictly increasing: %r" % (alpha,))
 
 
 def g_degree(gen):
@@ -141,29 +134,11 @@ class MultiVector(_Combination):
             format_monomial(c, beta, alpha) for (alpha, beta), c in self.sorted_terms()))
 
 
-def format_coeff(c):
-    """The text p or p/q of a rational coefficient."""
-    if type(c) is int:
-        return str(c)
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
-
-
-def parse_coeff(text):
-    """Fraction(text), with a zero denominator reported as ValueError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (text,)) from None
-
-
 def format_monomial(coeff, beta, alpha):
     return "%s * %s" % (format_coeff(coeff), format_factor((alpha, beta)))
 
 
-_FACTOR = r"x\[([0-9,]*)\]\s*d\[([0-9,]+)\]\s*$"
 _MONO_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*" + _FACTOR)
-_FACTOR_RE = re.compile(r"^\s*" + _FACTOR)
 
 
 def parse_monomial(text):
@@ -172,19 +147,6 @@ def parse_monomial(text):
     if m is None:
         raise ValueError("malformed monomial: %r" % text)
     return (parse_coeff(m.group(1)),) + _exponents(m.group(2), m.group(3))
-
-
-def parse_factor(text):
-    """Parse the text x[beta] d[alpha] of a generator, the monomial form
-    without its coefficient; returns (beta, alpha)."""
-    m = _FACTOR_RE.match(text)
-    if m is None:
-        raise ValueError("malformed factor: %r" % text)
-    return _exponents(m.group(1), m.group(2))
-
-
-def _exponents(beta, alpha):
-    return (tuple(map(int, beta.split(","))) if beta else (), tuple(map(int, alpha.split(","))))
 
 
 def schouten_bracket(A, B):

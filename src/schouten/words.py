@@ -39,6 +39,7 @@ modules (or fractions).  Those modules import these names back.
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from operator import sub
 
 from .counting import HomologyInvariantError, dim_generators
 
@@ -88,26 +89,25 @@ def place_factor(rest, i, r, parity):
 def generators_of_bidegree(n, i, j):
     """All generators of g-bidegree (i, j), sorted canonically.
 
-    |alpha| = i+1 directions out of n, |beta| = j+1.
+    |alpha| = i+1 directions out of n, |beta| = j+1.  Inside one bidegree
+    the factor order is lexicographic on (alpha, beta), the order in which
+    combinations lists alpha and _compositions lists beta, so nothing is
+    sorted.
     """
     if not (0 <= i <= n - 1) or j < -1:
         return ()
-    gens = []
-    for alpha in combinations(range(1, n + 1), i + 1):
-        for beta in _compositions(j + 1, n):
-            gens.append((alpha, beta))
-    gens.sort(key=factor_key)
-    return tuple(gens)
+    betas = tuple(_compositions(j + 1, n))
+    return tuple((alpha, beta) for alpha in combinations(range(1, n + 1), i + 1)
+                 for beta in betas)
 
 
 def _compositions(total, parts):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` non-negative integers summing to `total`, in
+    lexicographic order: stars and bars, the parts - 1 cut points chosen
+    as a non-decreasing tuple in 0..total, whose lexicographic order is
+    that of the partial sums."""
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def _class_multisets(n, m, w, h, min_class):

@@ -248,6 +248,42 @@ def test_generators_out_of_range_empty():
     assert generators_of_bidegree(2, 0, -2) == ()
 
 
+def reference_compositions(total, parts):
+    """The recursive composition generator, kept as the oracle."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_generators(n, i, j):
+    """generators_of_bidegree as it was: the recursive compositions for
+    each alpha, the list then sorted by factor_key."""
+    if not (0 <= i <= n - 1) or j < -1:
+        return ()
+    gens = [(alpha, beta) for alpha in itertools.combinations(range(1, n + 1), i + 1)
+            for beta in reference_compositions(j + 1, n)]
+    gens.sort(key=factor_key)
+    return tuple(gens)
+
+
+def test_generators_match_the_recursive_sorted_reference():
+    """Every class (i, j) of the alphabets (n, w, h), n <= 4 and w, h <= 3,
+    lists the generators and the compositions of the reference, in its
+    order, with no sort."""
+    classes = set()
+    for n in range(1, 5):
+        for w in range(4):
+            for h in range(-1, 4):
+                classes.update((n,) + ij for ij in words.Alphabet(n, w, h).classes)
+    for n, i, j in sorted(classes):
+        assert list(words._compositions(j + 1, n)) == list(reference_compositions(j + 1, n))
+        assert generators_of_bidegree(n, i, j) == reference_generators(n, i, j)
+    assert (4, 3, 10) in classes
+
+
 # --- basis enumeration -------------------------------------------------------
 
 

@@ -827,16 +827,18 @@ def test_bracket_escape_exit_1(capsys, monkeypatch, argv, block):
     assert "left the alphabet of block " + block in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["certify", "--n", "2", "--input", str(DATA / "cycle_2_1.txt")],
-    ["psi-matrix", "--n", "2", "--w", "1"],
+@pytest.mark.parametrize("module, argv", [
+    ("certificate", ["certify", "--n", "2", "--input", str(DATA / "cycle_2_1.txt")]),
+    ("contraction", ["psi-matrix", "--n", "2", "--w", "1"]),
 ], ids=["certify", "psi-matrix"])
-def test_psi_block_escape_exit_1(capsys, monkeypatch, argv):
+def test_psi_block_escape_exit_1(capsys, monkeypatch, module, argv):
     """An image of psi outside the (2, w, w) block, here an added arity-3
-    word, is an invariant violation: one line, no traceback."""
-    contraction = importlib.import_module("schouten.contraction")
-    real = contraction._t_codes
-    monkeypatch.setattr(contraction, "_t_codes", lambda A, codes: {**real(A, codes), (0, 1, 2): 1})
+    word, is an invariant violation: one line, no traceback.  T is
+    patched in the module whose pass looks it up: certificate for
+    certify's Krylov pass, contraction for psi's columns."""
+    module = importlib.import_module("schouten." + module)
+    real = module._t_codes
+    monkeypatch.setattr(module, "_t_codes", lambda A, codes: {**real(A, codes), (0, 1, 2): 1})
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1

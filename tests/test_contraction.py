@@ -430,12 +430,10 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
     T^{d-1} U, then one more capital_phi builds V.  boundary_codes runs on
     U (the cycle check), once in each column of T, and once after the
     pass: a fresh boundary over exactly the int words of V, with one
-    _word_boundary per word of V."""
-    import importlib
-    import schouten.contraction as contraction
+    _word_boundary per word of V.  The pass runs in the certificate
+    module, so its names are patched there."""
+    import schouten.certificate as certificate
     from schouten.boundary import encode_chain
-    # schouten.boundary names the exported function, not the module
-    boundary_module = importlib.import_module("schouten.boundary")
     calls = dict.fromkeys(("_capital_phi_codes", "_check_psi_image"), 0)
     phi_words = []
     boundaries = []  # (the words, the _word_boundary calls) of each boundary_codes
@@ -459,8 +457,8 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
         boundaries.append((set(codes), len(word_boundaries) - before))
         return out
 
-    real_word_boundary = boundary_module._word_boundary
-    real_boundary_codes = contraction.boundary_codes
+    real_word_boundary = certificate._word_boundary
+    real_boundary_codes = certificate.boundary_codes
     degrees = set()
     for U in seeded_cycles():
         d = len(annihilating_polynomial(U)) - 1
@@ -472,9 +470,9 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
             power = psi(power)
         with monkeypatch.context() as m:
             for name in calls:
-                m.setattr(contraction, name, counting(name, getattr(contraction, name)))
-            m.setattr(boundary_module, "_word_boundary", word_boundary)
-            m.setattr(contraction, "boundary_codes", boundary_codes)
+                m.setattr(certificate, name, counting(name, getattr(certificate, name)))
+            m.setattr(certificate, "_word_boundary", word_boundary)
+            m.setattr(certificate, "boundary_codes", boundary_codes)
             calls.update(dict.fromkeys(calls, 0))
             phi_words.clear()
             boundaries.clear()
@@ -498,10 +496,11 @@ def test_certify_runs_the_krylov_sequence_once(monkeypatch):
 def test_certify_powers_match_a_fresh_operator(monkeypatch):
     """Each power the pass stores, times its scale, is T of the power
     before it (the first is den * U), with T = boundary . capital_phi
-    recomputed on the whole vector, no column kept."""
-    import schouten.contraction as contraction
+    recomputed on the whole vector, no column kept.  The pass runs in the
+    certificate module, so its Krylov step is recorded there."""
+    import schouten.certificate as certificate
     from schouten.boundary import boundary_codes, encode_chain
-    real = contraction._krylov_minimal_polynomial
+    real = certificate._krylov_minimal_polynomial
     passes = []
 
     def recording(u, operator):
@@ -509,7 +508,7 @@ def test_certify_powers_match_a_fresh_operator(monkeypatch):
         passes.append((u, out[1], out[2]))
         return out
 
-    monkeypatch.setattr(contraction, "_krylov_minimal_polynomial", recording)
+    monkeypatch.setattr(certificate, "_krylov_minimal_polynomial", recording)
     degrees = set()
     for U in seeded_cycles():
         passes.clear()
@@ -520,7 +519,7 @@ def test_certify_powers_match_a_fresh_operator(monkeypatch):
         assert u == encoded
         assert {word: v * scales[0] for word, v in powers[0].items()} == u
         for k in range(1, len(powers)):
-            fresh = boundary_codes(A, contraction._capital_phi_codes(A, powers[k - 1]))
+            fresh = boundary_codes(A, certificate._capital_phi_codes(A, powers[k - 1]))
             assert {word: v * scales[k] for word, v in powers[k].items()} == \
                 {word: v * scales[k - 1] for word, v in fresh.items()}
         degrees.add(len(powers))

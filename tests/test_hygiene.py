@@ -27,15 +27,15 @@ def test_no_assert_statements_in_package():
 def test_boundary_module_has_no_memo():
     """The word boundary and the bracket kernel are computed fresh each
     time: no lru_cache or cache decorator anywhere in boundary.py,
-    multivector.py or words.py, which holds _word_boundary, _bracket,
-    _direction_terms and _bracket_mono (the alphabet's bracket table and
-    its direction templates are the one store of brackets).  The one
-    exception is the generator list of a bidegree, which holds no word
-    and no bracket."""
+    certificate.py (which holds boundary_codes), multivector.py or
+    words.py, which holds _word_boundary, _bracket, _direction_terms and
+    _bracket_mono (the alphabet's bracket table and its direction
+    templates are the one store of brackets).  The one exception is the
+    generator list of a bidegree, which holds no word and no bracket."""
     allowed = {("words.py", "generators_of_bidegree")}
     found = []
     defined = set()
-    for module in ("boundary.py", "multivector.py", "words.py"):
+    for module in ("boundary.py", "certificate.py", "multivector.py", "words.py"):
         path = SRC / module
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -48,7 +48,7 @@ def test_boundary_module_has_no_memo():
                         found.append("%s:%s:%d" % (module, node.name, node.lineno))
     assert {("words.py", fn) for fn in
             ("_word_boundary", "_bracket", "_direction_terms", "_bracket_mono",
-             "boundary_columns")} <= defined
+             "boundary_columns")} | {("certificate.py", "boundary_codes")} <= defined
     assert not found, "memoized functions: %s" % found
 
 
@@ -75,11 +75,12 @@ def test_no_function_of_the_package_calls_the_chain_operators():
 
 
 def test_generators_are_checked_only_by_multivector_and_chains():
-    """MultiVector checks its terms, and chains its text and the factors of
-    the chains it encodes (encode_chain, the one bridge of every Chain
-    operator to int words); no other module checks a generator."""
+    """MultiVector checks its terms, chains the factors of the chains it
+    encodes (encode_chain, the one bridge of every Chain operator to int
+    words), and certificate the factors of chain text (parse_codes, the
+    one parser); no other module checks a generator."""
     found = {module for module, _ in _calls({"check_generator"})}
-    assert found == {"multivector.py", "chains.py"}
+    assert found == {"multivector.py", "chains.py", "certificate.py"}
 
 
 def test_one_class_holds_the_combination_arithmetic():
@@ -107,11 +108,24 @@ REEXPORTED = {
     "boundary": ["WeightEscapeError", "_bracket", "_word_boundary", "boundary_columns"],
 }
 
+# module -> the names it imports back from certificate, where they are defined
+CERTIFICATE_REEXPORTED = {
+    "multivector": ["DimensionMismatchError", "_FACTOR", "_FACTOR_RE", "_exponents",
+                    "check_generator", "format_coeff", "parse_coeff", "parse_factor"],
+    "chains": ["check_generator", "codes_to_text", "format_coeff", "parse_codes"],
+    "boundary": ["boundary_codes"],
+    "contraction": ["CertificateError", "_bounds", "_capital_phi_codes", "_certificate_dict",
+                    "_certify_codes", "_certify_form", "_check_codes", "_check_psi_image",
+                    "_column_operator", "_combine", "_content", "_krylov_minimal_polynomial",
+                    "_one_block", "_read_certificate", "_shifts", "_t_codes",
+                    "boundary_codes"],
+}
 
-def test_words_is_a_leaf():
-    """The int-word kernel imports only the standard library and the
-    counting leaf, so the commands that run on it load nothing else."""
-    path = SRC / "words.py"
+
+def _imports(leaf):
+    """The modules of the package that leaf.py imports, and the modules
+    outside the package and the standard library that it imports."""
+    path = SRC / (leaf + ".py")
     package, outside = [], []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -122,32 +136,64 @@ def test_words_is_a_leaf():
                 package.append(node.module)
             elif node.module.split(".")[0] not in sys.stdlib_module_names:
                 outside.append(node.module)
-    assert package == ["counting"]
-    assert not outside
+    return package, outside
+
+
+def test_words_is_a_leaf():
+    """The int-word kernel imports only the standard library and the
+    counting leaf, so the commands that run on it load nothing else."""
+    assert _imports("words") == (["counting"], [])
+
+
+def test_certificate_is_a_leaf():
+    """The certificate path imports only the standard library and words,
+    so certify and check-certificate load nothing else of the package."""
+    assert _imports("certificate") == (["words"], [])
+
+
+def _check_reexports(leaf, table):
+    """Each module of table hands out the objects of leaf under the old
+    names, and no other module of the package defines or assigns one at
+    its top level."""
+    import importlib
+
+    source = importlib.import_module("schouten." + leaf)
+    for module, names in table.items():
+        mod = importlib.import_module("schouten." + module)
+        for name in names:
+            value = getattr(source, name)
+            assert getattr(mod, name) is value, (module, name)
+            if callable(value):
+                assert value.__module__ == "schouten." + leaf, name
+    moved = {name for names in table.values() for name in names}
+    elsewhere = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == leaf + ".py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name in moved):
+                elsewhere.append("%s:%s" % (path.name, node.name))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                elsewhere += ["%s:%s" % (path.name, target.id) for target in node.targets
+                              if isinstance(target, ast.Name) and target.id in moved]
+    assert not elsewhere
 
 
 def test_reexported_kernel_names_are_the_words_definitions():
     """chains, multivector and boundary hand out the objects of words under
     the old names, and no other module of the package defines one."""
-    import importlib
+    _check_reexports("words", REEXPORTED)
 
-    from schouten import words
 
-    for module, names in REEXPORTED.items():
-        mod = importlib.import_module("schouten." + module)
-        for name in names:
-            assert getattr(mod, name) is getattr(words, name), (module, name)
-            assert getattr(words, name).__module__ == "schouten.words"
-    moved = {name for names in REEXPORTED.values() for name in names}
-    elsewhere = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "words.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name in moved):
-                elsewhere.append("%s:%s" % (path.name, node.name))
-    assert not elsewhere
+def test_certificate_names_are_defined_once():
+    """multivector, chains, boundary and contraction hand out the objects
+    of certificate under the old names, and no other module of the package
+    defines one: each function of the certificate path has one
+    definition."""
+    _check_reexports("certificate", CERTIFICATE_REEXPORTED)
 
 
 def _fresh(code):
@@ -193,24 +239,26 @@ COMMAND_MODULES = {
               ["homology", "linalg", "record", "torus", "words"]),
     "basis": (["basis", "--n", "1", "--m", "2", "--w", "0", "--h", "0"], ["words"]),
     "certify": (["certify", "--n", "2", "--input", str(DATA / "cycle_2_1.txt")],
-                ["boundary", "chains", "contraction", "multivector", "record", "words"]),
+                ["certificate", "words"]),
     "check-certificate": (["check-certificate", "--input", str(DATA / "cycle_2_1.cert.json")],
-                          ["boundary", "chains", "contraction", "multivector", "record",
-                           "words"]),
+                          ["certificate", "words"]),
     "psi-matrix": (["psi-matrix", "--n", "2", "--w", "1"],
-                   ["boundary", "chains", "contraction", "multivector", "record", "words"]),
+                   ["certificate", "chains", "contraction", "multivector", "record", "words"]),
     "verify-dsq": (["verify", "dsq", "--n", "1"],
-                   ["boundary", "chains", "linalg", "multivector", "verify", "words"]),
-    "verify-jacobi": (["verify", "jacobi", "--n", "1"], ["multivector", "verify", "words"]),
+                   ["boundary", "certificate", "chains", "linalg", "multivector", "verify",
+                    "words"]),
+    "verify-jacobi": (["verify", "jacobi", "--n", "1"],
+                      ["certificate", "multivector", "verify", "words"]),
     "verify-weights": (["verify", "weights", "--n", "1"], ["verify", "words"]),
     "verify-psi": (["verify", "psi", "--n", "1"],
-                   ["boundary", "chains", "contraction", "multivector", "record", "verify",
+                   ["certificate", "chains", "contraction", "multivector", "record", "verify",
                     "words"]),
     "verify-homotopy": (["verify", "homotopy", "--n", "1"],
-                        ["boundary", "chains", "multivector", "torus", "verify", "words"]),
+                        ["boundary", "certificate", "chains", "multivector", "torus", "verify",
+                         "words"]),
     "verify-all": (["verify", "all", "--n", "1"],
-                   ["boundary", "chains", "contraction", "linalg", "multivector", "record",
-                    "torus", "verify", "words"]),
+                   ["boundary", "certificate", "chains", "contraction", "linalg", "multivector",
+                    "record", "torus", "verify", "words"]),
 }
 
 
@@ -231,6 +279,44 @@ def test_each_command_loads_exactly_the_modules_it_runs(command):
                     "schouten.multivector", "schouten.boundary"} & set(new)
     if command in ("certify", "check-certificate", "psi-matrix"):
         assert not {"schouten.linalg", "schouten.homology", "schouten.torus"} & set(new)
+    if command in ("certify", "check-certificate"):
+        # the int-word certificate path builds no Chain and no MultiVector
+        assert not {"schouten.chains", "schouten.multivector", "schouten.boundary",
+                    "schouten.record", "schouten.contraction"} & set(new)
+
+
+def _docstring_module_table():
+    """The table of cli's docstring as {command: [its modules]}.  A row
+    starts at the table's indentation; a line indented deeper continues
+    the row above, in its names column, its modules column or both."""
+    from schouten import cli
+
+    lines = cli.__doc__.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("    --help"))
+    col = lines[start].index("nothing")
+    rows = []
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        if not line.startswith("     "):
+            rows.append(([], []))
+        names, modules = rows[-1]
+        names += [name.strip() for name in line[:col].split(",") if name.strip()]
+        modules += line[col:].split()
+    return {name: modules for names, modules in rows for name in names}
+
+
+def test_cli_docstring_table_matches_the_loaded_modules():
+    """The module table in cli's docstring lists, for every command, what
+    test_each_command_loads_exactly_the_modules_it_runs finds it loads."""
+    table = _docstring_module_table()
+    assert table.pop("--help") == table.pop("<cmd> --help") == ["nothing"]
+    assert sorted(table) == sorted(command.replace("verify-", "verify ")
+                                   for command in COMMAND_MODULES)
+    for command, (_, modules) in COMMAND_MODULES.items():
+        listed = table[command.replace("verify-", "verify ")]
+        assert len(listed) == len(set(listed)), command
+        assert sorted(listed) == sorted(["counting"] + modules), command
 
 
 def test_help_loads_nothing_beyond_the_counting_leaf():
