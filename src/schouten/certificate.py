@@ -15,75 +15,18 @@ re-checking a certificate.  The final check of a certificate,
 boundary(V) == U, is a fresh boundary_codes over V's int words, compared
 with U as exact integers; it shares no column with the pass.
 
-The generator check (check_generator) and the text of coefficients and
-factors live here too, so the `certify` and `check-certificate` commands
-run on this module and words alone.  It imports only the standard library
-and words; multivector, chains, boundary and contraction import these
-names back, and their Chain adapters run on the same cores.
-"""
+It imports only the standard library, words and monomial; chains, boundary
+and contraction import its names back for their Chain adapters."""
 
 from fractions import Fraction
 from math import gcd, lcm
-import re
 
+from .monomial import check_generator, format_coeff, parse_coeff, parse_factor
 from .words import WeightEscapeError, _word_boundary, alphabet, format_factor, place_factor
-
-
-class DimensionMismatchError(ValueError):
-    pass
 
 
 class CertificateError(RuntimeError):
     pass
-
-
-def check_generator(n, alpha, beta):
-    if len(beta) != n:
-        raise DimensionMismatchError("beta has length %d, ambient dimension is %d" % (len(beta), n))
-    if any(b < 0 for b in beta):
-        raise ValueError("negative exponent in %r" % (beta,))
-    if not alpha:
-        raise ValueError("empty direction set")
-    if any(not 1 <= a <= n for a in alpha):
-        raise ValueError("direction out of range 1..%d in %r" % (n, alpha))
-    if any(alpha[i] >= alpha[i + 1] for i in range(len(alpha) - 1)):
-        raise ValueError("directions not strictly increasing: %r" % (alpha,))
-
-
-# --- text of coefficients, factors and chains --------------------------------
-
-
-def format_coeff(c):
-    """The text p or p/q of a rational coefficient."""
-    if type(c) is int:
-        return str(c)
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
-
-
-def parse_coeff(text):
-    """Fraction(text), with a zero denominator reported as ValueError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (text,)) from None
-
-
-_FACTOR = r"x\[([0-9,]*)\]\s*d\[([0-9,]+)\]\s*$"
-_FACTOR_RE = re.compile(r"^\s*" + _FACTOR)
-
-
-def parse_factor(text):
-    """Parse the text x[beta] d[alpha] of a generator, the monomial form
-    without its coefficient; returns (beta, alpha)."""
-    m = _FACTOR_RE.match(text)
-    if m is None:
-        raise ValueError("malformed factor: %r" % text)
-    return _exponents(m.group(1), m.group(2))
-
-
-def _exponents(beta, alpha):
-    return (tuple(map(int, beta.split(","))) if beta else (), tuple(map(int, alpha.split(","))))
 
 
 def codes_to_text(gens, den, codes):
@@ -147,7 +90,7 @@ def parse_codes(n, text):
         except KeyError:
             for part in parts:
                 if part not in ranks:
-                    ranks[part] = A.rank.get(factors[part][0])
+                    ranks[part] = A.rank_of(factors[part][0])
             rs = tuple([ranks[part] for part in parts])
         if None in rs:
             # every factor of a nonzero word lies in its block's alphabet
@@ -206,13 +149,14 @@ def _one_block(blocks, m):
 
 def _shifts(A, r):
     """Ranks of x_1 gens[r], ..., x_n gens[r] in the alphabet A, entered
-    in its shift table; None for one outside the alphabet, which no
-    nonzero word of A's block can hold."""
+    in its shift table: x_l adds places[l - 1] to the key (see
+    words.Alphabet).  None for one outside the alphabet, where beta_l is E
+    already, which no nonzero word of A's block can hold."""
     out = A.shifts.get(r)
     if out is None:
-        alpha, beta = A.gens[r]
-        out = A.shifts[r] = tuple(A.rank.get((alpha, beta[:l] + (beta[l] + 1,) + beta[l + 1:]))
-                                  for l in range(A.n))
+        k, top = A.keys[r], A.base >> 1
+        out = A.shifts[r] = tuple([A.ranks.get(k + place) if b < top else None
+                                   for b, place in zip(A.gens[r][1], A.places)])
     return out
 
 

@@ -39,8 +39,10 @@ from math import lcm
 # kernel in the leaf module words; re-exported here
 from .counting import basis_dim, block_dims, dim_generators, max_arity, max_arity_bound
 # the parser and the formatter of the int-word form live in the leaf module
-# certificate; re-exported here
-from .certificate import check_generator, codes_to_text, format_coeff, parse_codes
+# certificate, the generator check and the coefficient text in the leaf
+# module monomial; re-exported here
+from .certificate import codes_to_text, parse_codes
+from .monomial import check_generator, format_coeff
 from .multivector import _Combination
 from .words import (Alphabet, BasisIndex, _class_multisets, _compositions, alphabet,
                     enumerate_basis, factor_key, format_factor, generators_of_bidegree,
@@ -166,14 +168,15 @@ def encode_chain(chain):
     and the {int word: int} dict of its words, each coefficient multiplied
     by scale: the int-word form, which parse_codes returns for chain text.
     The weights (|alpha| - 1, |beta| - 1) of each distinct generator are
-    computed once per call.  A factor outside its block's alphabet raises
+    computed once per call, and its rank (Alphabet.rank_of) once per block,
+    after check_generator.  A factor outside its block's alphabet raises
     ValueError: check_generator's for one that is no generator over R^n,
     else one naming the word, which then repeats an even factor.
     """
     n = chain.n
     scale = lcm(*[c.denominator for c in chain.terms.values()])
     weights = {}
-    blocks = {}
+    ranked = {}  # (w, h) -> (alphabet, {int word: int}, {generator: rank or None})
     for word, c in chain.terms.items():
         w = h = 0
         for gen in word:
@@ -183,18 +186,22 @@ def encode_chain(chain):
                 wh = weights[gen] = (len(alpha) - 1, sum(beta) - 1)
             w += wh[0]
             h += wh[1]
-        block = blocks.get((w, h))
+        block = ranked.get((w, h))
         if block is None:
-            block = blocks[(w, h)] = (alphabet(n, w, h), {})
-        A, codes = block
+            block = ranked[(w, h)] = (alphabet(n, w, h), {}, {})
+        A, codes, ranks = block
         try:
-            code = tuple([A.rank[gen] for gen in word])
+            code = tuple([ranks[gen] for gen in word])
         except KeyError:
-            for alpha, beta in word:
-                check_generator(n, alpha, beta)
-            raise ValueError("a factor of %r lies outside its block" % (word,)) from None
+            for gen in word:
+                if gen not in ranks:
+                    check_generator(n, *gen)
+                    ranks[gen] = A.rank_of(gen)
+            code = tuple([ranks[gen] for gen in word])
+        if None in code:
+            raise ValueError("a factor of %r lies outside its block" % (word,))
         codes[code] = c.numerator * (scale // c.denominator)
-    return scale, blocks
+    return scale, {key: (A, codes) for key, (A, codes, _) in ranked.items()}
 
 
 def decode_chain(n, blocks, factor=1):

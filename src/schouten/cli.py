@@ -15,20 +15,21 @@ the package besides cli (tests/test_hygiene.py pins the sets):
     dims, euler            counting
     basis                  counting words
     betti                  counting words linalg record homology torus
-    certify,               counting words certificate
+    certify,               counting words monomial certificate
       check-certificate
-    psi-matrix             counting words certificate multivector chains
-                             record contraction
-    verify jacobi          counting verify words certificate multivector
+    psi-matrix             counting words monomial certificate record
+                             contraction
+    verify jacobi          counting verify words monomial multivector
     verify weights         counting verify words
-    verify dsq             counting verify words certificate multivector
-                             chains boundary linalg
-    verify homotopy        counting verify words certificate multivector
-                             chains boundary torus
-    verify psi             counting verify words certificate multivector
-                             chains record contraction
-    verify all             counting verify words certificate multivector
-                             chains boundary linalg record contraction torus
+    verify dsq             counting verify words monomial certificate
+                             multivector chains boundary linalg
+    verify homotopy        counting verify words monomial certificate
+                             multivector chains boundary torus
+    verify psi             counting verify words monomial certificate
+                             record contraction
+    verify all             counting verify words monomial certificate
+                             multivector chains boundary linalg record
+                             contraction torus
 
 verify all loads the union of its suites.
 

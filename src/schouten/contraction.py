@@ -44,7 +44,9 @@ Fractions and re-encoded.  Those cores, the operators they run on
 the Krylov pass are defined in the leaf module certificate, so the two
 commands load neither this module nor chains, multivector, boundary or
 record; they are imported back here, where the Chain adapters, psi, the
-descent and the stratification run on them.
+descent and the stratification run on them.  The Chain adapters import
+chains when they run, so psi-matrix, which runs psi on int words only,
+compiles neither chains nor multivector.
 """
 
 from fractions import Fraction
@@ -55,9 +57,8 @@ from .certificate import (CertificateError, _bounds, _capital_phi_codes, _certif
                           _certify_codes, _certify_form, _check_codes, _check_psi_image,
                           _column_operator, _combine, _content, _krylov_minimal_polynomial,
                           _one_block, _read_certificate, _shifts, _t_codes, boundary_codes)
-from .chains import (Chain, _on_codes, chain_to_text, decode_chain, encode_chain,
-                     enumerate_basis, place_factor)
 from .record import Record
+from .words import enumerate_basis, place_factor
 
 
 class DescentError(RuntimeError):
@@ -144,6 +145,7 @@ def _word_stratum(A, word):
 
 def project_stratum(U, stratum):
     """The sub-chain of words whose representative lies in the stratum."""
+    from .chains import Chain
     key = (stratum.a1, stratum.b1)
     return Chain(U.n, {word: c for word, c in U.terms.items() if stratum_of(word) == key})
 
@@ -165,6 +167,7 @@ def _phi_op_codes(A, codes):
 
 def phi_op(U):
     """sum_l d_l ^^ (x_l U) for a 1-chain U."""
+    from .chains import _on_codes
     if U.arity() not in (None, 1):
         raise ValueError("phi_op expects a 1-chain")
     return _on_codes(U, _phi_op_codes)
@@ -172,6 +175,7 @@ def phi_op(U):
 
 def capital_phi(U):
     """The 3-chain operator, applied per canonical word by TR/TL type."""
+    from .chains import _on_codes
     if U.arity() not in (None, 2):
         raise ValueError("capital_phi expects a 2-chain")
     return _on_codes(U, _capital_phi_codes)
@@ -187,6 +191,7 @@ def _psi_codes(A, codes):
 def psi(U):
     """boundary(capital_phi(U)) + phi_op(boundary(U)) on a 2-chain U of one
     (2, w, w) block; block-preserving."""
+    from .chains import Chain, decode_chain
     if U.arity() not in (None, 2):
         raise ValueError("psi expects a 2-chain")
     if not U:
@@ -267,6 +272,7 @@ def _block_codes(U):
     either way), u = den * U as {int word: int} in the block's alphabet A,
     den the lcm of U's denominators.  The one entry of the Chain adapters
     psi, structured_descent and annihilating_polynomial into their block."""
+    from .chains import encode_chain
     den, blocks = encode_chain(U)
     return _one_block(blocks, 2) + (den,)
 
@@ -290,6 +296,7 @@ def certify_exact(U):
     A Chain adapter over _certify_codes, which runs on the int-word form of
     U (its factors checked by encode_chain) and whose V is decoded once here.
     """
+    from .chains import Chain, decode_chain, encode_chain
     n = U.n
     if not U:
         return ExactnessCertificate(n, 0, U, Chain.zero(n), (Fraction(1),), ())
@@ -301,6 +308,7 @@ def certify_exact(U):
 def certificate_to_dict(cert):
     """JSON-ready certificate: block, both chains, p coefficients
     (constant first)."""
+    from .chains import chain_to_text
     return _certificate_dict(cert.n, cert.w, chain_to_text(cert.cycle),
                              chain_to_text(cert.primitive), cert.annihilator)
 
@@ -308,6 +316,7 @@ def certificate_to_dict(cert):
 def certificate_from_dict(data):
     """Inverse of certificate_to_dict; ValueError on a value that is not
     a JSON object, a missing field or a malformed one."""
+    from .chains import decode_chain
     n, w, U, V, p = _read_certificate(data)
     U, V = [decode_chain(n, blocks.values(), Fraction(1, den)) for den, blocks in (U, V)]
     return ExactnessCertificate(n, w, U, V, p, p[1:])
@@ -323,6 +332,7 @@ def check_certificate(cert):
     Chain adapter over _check_codes; a chain with a factor that is no
     generator of its block's alphabet is no certificate.
     """
+    from .chains import encode_chain
     U, V = cert.cycle, cert.primitive
     if U.n != V.n:
         return False

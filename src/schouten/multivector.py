@@ -20,19 +20,19 @@ Text form of one monomial (bit-exact, used by the CLI and serialization):
 e.g. ``-3/2 * x[1,1] d[1,2]`` is -(3/2) x1 x2 d1^d2.  format_coeff and
 parse_coeff write and read the coefficient of monomial and chain text, and
 parse_factor reads the text of a generator.  These three, check_generator
-and DimensionMismatchError are defined in the leaf module certificate,
-which the certificate commands run on without loading this module, and
-are re-exported here; parse_monomial's pattern extends certificate's
-factor pattern.
+and DimensionMismatchError are defined in the leaf module monomial,
+which the certificate path imports without loading this module, and are
+re-exported here; parse_monomial's pattern extends monomial's factor
+pattern.
 """
 
 from fractions import Fraction
 import re
 
 # the generator check and the text of coefficients and factors live in
-# the leaf module certificate; re-exported here
-from .certificate import (DimensionMismatchError, _FACTOR, _FACTOR_RE, _exponents,
-                          check_generator, format_coeff, parse_coeff, parse_factor)
+# the leaf module monomial; re-exported here
+from .monomial import (DimensionMismatchError, _FACTOR, _FACTOR_RE, _exponents,
+                       check_generator, format_coeff, parse_coeff, parse_factor)
 from .words import _bracket_mono, _merge_directions, format_factor
 
 
@@ -50,8 +50,8 @@ class _Combination:
     """The arithmetic of a rational combination over R^n, shared by
     MultiVector (of generators) and Chain (of words).  terms maps each key
     to its nonzero coefficient; the zero combination is the empty dict.
-    Every result goes through the subclass's constructor, which normalizes
-    the terms, and an instance equals only one of its own class."""
+    Every result goes through _result, which normalizes the terms, and an
+    instance equals only one of its own class."""
 
     __slots__ = ("n", "terms")
 
@@ -72,21 +72,26 @@ class _Combination:
         if self.n != other.n:
             raise DimensionMismatchError("mixing n=%d with n=%d" % (self.n, other.n))
 
+    def _result(self, terms):
+        """The combination of terms built by arithmetic on this one, through
+        the subclass's constructor."""
+        return type(self)(self.n, terms)
+
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0) + c
-        return type(self)(self.n, terms)
+        return self._result(terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.n, {k: -c for k, c in self.terms.items()})
+        return self._result({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        return type(self)(self.n, {k: c * scalar for k, c in self.terms.items()})
+        return self._result({k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -94,8 +99,10 @@ class _Combination:
 class MultiVector(_Combination):
     """Normalized rational combination of monomial generators.
 
-    terms maps (alpha, beta) -> nonzero Fraction, each generator checked.
-    Instances are treated as immutable.
+    terms maps (alpha, beta) -> nonzero Fraction, each generator checked
+    by the constructor; the results of arithmetic and of schouten_bracket
+    are built from checked terms and are not checked again.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ()
@@ -110,6 +117,16 @@ class MultiVector(_Combination):
                     check_generator(n, alpha, beta)
                     clean[(tuple(alpha), tuple(beta))] = c
         self.terms = clean
+
+    def _result(self, terms):
+        """A MultiVector of terms built by arithmetic on checked ones, so
+        every key is a generator already: only the zero coefficients are
+        dropped, and a coefficient that is no Fraction (the product with a
+        float scalar) is converted, as the constructor does."""
+        out = object.__new__(MultiVector)
+        out.n = self.n
+        out.terms = {k: c if type(c) is Fraction else Fraction(c) for k, c in terms.items() if c}
+        return out
 
     @classmethod
     def monomial(cls, n, coeff, beta, alpha):
@@ -157,7 +174,8 @@ def schouten_bracket(A, B):
         for (aB, bB), cB in B.terms.items():
             for key, c in _bracket_mono(A.n, aA, bA, aB, bB):
                 terms[key] = terms.get(key, 0) + c * cA * cB
-    return MultiVector(A.n, terms)
+    # a bracket term is a generator by construction
+    return A._result(terms)
 
 
 def bidegree(A):

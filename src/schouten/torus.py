@@ -125,7 +125,7 @@ def euler_bracket_failure(n, m, w, h):
     ranks = [r for (_, j), rs in A.classes.items() if j <= h + m for r in rs]
     weights = [torus_weight(A.gens[r]) for r in ranks]
     for l in range(1, n + 1):
-        e = A.rank[((l,), tuple(int(k == l) for k in range(1, n + 1)))]
+        e = A.rank_of(((l,), tuple(int(k == l) for k in range(1, n + 1))))
         for r, weight in zip(ranks, weights):
             v = weight[l - 1]
             scaled, negated = (((r, v),), ((r, -v),)) if v else ((), ())

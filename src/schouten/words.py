@@ -22,15 +22,16 @@ polynomial x^beta xi_alpha and
     [P, Q] = sum_l (P d/dxi_l)(dQ/dx_l) - (dP/dx_l)(d/dxi_l Q),
 
 where the xi-derivative of P acts from the right and that of Q from the
-left.  Its terms and their signs depend only on the two direction sets:
-_direction_terms builds them once per pair as a template, and one loop,
-_evaluate, applies a template to the exponents.  _bracket_mono does both
-for two monomials; _bracket does it for two ranks of an Alphabet, with the
-template kept on the alphabet.  The boundary of a word is the pairwise
-Chevalley-Eilenberg sum that the boundary module describes; _word_boundary
-evaluates it on int words, filling the alphabet's bracket table through
-_bracket, and the Euler-field check of the torus module runs through the
-same _bracket.
+left.  Its terms and their signs depend only on the two direction sets,
+and _direction_terms is the one code that knows them.  _bracket_mono
+evaluates them on the exponents of two monomials.  _bracket evaluates them
+for two ranks of an Alphabet through a template kept on the alphabet
+(_key_terms), which also holds each term's offset of int keys, so that a
+term's rank is found by one int addition and one lookup (see Alphabet).
+The boundary of a word is the pairwise Chevalley-Eilenberg sum that the
+boundary module describes; _word_boundary evaluates it on int words,
+filling the alphabet's bracket table through _bracket, and the Euler-field
+check of the torus module runs through the same _bracket.
 
 This module imports only the standard library and counting, so `basis`
 and `betti` run on it without loading the chain, multivector and boundary
@@ -39,7 +40,7 @@ modules (or fractions).  Those modules import these names back.
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from operator import sub
+from operator import mul, sub
 
 from .counting import HomologyInvariantError, dim_generators
 
@@ -96,9 +97,7 @@ def generators_of_bidegree(n, i, j):
     """
     if not (0 <= i <= n - 1) or j < -1:
         return ()
-    betas = tuple(_compositions(j + 1, n))
-    return tuple((alpha, beta) for alpha in combinations(range(1, n + 1), i + 1)
-                 for beta in betas)
+    return tuple(product(combinations(range(1, n + 1), i + 1), _compositions(j + 1, n)))
 
 
 def _compositions(total, parts):
@@ -154,42 +153,81 @@ class Alphabet:
     every other factor takes at least 0 of h.  So one alphabet serves every
     arity of the block, and every bracket of two factors of one word lies in
     it.  The generators are ranked in factor order: gens[r] is the generator
-    of rank r, rank its inverse, parity[r] its g-degree mod 2, classes[(i, j)]
-    the range of ranks of bidegree (i, j) and bidegree[r] the (i, j) of
-    rank r (built on first use).  An int word is the tuple of the ranks of its factors; int
-    words sort as their generator words do.  The ranks of class (0, -1)
-    are those of d_1, ..., d_n, in this order.
+    of rank r, parity[r] its g-degree mod 2, classes[(i, j)] the range of
+    ranks of bidegree (i, j) and bidegree[r] the (i, j) of rank r (built on
+    first use).  An int word is the tuple of the ranks of its factors; int
+    words sort as their generator words do.  The ranks of class (0, -1) are
+    those of d_1, ..., d_n, in this order.
+
+    Each generator x^beta d_alpha also has one int key, keys[r], and ranks
+    maps each key back to its rank.  With E = h + n + w + 1, the largest
+    |beta| and so the largest exponent, and base B = 2E + 1, the key is
+
+        id(alpha) * span + sum_l beta_l * places[l - 1],
+
+    where id(alpha) = sum_{l in alpha} 2^(l - 1), places[l - 1] = B^(n - l)
+    and span = B^n: beta's exponents are the base-B digits of the exponent
+    code, below the direction set's id.  The code of each exponent vector
+    is computed once per alphabet.  Adding the keys of two generators adds
+    their exponents digit by digit with no carry, as each digit of the sum
+    is at most 2E < B, so a bracket term, whose exponents are that sum less
+    1 in one digit l, has the key k_a + k_b + offset for an offset that
+    depends only on the two direction sets and l; and subtracting the 1
+    borrows nothing, since the term's coefficient is 0 unless digit l of
+    the sum is at least 1.  Every digit of such an int lies in 0..B - 1,
+    so it is a key of the alphabet exactly when the term's generator is one
+    of the alphabet's.  rank_of serves the lookups by generator.
 
     brackets is the bracket table, filled lazily by _word_boundary below:
     brackets[a * len(gens) + b] is [gens[a], gens[b]] as (rank, int) pairs,
     as _bracket computes it.  templates holds what _bracket evaluates:
-    templates[(alpha_a, alpha_b)] is _direction_terms(alpha_a, alpha_b),
-    so it has at most one entry per pair of direction sets (4^n).
-    shifts is the table of x_l times a generator, filled lazily by the
-    contraction module: shifts[r][l - 1] is the rank of x_l gens[r], or
-    None when that generator lies outside the alphabet.
+    templates[(id_a << n) | id_b] is _key_terms of the direction sets with
+    ids id_a and id_b, so it has at most one entry per pair of direction
+    sets (4^n).  shifts is the table of x_l times a generator, filled lazily
+    by the certificate module: shifts[r][l - 1] is the rank of x_l gens[r],
+    or None when that generator lies outside the alphabet.
     """
 
-    __slots__ = ("n", "gens", "rank", "parity", "classes", "brackets", "templates",
-                 "shifts", "_bidegree", "_block")
+    __slots__ = ("n", "gens", "keys", "ranks", "parity", "classes", "base", "places", "span",
+                 "brackets", "templates", "shifts", "_bidegree", "_block")
 
     def __init__(self, n, w, h):
         self.n = n
         self._block = (n, w, h)
+        base = self.base = 2 * (h + n + w + 1) + 1
+        places = self.places = tuple(base ** (n - l) for l in range(1, n + 1))
+        span = self.span = base ** n
         gens = []
+        keys = []
+        parity = []
         self.classes = {}
+        codes = _codes(places, h + n + w + 1)
         for i in range(min(n - 1, w) + 1):
+            ids = [_direction_id(alpha) * span for alpha in combinations(range(1, n + 1), i + 1)]
             for j in range(-1, h + n + w + 1):
                 lo = len(gens)
                 gens.extend(generators_of_bidegree(n, i, j))
+                parity.extend([i & 1] * (len(gens) - lo))
                 self.classes[(i, j)] = range(lo, len(gens))
+                # generators_of_bidegree lists alpha by alpha, each with every beta
+                keys += [d + c for d in ids for c in codes[j + 1]]
         self.gens = tuple(gens)
-        self.rank = {gen: r for r, gen in enumerate(gens)}
-        self.parity = [(len(alpha) - 1) & 1 for alpha, _ in gens]
+        self.keys = keys
+        self.ranks = dict(zip(keys, range(len(keys))))
+        self.parity = parity
         self.brackets = {}
         self.templates = {}
         self.shifts = {}
         self._bidegree = None
+
+    def rank_of(self, gen):
+        """The rank of the generator gen = (alpha, beta), or None when it is
+        none of this alphabet's.  The rank found under gen's key is read back
+        through gens, so an exponent outside 0..E, whose digit would alias
+        another key, finds none."""
+        alpha, beta = gen
+        r = self.ranks.get(_direction_id(alpha) * self.span + sum(map(mul, beta, self.places)))
+        return r if r is not None and self.gens[r] == gen else None
 
     @property
     def bidegree(self):
@@ -197,6 +235,23 @@ class Alphabet:
         if self._bidegree is None:
             self._bidegree = [(len(alpha) - 1, sum(beta) - 1) for alpha, beta in self.gens]
         return self._bidegree
+
+
+def _codes(places, top):
+    """codes[t] lists sum_l beta_l * places[l - 1] over the tuples beta of
+    len(places) non-negative ints summing to t, for t = 0..top, in the
+    lexicographic order of _compositions: the first part ascending, then
+    the rest in that order."""
+    codes = [[t * places[-1]] for t in range(top + 1)]  # one part: beta = (t,)
+    for place in reversed(places[:-1]):
+        codes = [[f * place + c for f in range(t + 1) for c in codes[t - f]]
+                 for t in range(top + 1)]
+    return codes
+
+
+def _direction_id(alpha):
+    """sum_{l in alpha} 2^(l - 1), the id of a direction set in keys."""
+    return sum([2 ** (l - 1) for l in alpha])
 
 
 _ALPHABETS = {}  # (n, w, h) -> Alphabet, oldest first
@@ -257,12 +312,12 @@ class BasisIndex:
         return self._index
 
     def position(self, word):
-        rank = self.alphabet.rank
-        try:
-            return self.index[tuple(rank[gen] for gen in word)]
-        except KeyError:
+        rank_of = self.alphabet.rank_of
+        i = self.index.get(tuple([rank_of(gen) for gen in word]))
+        if i is None:
             raise KeyError("word %r lies outside the (m=%d, w=%d, h=%d) block"
                            % (word, self.m, self.w, self.h))
+        return i
 
 
 def enumerate_basis(n, m, w, h):
@@ -342,25 +397,19 @@ def _direction_terms(alpha_a, alpha_b):
     return tuple((l - 1, s_a, s_b, alpha) for l, (s_a, s_b, alpha) in terms.items())
 
 
-def _evaluate(terms, beta_a, beta_b):
-    """The terms of _direction_terms on the exponents beta_a, beta_b, as
-    ((alpha, beta), int) pairs with nonzero ints."""
+def _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b):
+    """Schouten bracket of two unit monomials, as ((alpha, beta), int) pairs
+    with nonzero ints: the closed form of _direction_terms evaluated on the
+    exponents.  All structure constants are integers; n is unused."""
     beta = [x + y for x, y in zip(beta_a, beta_b)]
     out = []
-    for i, s_a, s_b, alpha in terms:
+    for i, s_a, s_b, alpha in _direction_terms(alpha_a, alpha_b):
         c = s_a * beta_a[i] + s_b * beta_b[i]
         if c:
             beta[i] -= 1
             out.append(((alpha, tuple(beta)), c))
             beta[i] += 1
-    return out
-
-
-def _bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b):
-    """Schouten bracket of two unit monomials, as ((alpha, beta), int) pairs:
-    the closed form of _direction_terms evaluated on the exponents.  All
-    structure constants are integers; n is unused."""
-    return tuple(_evaluate(_direction_terms(alpha_a, alpha_b), beta_a, beta_b))
+    return tuple(out)
 
 
 # --- the boundary on int words ----------------------------------------------
@@ -371,22 +420,44 @@ class WeightEscapeError(HomologyInvariantError):
     pass
 
 
+def _key_terms(A, alpha_a, alpha_b):
+    """The template of _bracket for the direction sets alpha_a, alpha_b of
+    the alphabet A: the terms of _direction_terms as (l - 1, s_a, s_b,
+    offset), where the term of direction l of the bracket of generators with
+    keys k_a and k_b has the key k_a + k_b + offset (see Alphabet)."""
+    ids = _direction_id(alpha_a) + _direction_id(alpha_b)
+    return tuple((i, s_a, s_b, (_direction_id(alpha) - ids) * A.span - A.places[i])
+                 for i, s_a, s_b, alpha in _direction_terms(alpha_a, alpha_b))
+
+
 def _bracket(A, a, b):
-    """[gens[a], gens[b]] of the alphabet A as (rank, int) pairs: the
-    template of their directions, kept in A.templates, evaluated on their
-    exponents.  Stores no bracket; _word_boundary enters the result in the
-    bracket table.  A term outside the alphabet raises WeightEscapeError."""
-    (alpha_a, beta_a), (alpha_b, beta_b) = A.gens[a], A.gens[b]
-    terms = A.templates.get((alpha_a, alpha_b))
+    """[gens[a], gens[b]] of the alphabet A as (rank, int) pairs with nonzero
+    ints: the template of their direction sets, kept in A.templates, gives
+    each term's coefficient from the exponents and its rank from the keys
+    by int arithmetic.  Stores no bracket; _word_boundary enters the result
+    in the bracket table.  A term outside the alphabet raises
+    WeightEscapeError."""
+    keys = A.keys
+    k_a, k_b = keys[a], keys[b]
+    span = A.span
+    pair = (k_a // span) << A.n | k_b // span
+    terms = A.templates.get(pair)
     if terms is None:
-        terms = A.templates[(alpha_a, alpha_b)] = _direction_terms(alpha_a, alpha_b)
-    rank = A.rank
+        terms = A.templates[pair] = _key_terms(A, A.gens[a][0], A.gens[b][0])
+    beta_a, beta_b = A.gens[a][1], A.gens[b][1]
+    k = k_a + k_b
+    ranks = A.ranks
+    out = []
     try:
-        return tuple((rank[key], c) for key, c in _evaluate(terms, beta_a, beta_b))
+        for i, s_a, s_b, offset in terms:
+            c = s_a * beta_a[i] + s_b * beta_b[i]
+            if c:
+                out.append((ranks[k + offset], c))
     except KeyError:  # a bracket term outside the alphabet
         raise WeightEscapeError("bracket [%s, %s] left the alphabet of block (n=%d, w=%d, h=%d)"
                                 % ((format_factor(A.gens[a]), format_factor(A.gens[b]))
                                    + A._block)) from None
+    return tuple(out)
 
 
 def _word_boundary(A, word):

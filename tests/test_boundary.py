@@ -176,7 +176,7 @@ def word_boundary(n, word):
     without the cancelled terms."""
     _, w, h = weight_signature(word)
     A = alphabet(n, w, h)
-    out = _word_boundary(A, tuple(A.rank[g] for g in word))
+    out = _word_boundary(A, tuple(A.rank_of(g) for g in word))
     return {tuple(A.gens[r] for r in code): c for code, c in out.items() if c}
 
 

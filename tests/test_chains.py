@@ -210,6 +210,70 @@ def test_alphabet_bidegree_matches_generators():
     assert [A.gens[r] for r in A.classes[(0, -1)]] == [((l,), (0, 0, 0)) for l in (1, 2, 3)]
 
 
+def _digits(x, base, n):
+    """The n base-`base` digits of x, most significant first."""
+    out = []
+    for _ in range(n):
+        x, d = divmod(x, base)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_alphabet_keys_rank_every_generator(n):
+    """On every alphabet with w, h <= 2, rank_of(gens[r]) == r, the key map
+    is injective, and each key is id(alpha) * B^n plus the exponents as
+    base-B digits, B = 2(h + n + w + 1) + 1."""
+    for w in range(3):
+        for h in range(3):
+            A = words.Alphabet(n, w, h)
+            assert A.base == 2 * (h + n + w + 1) + 1
+            assert [A.rank_of(gen) for gen in A.gens] == list(range(len(A.gens)))
+            assert len(set(A.keys)) == len(A.ranks) == len(A.gens)
+            for (alpha, beta), key in zip(A.gens, A.keys):
+                direction, code = divmod(key, A.base ** n)
+                assert direction == sum(2 ** (l - 1) for l in alpha)
+                assert _digits(code, A.base, n) == beta
+
+
+@pytest.mark.parametrize("block", [(1, 0, 0), (2, 1, 1), (3, 0, 2), (4, 1, 0)])
+def test_rank_of_rejects_exponents_outside_the_digits(block):
+    """An exponent of h + n + w + 2, one more than any generator of the
+    alphabet has, and an exponent of B, which would carry into the next
+    digit of the key and alias a generator of the alphabet, both have no
+    rank."""
+    n, w, h = block
+    A = words.Alphabet(*block)
+    top = h + n + w + 1
+    for l in range(n):
+        for e in (top + 1, A.base):
+            beta = tuple(e if k == l else 0 for k in range(n))
+            assert A.rank_of(((1,), beta)) is None
+        # the key of the exponent B is the key of a generator of A: d_2
+        # for l = 0, x_l d_1 otherwise
+        key = A.span + A.base * A.places[l]
+        assert A.ranks.get(key) is not None or n == 1
+    assert A.rank_of(((1,), (0,) * (n + 1))) is None
+    assert A.rank_of(((n + 1,), (0,) * n)) is None
+
+
+@pytest.mark.parametrize("block", [(2, 1, 1), (3, 1, 2), (2, 0, -3), (1, 2, 0)])
+def test_shifts_are_the_ranks_of_x_l_times_a_generator(block):
+    """certificate._shifts, read off the keys, gives the rank of x_l g for
+    every generator g of the alphabet and l = 1..n, and None where x_l g
+    lies outside it."""
+    from schouten.certificate import _shifts
+
+    A = words.Alphabet(*block)
+    outside = 0
+    for r, (alpha, beta) in enumerate(A.gens):
+        expect = tuple(A.rank_of((alpha, beta[:l] + (beta[l] + 1,) + beta[l + 1:]))
+                       for l in range(A.n))
+        assert _shifts(A, r) == expect
+        outside += expect.count(None)
+    assert outside
+
+
 def test_wedge_chain_square_of_even_factor_is_zero():
     c = Chain.from_word(2, [((1,), (1, 0))])
     assert wedge_chain(c, c).is_zero()
@@ -360,7 +424,8 @@ def test_alphabet_cache_is_bounded_and_ranks_are_stable():
     again = alphabet(2, 1, 1)
     assert again is not first
     assert again.gens == first.gens
-    assert again.rank == first.rank
+    assert again.keys == first.keys
+    assert [again.rank_of(gen) for gen in first.gens] == list(range(len(first.gens)))
 
 
 def test_known_small_dimensions():

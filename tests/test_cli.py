@@ -808,15 +808,17 @@ def test_psi_outputs_pinned_byte_for_byte(capsys, argv, pinned):
     (["verify", "dsq", "--n", "2"], "(n=2, w=0, h=0)"),
 ], ids=["betti", "verify-dsq"])
 def test_bracket_escape_exit_1(capsys, monkeypatch, argv, block):
-    """A bracket term outside the alphabet, here from exponents shifted by
-    50, is an invariant violation: one line, no traceback."""
-    real = words._evaluate
+    """A bracket term outside the alphabet, here from template offsets
+    shifted past every direction set's id, so that no term's key is a key
+    of the alphabet, is an invariant violation: one line, no traceback."""
+    real = words._key_terms
 
-    def shifted(terms, beta_a, beta_b):
-        return [((alpha, tuple(x + 50 for x in beta)), c)
-                for (alpha, beta), c in real(terms, beta_a, beta_b)]
+    def shifted(A, alpha_a, alpha_b):
+        beyond = A.span << A.n
+        return tuple((i, s_a, s_b, offset + beyond)
+                     for i, s_a, s_b, offset in real(A, alpha_a, alpha_b))
 
-    monkeypatch.setattr(words, "_evaluate", shifted)
+    monkeypatch.setattr(words, "_key_terms", shifted)
     # fresh alphabets, so no bracket comes from a filled table
     monkeypatch.setattr(words, "_ALPHABETS", {})
     rc = main(argv)

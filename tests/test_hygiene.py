@@ -110,15 +110,22 @@ REEXPORTED = {
 
 # module -> the names it imports back from certificate, where they are defined
 CERTIFICATE_REEXPORTED = {
-    "multivector": ["DimensionMismatchError", "_FACTOR", "_FACTOR_RE", "_exponents",
-                    "check_generator", "format_coeff", "parse_coeff", "parse_factor"],
-    "chains": ["check_generator", "codes_to_text", "format_coeff", "parse_codes"],
+    "chains": ["codes_to_text", "parse_codes"],
     "boundary": ["boundary_codes"],
     "contraction": ["CertificateError", "_bounds", "_capital_phi_codes", "_certificate_dict",
                     "_certify_codes", "_certify_form", "_check_codes", "_check_psi_image",
                     "_column_operator", "_combine", "_content", "_krylov_minimal_polynomial",
                     "_one_block", "_read_certificate", "_shifts", "_t_codes",
                     "boundary_codes"],
+}
+
+
+# module -> the names it imports from monomial, where they are defined
+MONOMIAL_REEXPORTED = {
+    "multivector": ["DimensionMismatchError", "_FACTOR", "_FACTOR_RE", "_exponents",
+                    "check_generator", "format_coeff", "parse_coeff", "parse_factor"],
+    "chains": ["check_generator", "format_coeff"],
+    "certificate": ["check_generator", "format_coeff", "parse_coeff", "parse_factor"],
 }
 
 
@@ -146,9 +153,17 @@ def test_words_is_a_leaf():
 
 
 def test_certificate_is_a_leaf():
-    """The certificate path imports only the standard library and words,
-    so certify and check-certificate load nothing else of the package."""
-    assert _imports("certificate") == (["words"], [])
+    """The certificate path imports only the standard library, monomial and
+    words, so certify and check-certificate load nothing else of the
+    package."""
+    assert _imports("certificate") == (["monomial", "words"], [])
+
+
+def test_monomial_is_a_leaf():
+    """The generator check and the coefficient and factor text import only
+    the standard library, so verify jacobi, which runs MultiVector, loads
+    none of the certificate path."""
+    assert _imports("monomial") == ([], [])
 
 
 def _check_reexports(leaf, table):
@@ -189,11 +204,17 @@ def test_reexported_kernel_names_are_the_words_definitions():
 
 
 def test_certificate_names_are_defined_once():
-    """multivector, chains, boundary and contraction hand out the objects
-    of certificate under the old names, and no other module of the package
-    defines one: each function of the certificate path has one
-    definition."""
+    """chains, boundary and contraction hand out the objects of certificate
+    under the old names, and no other module of the package defines one:
+    each function of the certificate path has one definition."""
     _check_reexports("certificate", CERTIFICATE_REEXPORTED)
+
+
+def test_monomial_names_are_defined_once():
+    """multivector, chains and certificate hand out the generator check and
+    the coefficient and factor text of monomial, and no other module of the
+    package defines one."""
+    _check_reexports("monomial", MONOMIAL_REEXPORTED)
 
 
 def _fresh(code):
@@ -239,26 +260,25 @@ COMMAND_MODULES = {
               ["homology", "linalg", "record", "torus", "words"]),
     "basis": (["basis", "--n", "1", "--m", "2", "--w", "0", "--h", "0"], ["words"]),
     "certify": (["certify", "--n", "2", "--input", str(DATA / "cycle_2_1.txt")],
-                ["certificate", "words"]),
+                ["certificate", "monomial", "words"]),
     "check-certificate": (["check-certificate", "--input", str(DATA / "cycle_2_1.cert.json")],
-                          ["certificate", "words"]),
+                          ["certificate", "monomial", "words"]),
     "psi-matrix": (["psi-matrix", "--n", "2", "--w", "1"],
-                   ["certificate", "chains", "contraction", "multivector", "record", "words"]),
+                   ["certificate", "contraction", "monomial", "record", "words"]),
     "verify-dsq": (["verify", "dsq", "--n", "1"],
-                   ["boundary", "certificate", "chains", "linalg", "multivector", "verify",
-                    "words"]),
+                   ["boundary", "certificate", "chains", "linalg", "monomial", "multivector",
+                    "verify", "words"]),
     "verify-jacobi": (["verify", "jacobi", "--n", "1"],
-                      ["certificate", "multivector", "verify", "words"]),
+                      ["monomial", "multivector", "verify", "words"]),
     "verify-weights": (["verify", "weights", "--n", "1"], ["verify", "words"]),
     "verify-psi": (["verify", "psi", "--n", "1"],
-                   ["certificate", "chains", "contraction", "multivector", "record", "verify",
-                    "words"]),
+                   ["certificate", "contraction", "monomial", "record", "verify", "words"]),
     "verify-homotopy": (["verify", "homotopy", "--n", "1"],
-                        ["boundary", "certificate", "chains", "multivector", "torus", "verify",
-                         "words"]),
+                        ["boundary", "certificate", "chains", "monomial", "multivector", "torus",
+                         "verify", "words"]),
     "verify-all": (["verify", "all", "--n", "1"],
-                   ["boundary", "certificate", "chains", "contraction", "linalg", "multivector",
-                    "record", "torus", "verify", "words"]),
+                   ["boundary", "certificate", "chains", "contraction", "linalg", "monomial",
+                    "multivector", "record", "torus", "verify", "words"]),
 }
 
 
@@ -279,6 +299,11 @@ def test_each_command_loads_exactly_the_modules_it_runs(command):
                     "schouten.multivector", "schouten.boundary"} & set(new)
     if command in ("certify", "check-certificate", "psi-matrix"):
         assert not {"schouten.linalg", "schouten.homology", "schouten.torus"} & set(new)
+    if command in ("psi-matrix", "verify-psi"):
+        # psi runs on int words; only the Chain adapters load chains
+        assert not {"schouten.chains", "schouten.multivector"} & set(new)
+    if command == "verify-jacobi":
+        assert "schouten.certificate" not in new
     if command in ("certify", "check-certificate"):
         # the int-word certificate path builds no Chain and no MultiVector
         assert not {"schouten.chains", "schouten.multivector", "schouten.boundary",

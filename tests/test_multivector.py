@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -20,7 +20,8 @@ from schouten.multivector import (
     parse_monomial,
     schouten_bracket,
 )
-from schouten.words import _bracket, _direction_terms, format_factor
+from schouten import words
+from schouten.words import WeightEscapeError, _bracket, _direction_terms, format_factor
 
 
 def mono(n, coeff, beta, alpha):
@@ -121,6 +122,33 @@ def test_generator_validation():
         MultiVector(2, {((1, 1), (0, 0)): Fraction(1)})  # repeated direction
     with pytest.raises(ValueError):
         MultiVector(2, {((3,), (0, 0)): Fraction(1)})    # out of range
+
+
+def test_arithmetic_results_are_not_checked_again(monkeypatch):
+    """+, -, * and schouten_bracket build their results from checked terms,
+    so no generator is checked again; each result equals what the checking
+    constructor makes of its terms, with every coefficient a nonzero
+    Fraction, a float scalar's products included.  The constructor still
+    checks."""
+    from schouten import multivector
+
+    A = mono(2, 3, (1, 0), (1, 2)) - mono(2, 1, (0, 2), (1,))
+    B = mono(2, Fraction(1, 2), (2, 1), (2,)) + mono(2, 1, (0, 2), (1,))
+    calls = []
+    monkeypatch.setattr(multivector, "check_generator", lambda *args: calls.append(args))
+    results = [A + B, A - B, -A, A * 3, 2 * A, A * Fraction(1, 3), A * 0.5, A * 0,
+               schouten_bracket(A, B), schouten_bracket(A, A)]
+    assert calls == []
+    for result in results:
+        assert type(result) is MultiVector
+        assert all(type(c) is Fraction and c for c in result.terms.values())
+        assert result == MultiVector(2, result.terms)
+    assert (A + B).terms == {((1, 2), (1, 0)): 3, ((2,), (2, 1)): Fraction(1, 2)}
+    assert (A * 0.5).terms[((1, 2), (1, 0))] == Fraction(3, 2)
+    assert calls
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        MultiVector(2, {((3,), (0, 0)): Fraction(1)})
 
 
 def test_mixing_dimensions_rejected():
@@ -369,15 +397,56 @@ def test_bracket_templates_match_recursion(block, stride):
         for b in ranks:
             (alpha_a, beta_a), (alpha_b, beta_b) = A.gens[a], A.gens[b]
             ref = reference_bracket_mono(n, alpha_a, beta_a, alpha_b, beta_b)
-            if any(key not in A.rank for key, _ in ref):
+            if any(A.rank_of(key) is None for key, _ in ref):
                 continue
             checked[SHARED_CASES[min(len(set(alpha_a) & set(alpha_b)), 2)]] += 1
-            if dict(_bracket(A, a, b)) != {A.rank[key]: c for key, c in ref}:
+            if dict(_bracket(A, a, b)) != {A.rank_of(key): c for key, c in ref}:
                 bad.append((a, b))
     assert not bad, bad[:5]
     reachable = [n >= 2, True, n >= 2 and w >= 1]
     assert [bool(checked[case]) for case in SHARED_CASES] == reachable
     assert len(A.templates) <= 4 ** n
+
+
+@pytest.mark.parametrize("block, sample", [((2, 1, 1), None), ((3, 1, 1), None),
+                                           ((3, 2, 2), 4000)])
+def test_bracket_of_ranks_equals_bracket_mono(block, sample):
+    """_bracket, which finds each term's rank by int arithmetic on the keys,
+    equals _bracket_mono mapped through rank_of, term for term and in
+    order, on every ordered pair of generators of a fresh alphabet (or a
+    seeded sample of pairs); where a term of _bracket_mono lies outside
+    the alphabet, _bracket raises WeightEscapeError."""
+    n = block[0]
+    A = words.Alphabet(*block)
+    size = len(A.gens)
+    pairs = product(range(size), repeat=2)
+    if sample is not None:
+        rng = random.Random("bracket:%d:%d:%d" % block)
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(sample)]
+    gens = A.gens
+    ranks = {}  # generator -> A.rank_of(generator), each looked up once
+    for gen in gens:
+        ranks[gen] = A.rank_of(gen)
+    inside = escaped = 0
+    for a, b in pairs:
+        expect = []
+        for key, c in _bracket_mono(n, *gens[a], *gens[b]):
+            r = ranks.get(key, -1)
+            if r == -1:
+                r = ranks[key] = A.rank_of(key)
+            expect.append((r, c))
+        expect = tuple(expect)
+        try:
+            got = _bracket(A, a, b)
+        except WeightEscapeError:
+            got = None
+        if got is None:
+            assert any(r is None for r, _ in expect), (a, b)
+            escaped += 1
+        else:
+            assert got == expect, (a, b)
+            inside += 1
+    assert inside and escaped
 
 
 def test_bracket_hand_examples():
