@@ -1,16 +1,24 @@
-"""Torus weights: the weight-0 words of a block, and the Euler-field
-brackets that make every other weight acyclic.
+"""Torus weights and coordinate permutations: the weight-0 words of a
+block, the Euler-field brackets that make every other weight acyclic, and
+the S_n orbits of the weight-0 words, on whose sums homology.betti works.
 
 The generator x^beta d_alpha has torus weight v = beta - 1_alpha in Z^n.
 The bracket adds weights, so the boundary keeps the weight of a word (the
 sum over its factors), and on a word of the (w, h) block the entries of v
 sum to h - w.  The Euler field E_l = x_l d_l, of class (0, 0) and so in
 every block's alphabet, scales each generator by its weight: [E_l, g] =
-v_l(g) g.  homology.betti eliminates only the weight-0 words, arity by
+v_l(g) g.  homology.betti eliminates only on weight 0, arity by
 arity from C_1 to C_{m+1}, and takes the ranks of the other weights from
 counts, which rest on that identity.  enumerate_weight_zero builds those
 words with each weight held as one int (see there), so that summing
 weights and testing a sum for 0 are int operations.
+
+The coordinate permutations sigma in S_n act on every block and keep
+weight 0.  Relabeling is their table on the ranks of an alphabet, built
+lazily; weight_zero_orbits classifies the weight-0 words of one arity into
+orbits, dropping those whose sum is 0; orbit_columns yields the columns of
+d on the orbit sums, one word boundary per orbit; equivariance_failure
+checks the bracket templates on which d's commuting with S_n rests.
 
 unrank_words builds the words of a block at given positions without
 building the block, for `verify homotopy`, which checks Cartan's formula
@@ -20,10 +28,13 @@ Only betti and verify homotopy load this module, so `dims` and `euler` do
 not compile it.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 import math
+from operator import mul
 
-from .words import BasisIndex, _bracket, _class_multisets, alphabet
+from .counting import HomologyInvariantError
+from .words import (BasisIndex, WeightEscapeError, _bracket, _class_multisets, _direction_id,
+                    _key_terms, _word_boundary, alphabet, place_factor)
 
 
 def torus_weight(gen):
@@ -132,6 +143,217 @@ def euler_bracket_failure(n, m, w, h):
             if _bracket(A, e, r) != scaled or _bracket(A, r, e) != negated:
                 return l, A.gens[r], v
     return None
+
+
+class Relabeling:
+    """The coordinate permutations of S_n on the ranks of the alphabet of
+    the block (n, w, h).
+
+    A permutation sigma renames x_l to x_sigma(l) and d_l to d_sigma(l), so
+    it takes the generator x^beta d_alpha to sign * x^beta' d_alpha', with
+    alpha' the sorted image of alpha, sign the parity of that sort (the d_l
+    anticommute) and beta'_sigma(l) = beta_l.  It keeps |alpha| and |beta|,
+    so the image is a generator of the same class, and it permutes the
+    entries of the torus weight, so it keeps weight 0.  The key of the
+    image (see words.Alphabet) is id(alpha') * span plus beta's exponents
+    at the places of their images.  perms holds, for each permutation but
+    the identity, the image of every direction id as (id(alpha') * span,
+    sign) and the place of each exponent of beta.  of(r) is the image of
+    gens[r] under each permutation, as (rank, sign) pairs in the order of
+    perms, kept in images once built.  Both are built on first use, so
+    only ranks that occur in a classified word are ever relabeled, and a
+    block without weight-0 words builds nothing.
+    """
+
+    __slots__ = ("alphabet", "perms", "images")
+
+    def __init__(self, n, w, h):
+        self.alphabet = alphabet(n, w, h)
+        self.perms = None
+        self.images = {}
+
+    def of(self, r):
+        out = self.images.get(r)
+        if out is None:
+            A = self.alphabet
+            if self.perms is None:
+                self.perms = _permutation_tables(A)
+            d = A.keys[r] // A.span
+            beta = A.gens[r][1]
+            ranks = A.ranks
+            out = []
+            for directions, places in self.perms:
+                head, sign = directions[d]
+                out.append((ranks[head + sum(map(mul, beta, places))], sign))
+            out = self.images[r] = tuple(out)
+        return out
+
+
+def _permutation_tables(A):
+    """Relabeling.perms for the alphabet A: per permutation p of S_n but
+    the identity, p[l - 1] = sigma(l) - 1, the image of each direction id
+    as (id(alpha') * span, sign) and the place of each exponent."""
+    n = A.n
+    tables = []
+    for p in list(permutations(range(n)))[1:]:
+        directions = []
+        for d in range(1 << n):
+            image = [p[l] for l in range(n) if d >> l & 1]
+            inversions = sum(x > y for x, y in combinations(image, 2))
+            directions.append((sum(1 << l for l in image) * A.span, -1 if inversions & 1 else 1))
+        tables.append((directions, [A.places[p[l]] for l in range(n)]))
+    return tables
+
+
+class Orbits:
+    """The S_n orbits of the weight-0 words of one arity: size is the
+    number of weight-0 words, reps the representatives of the orbits that
+    are kept, one per row, and fold maps each weight-0 word u to row i when
+    u has coefficient 1 in the orbit sum of reps[i], to ~i when it has -1,
+    and to None when its orbit is dropped."""
+
+    __slots__ = ("size", "reps", "fold")
+
+    def __init__(self, size, reps, fold):
+        self.size = size
+        self.reps = reps
+        self.fold = fold
+
+
+def weight_zero_orbits(n, m, w, h, relabeling):
+    """The S_n orbits of the weight-0 words of the block (n; m, w, h),
+    with relabeling the Relabeling of its alphabet, as Orbits.
+
+    The words are taken in their canonical order, and each that no orbit
+    holds yet starts one, so each representative is the least int word of
+    its orbit.  Its image under each permutation relabels every factor
+    (Relabeling.of) and sorts them through words.place_factor, which signs
+    the sort.  The orbit sum is sum_sigma sigma(rep), up to a factor: each
+    word of the orbit enters it once, with the sign of its image, unless
+    two permutations reach one word with opposite signs.  Then the
+    stabilizer of the representative acts by -1 on it, the orbit sum is 0,
+    and the orbit is dropped.  Every image must be a weight-0 word of the
+    block; HomologyInvariantError otherwise.
+    """
+    basis = enumerate_weight_zero(n, m, w, h)
+    parity = basis.alphabet.parity
+    images = relabeling.images
+    reps = []
+    fold = {}
+    for word in basis.codes:
+        if word in fold:
+            continue
+        try:
+            factors = [images[r] for r in word]
+        except KeyError:
+            factors = [relabeling.of(r) for r in word]
+        orbit = {word: 1}
+        kept = True
+        for relabeled in zip(*factors):
+            r, sign = relabeled[0]
+            image = (r,)
+            for i in range(1, len(word)):
+                r, s = relabeled[i]
+                t, image = place_factor(image, i, r, parity)
+                sign *= s * t
+            if orbit.setdefault(image, sign) != sign:
+                kept = False
+        if kept:
+            row = len(reps)
+            reps.append(word)
+            for u, s in orbit.items():
+                fold[u] = row if s > 0 else ~row
+        else:
+            fold.update(dict.fromkeys(orbit))
+    if len(fold) != len(basis.codes):
+        raise HomologyInvariantError(
+            "coordinate permutations take weight-0 words of block (n=%d, m=%d, w=%d, h=%d) "
+            "outside its weight-0 words" % (n, m, w, h))
+    return Orbits(len(basis.codes), reps, fold)
+
+
+def orbit_columns(A, reps, fold, m, w, h):
+    """The columns of d on the orbit representatives `reps` of C_m of the
+    (m, w, h) block, folded into the orbit coordinates `fold` of C_{m-1}
+    (see Orbits): one {row: nonzero int} per representative, in order.
+    Entry i sums the coefficients that d(rep) gives the words of orbit i,
+    each times its sign in the orbit sum; terms on dropped orbits are
+    skipped.  This is the matrix of d in the basis of averages R(rep) =
+    (1/n!) sum_sigma sigma(rep): d commutes with R, so d R(rep) =
+    R(d(rep)), and R(u) is R(reps[i]) times the sign of u in the sum of
+    orbit i, or 0 on a dropped orbit.  A term that is no weight-0 word, or
+    whose bracket is ranked beyond the alphabet A, raises
+    WeightEscapeError."""
+    for word in reps:
+        column = {}
+        try:
+            for out, c in _word_boundary(A, word).items():
+                if c:
+                    r = fold[out]
+                    if r is not None:
+                        if r < 0:
+                            r, c = ~r, -c
+                        column[r] = column.get(r, 0) + c
+        except (IndexError, KeyError):  # ranked beyond the alphabet, or no weight-0 word
+            raise WeightEscapeError("boundary of %r left block (m=%d, w=%d, h=%d)"
+                                    % (tuple(A.gens[f] for f in word), m, w, h)) from None
+        yield {r: c for r, c in column.items() if c}
+
+
+def equivariance_failure(n, w, h):
+    """The first (t, alpha_a, alpha_b) for which the bracket template of
+    the direction sets alpha_a and alpha_b does not go over into that of
+    their images under the swap tau of x_t and x_{t+1}, or None when every
+    template of the block (n; w, h) that a weight-0 word can use does, for
+    t = 1..n-1.  A w != h block has no weight-0 word and needs no check.
+
+    The templates are words._key_terms, kept in the alphabet's templates,
+    which _bracket evaluates.  A term (i, s_a, s_b, offset) of the pair
+    (a, b) of direction ids has the coefficient s_a beta_a[i] + s_b
+    beta_b[i] and the key k_a + k_b + offset, offset = (id(alpha) - a - b)
+    * span - places[i]: exponent i lowered, directions alpha.  Each term is
+    read back as (s_a, s_b, id(alpha), r), with r the remainder of offset +
+    places[i] modulo span, 0 for a term of that form.  tau takes x^beta
+    d_alpha to eps(alpha) x^(tau beta) d_(tau alpha), with eps(alpha) = -1
+    exactly when alpha holds t and t + 1, so [tau g_a, tau g_b] = tau [g_a,
+    g_b] for all exponents exactly when the terms of (tau a, tau b) are
+    those of (a, b) with i and the directions moved by tau and both signs
+    times eps(alpha_a) eps(alpha_b) eps(alpha).  The adjacent swaps
+    generate S_n, and d is the sum of brackets of factors put in place by
+    words.place_factor, so then d commutes with every coordinate
+    permutation.
+    """
+    A = alphabet(n, w, h)
+    if w != h or (0, 0) not in A.classes:
+        return None
+    sets = {_direction_id(alpha): alpha
+            for k in range(1, min(n, w + 1) + 1) for alpha in combinations(range(1, n + 1), k)}
+    terms = {}  # (a, b) -> {i: (s_a, s_b, id(alpha), r)}
+    for a in sets:
+        for b in sets:
+            template = A.templates.get(a << n | b)
+            if template is None:
+                template = A.templates[a << n | b] = _key_terms(A, sets[a], sets[b])
+            terms[(a, b)] = out = {}
+            for i, s_a, s_b, offset in template:
+                q, r = divmod(offset + A.places[i], A.span)
+                out[i] = (s_a, s_b, a + b + q, r)
+    for t in range(1, n):
+        both = 3 << (t - 1)  # the bits of t and t + 1 in a direction id
+        for (a, b), out in terms.items():
+            eps = -1 if (a & both == both) != (b & both == both) else 1
+            image = {}
+            for i, (s_a, s_b, c, r) in out.items():
+                e = -eps if c & both == both else eps
+                image[{t - 1: t, t: t - 1}.get(i, i)] = (e * s_a, e * s_b, _swapped(c, both), r)
+            if image != terms[(_swapped(a, both), _swapped(b, both))]:
+                return t, sets[a], sets[b]
+    return None
+
+
+def _swapped(x, both):
+    """The direction id x with its two bits in `both` exchanged."""
+    return x ^ both if x & both and x & both != both else x
 
 
 def unrank_words(n, m, w, h, positions):

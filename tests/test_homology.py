@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from schouten import chains, cli, counting, homology, linalg, torus, words
-from schouten.boundary import boundary_columns, boundary_matrix
+from schouten.boundary import boundary, boundary_matrix
 from schouten.homology import (
     HomologyInvariantError,
     HomologyReport,
@@ -19,11 +19,12 @@ from schouten.homology import (
     euler_characteristic,
     is_poisson,
 )
-from schouten.chains import (alphabet, basis_dim, block_dims, canonicalize_word,
+from schouten.chains import (Chain, alphabet, basis_dim, block_dims, canonicalize_word,
                              enumerate_basis, max_arity)
 from schouten.linalg import pivot_columns, rank_exact
 from schouten.multivector import MultiVector, schouten_bracket
-from schouten.torus import enumerate_weight_zero, unrank_words
+from schouten.torus import (Relabeling, enumerate_weight_zero, orbit_columns, unrank_words,
+                            weight_zero_orbits)
 
 DATA = Path(__file__).parent / "data"
 # the module: `from schouten import boundary` gives the function
@@ -142,8 +143,9 @@ def test_betti_with_clearing_matches_reference_wide(block):
 
 # (n, m, w, h) -> (dim, rank_out, rank_in, betti): every nonzero Betti
 # number of n = 1 and of the n = 2 weight (0, 0) tower, with the m = 6
-# block between them, and the n = 2 weight (2, 2) block at m = 7.  Each
-# block but the last takes milliseconds.  A rank that came out
+# block between them, and the n = 2 weight (2, 2) blocks at m = 7 and 8
+# (frozen in tests/data/betti_extended.json).  Each block but the last two
+# takes milliseconds.  A rank that came out
 # too high in betti and in reference_betti alike would show here, and only
 # here, as a Betti number too low.
 NONZERO_BLOCKS = {
@@ -152,8 +154,9 @@ NONZERO_BLOCKS = {
     (2, 6, 0, 0): (134, 80, 54, 0),
     (2, 7, 0, 0): (68, 54, 13, 1),
     (2, 8, 0, 0): (15, 13, 0, 2),
-    # the first deep nonzero block: one to two seconds with the cleared tower
+    # the deep nonzero blocks: about one second each in orbit coordinates
     (2, 7, 2, 2): (32596, 12779, 19816, 1),
+    (2, 8, 2, 2): (40622, 19816, 20805, 1),
 }
 
 
@@ -306,19 +309,156 @@ def test_betti_checks_the_euler_bracket_on_a_block_without_matrices(monkeypatch,
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_betti_rejects_a_bracket_that_breaks_coordinate_symmetry(monkeypatch, capsys):
+    # one sign of the template of the direction sets (1, 2) and (1, 3)
+    # negated: no bracket of an Euler field uses that template, so the
+    # Euler check passes, but the bracket no longer commutes with swapping
+    # x_1 and x_2, on which the orbit coordinates rest, so betti refuses
+    # the block
+    real = words._direction_terms
+
+    def negated(alpha_a, alpha_b):
+        out = real(alpha_a, alpha_b)
+        if (alpha_a, alpha_b) == ((1, 2), (1, 3)):
+            i, s_a, s_b, alpha = out[0]
+            out = ((i, -s_a, s_b, alpha),) + out[1:]
+        return out
+
+    assert any(s_a for _, s_a, _, _ in real((1, 2), (1, 3)))
+    # fresh alphabets, so that their templates are built through `negated`
+    monkeypatch.setattr(words, "_ALPHABETS", {})
+    monkeypatch.setattr(words, "_direction_terms", negated)
+    assert torus.euler_bracket_failure(3, 2, 1, 1) is None
+    with pytest.raises(HomologyInvariantError, match="does not commute with swapping x_1 and x_2"):
+        betti(3, 2, 1, 1)
+    rc = cli.main(["betti", "--n", "3", "--m", "2", "--w", "1", "--h", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal invariant violated: the bracket template of directions")
+    assert "(n=3, w=1, h=1)" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_betti_rejects_a_term_outside_the_weight_zero_words(monkeypatch, capsys):
+    # a boundary term that is no weight-0 word of C_{m-1} (here the word
+    # itself, of arity m) has no orbit row to fold into: WeightEscapeError,
+    # exit 1 with one line
+    monkeypatch.setattr(torus, "_word_boundary", lambda A, word: {word: 1})
+    with pytest.raises(words.WeightEscapeError, match=r"left block \(m=3, w=1, h=1\)"):
+        betti(2, 3, 1, 1)
+    rc = cli.main(["betti", "--n", "2", "--m", "3", "--w", "1", "--h", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal invariant violated: boundary of ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def swapped(chain, t):
+    """The chain with x_t and x_{t+1}, and d_t and d_{t+1}, exchanged,
+    computed here from the generators: x^beta d_alpha goes to x^beta'
+    d_alpha', beta' and alpha' with t and t + 1 exchanged, times -1 when
+    alpha holds both (the d_l anticommute), and each word is put back in
+    the canonical order by Chain.from_word."""
+    terms = {}
+    for word, c in chain.terms.items():
+        sign = 1
+        factors = []
+        for alpha, beta in word:
+            if t in alpha and t + 1 in alpha:
+                sign = -sign
+            moved = list(beta)
+            moved[t - 1], moved[t] = beta[t], beta[t - 1]
+            factors.append((tuple(sorted({t: t + 1, t + 1: t}.get(l, l) for l in alpha)),
+                            tuple(moved)))
+        for out, d in Chain.from_word(chain.n, factors, sign * c).terms.items():
+            terms[out] = terms.get(out, 0) + d
+    return Chain(chain.n, terms)
+
+
+@pytest.mark.parametrize("block", [(2, 3, 1, 1), (2, 4, 2, 2), (2, 3, 1, 2), (3, 2, 1, 1),
+                                   (3, 3, 0, 0), (3, 2, 2, 2)],
+                         ids="n{0[0]}-m{0[1]}-w{0[2]}-h{0[3]}".format)
+def test_boundary_commutes_with_adjacent_transpositions(block):
+    # the orbit coordinates of betti rest on d(sigma . c) = sigma . d(c) for
+    # every coordinate permutation sigma; the adjacent swaps generate S_n.
+    # Checked on 30 seeded words of each block through the public Chain
+    # boundary, with the swap computed above, of all weights
+    n = block[0]
+    basis = enumerate_basis(*block).words
+    for word in random.Random("swap:%d:%d:%d:%d" % block).sample(basis, 30):
+        c = Chain(n, {word: 1})
+        for t in range(1, n):
+            image = swapped(c, t)
+            assert swapped(image, t) == c
+            assert boundary(image) == swapped(boundary(c), t)
+
+
+@pytest.mark.parametrize("nwh", [(2, 1, 1), (2, 0, 0), (2, 2, 2)], ids="w{0[1]}-h{0[2]}".format)
+def test_weight_zero_orbits_follow_the_swap(nwh):
+    # over R^2, S_2 is {1, swap}: a weight-0 word u with swap(u) = -u lies
+    # in a dropped orbit (its orbit sum is 0), and otherwise u and swap(u)
+    # = c v share one row, with signs in the orbit sum that differ by c.
+    # Among the dropped words is x_1 x_2 d_1 ^ d_2, the one weight-0 word of
+    # C_1 of the (1, 1) block.  betti still equals the full elimination
+    n, w, h = nwh
+    relabeling = Relabeling(n, w, h)
+    rank_of = relabeling.alphabet.rank_of
+    dropped = 0
+    for m in range(1, 5):
+        orbits = weight_zero_orbits(n, m, w, h, relabeling)
+        codes = enumerate_weight_zero(n, m, w, h)
+        assert orbits.size == len(codes) and set(orbits.fold) == set(codes.codes)
+        assert sorted(orbits.reps) == orbits.reps
+        for word in codes.words:
+            code = tuple(map(rank_of, word))
+            ((image, c),) = swapped(Chain(n, {word: 1}), 1).terms.items()
+            f, g = orbits.fold[code], orbits.fold[tuple(map(rank_of, image))]
+            if image == word and c == -1:
+                assert f is None
+                dropped += 1
+            else:
+                assert f is not None and g is not None
+                assert f == g if c == 1 else f == ~g
+                assert orbits.reps[max(f, ~f)] <= code
+        if m <= 3 or (w, h) != (2, 2):
+            assert betti(n, m, w, h) == reference_betti(n, m, w, h)
+    assert dropped
+    if (w, h) == (1, 1):
+        x12 = (rank_of(((1, 2), (1, 1))),)
+        orbits = weight_zero_orbits(2, 1, 1, 1, relabeling)
+        assert (orbits.size, orbits.reps, orbits.fold) == (1, [], {x12: None})
+
+
+def test_n1_orbits_are_the_words():
+    # over R^1 the group is trivial: every weight-0 word is an orbit of its
+    # own, with sign 1, and betti keeps the pinned nonzero Betti numbers
+    for m in range(1, max_arity(1, 0, 0) + 1):
+        orbits = weight_zero_orbits(1, m, 0, 0, Relabeling(1, 0, 0))
+        codes = enumerate_weight_zero(1, m, 0, 0).codes
+        assert orbits.reps == codes
+        assert orbits.fold == {code: i for i, code in enumerate(codes)}
+    for block, pinned in NONZERO_BLOCKS.items():
+        if block[0] == 1:
+            rep = betti(*block)
+            assert (rep.dim, rep.rank_out, rep.rank_in, rep.betti) == pinned
+
+
 def weight_zero_columns(n, m, w, h):
-    """The weight-0 domain of d: C_m -> C_{m-1}, its weight-0 codomain and
-    its columns, as betti streams them."""
-    domain, codomain = enumerate_weight_zero(n, m, w, h), enumerate_weight_zero(n, m - 1, w, h)
-    return domain, codomain, list(boundary_columns(domain.alphabet, domain.codes,
-                                                   codomain.index, m, w, h))
+    """The S_n orbits of the weight-0 words of C_m and of C_{m-1}, and the
+    columns of d: C_m -> C_{m-1} on their orbit sums, as betti streams
+    them."""
+    relabeling = Relabeling(n, w, h)
+    domain = weight_zero_orbits(n, m, w, h, relabeling)
+    codomain = weight_zero_orbits(n, m - 1, w, h, relabeling)
+    return domain, codomain, list(orbit_columns(relabeling.alphabet, domain.reps,
+                                                codomain.fold, m, w, h))
 
 
 def corrupted_columns(m_in, key, change):
-    """boundary_columns with the entry key = (row, col) of the arity-m_in
+    """orbit_columns with the entry key = (row, col) of the arity-m_in
     stream replaced by change(entry)."""
-    def columns(A, codes, row_of, m, w, h):
-        for col, column in enumerate(boundary_columns(A, codes, row_of, m, w, h)):
+    def columns(A, reps, fold, m, w, h):
+        for col, column in enumerate(orbit_columns(A, reps, fold, m, w, h)):
             if m == m_in and col == key[1]:
                 column = dict(column)
                 column[key[0]] = change(column[key[0]])
@@ -329,11 +469,11 @@ def corrupted_columns(m_in, key, change):
 def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
     # negate one entry of d_in = d(C_4 -> C_3) in a row whose column of
     # d_out = d(C_3 -> C_2) is nonzero, so that d_out . d_in != 0; both in
-    # the weight-0 coordinates that betti assembles
+    # the orbit coordinates that betti assembles
     d_out = weight_zero_columns(2, 3, 1, 1)[2]
     d_in = weight_zero_columns(2, 4, 1, 1)[2]
     key = next((r, c) for c, column in enumerate(d_in) for r in column if d_out[r])
-    monkeypatch.setattr(homology, "boundary_columns", corrupted_columns(4, key, lambda v: -v))
+    monkeypatch.setattr(homology, "orbit_columns", corrupted_columns(4, key, lambda v: -v))
     with pytest.raises(HomologyInvariantError, match="boundary squared"):
         betti(2, 3, 1, 1)
     rc = cli.main(["betti", "--n", "2", "--m", "3", "--w", "1", "--h", "1"])
@@ -346,28 +486,31 @@ def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_betti_checks_every_map_of_the_tower(monkeypatch, capsys, k):
-    # betti(2, 5, 1, 1) checks each of d_3..d_6 against the cleared map
+    # betti(2, 5, 0, 0) checks each of d_3..d_6 against the cleared map
     # below it; one negated entry of d_k, in a row whose column of d_{k-1}
     # is nonzero, makes d_{k-1} . d_k != 0 and must raise, naming k, also
-    # for the intermediate maps whose rank is never reported
-    d_below = weight_zero_columns(2, k - 1, 1, 1)[2]
-    d_k = weight_zero_columns(2, k, 1, 1)[2]
+    # for the intermediate maps whose rank is never reported.  (In the
+    # (1, 1) block d_2 is 0 on orbit sums, so d_3 is not checked there.)
+    d_below = weight_zero_columns(2, k - 1, 0, 0)[2]
+    d_k = weight_zero_columns(2, k, 0, 0)[2]
     key = next((r, c) for c, column in enumerate(d_k) for r in column if d_below[r])
-    monkeypatch.setattr(homology, "boundary_columns", corrupted_columns(k, key, lambda v: -v))
+    monkeypatch.setattr(homology, "orbit_columns", corrupted_columns(k, key, lambda v: -v))
     with pytest.raises(HomologyInvariantError, match=r"d_%d \. d_%d is" % (k - 1, k)):
-        betti(2, 5, 1, 1)
-    rc = cli.main(["betti", "--n", "2", "--m", "5", "--w", "1", "--h", "1"])
+        betti(2, 5, 0, 0)
+    rc = cli.main(["betti", "--n", "2", "--m", "5", "--w", "0", "--h", "0"])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("internal invariant violated: boundary squared")
-    assert "(n=2, m=5, w=1, h=1)" in err and "d_%d . d_%d" % (k - 1, k) in err
+    assert "(n=2, m=5, w=0, h=0)" in err and "d_%d . d_%d" % (k - 1, k) in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_betti_streams_only_the_top_map(monkeypatch):
-    # every weight-0 map d_2..d_{m+1} is ranked once by pivot_columns, in
-    # order; each below the top is held as a list of its cleared columns,
-    # and d_{m+1} comes as a stream that is never held
+    # every map d_2..d_{m+1} between orbit sums of weight 0 is ranked once
+    # by pivot_columns, in order, but d_2, whose codomain has no orbit sum
+    # here (the one weight-0 word of C_1, x_1 x_2 d_1 ^ d_2, is negated by
+    # the swap); each below the top is held as a list of its cleared
+    # columns, and d_{m+1} comes as a stream that is never held
     calls = []
     real = homology.pivot_columns
 
@@ -377,33 +520,37 @@ def test_betti_streams_only_the_top_map(monkeypatch):
 
     monkeypatch.setattr(homology, "pivot_columns", recording)
     betti(2, 5, 1, 1)
-    rows = [len(enumerate_weight_zero(2, k, 1, 1)) for k in range(1, 6)]
-    assert calls == [(True, r) for r in rows[:-1]] + [(False, rows[-1])]
+    relabeling = Relabeling(2, 1, 1)
+    rows = [len(weight_zero_orbits(2, k, 1, 1, relabeling).reps) for k in range(1, 6)]
+    assert rows[0] == 0 and all(rows[1:])
+    assert calls == [(True, r) for r in rows[1:-1]] + [(False, rows[-1])]
 
 
 def test_boundary_squared_check_on_pivot_rows_catches_corrupted_entries(monkeypatch):
     # betti checks d_out . d_in = 0 only on the pivot rows of the cleared
-    # d_out (53 of the 64 weight-0 rows here, as for the uncleared d_out);
+    # d_out (29 of the 35 orbit rows here, as for the uncleared d_out);
     # each of 18 corrupted d_in entries, in a row k whose d_out column is
     # nonzero, must still raise, also where that column meets rows that
     # are not pivots of the uncleared d_out
     _, codomain, d_out = weight_zero_columns(2, 4, 1, 1)
-    _, pivot_rows = pivot_columns(d_out, len(codomain))
+    _, pivot_rows = pivot_columns(d_out, len(codomain.reps))
     d_in = weight_zero_columns(2, 5, 1, 1)[2]
-    keys = sorted((r, c) for c, column in enumerate(d_in) for r in column if d_out[r])[::133]
-    assert len(pivot_rows) < len(codomain)
+    keys = sorted((r, c) for c, column in enumerate(d_in) for r in column if d_out[r])[::63]
+    assert len(keys) == 18
+    assert len(pivot_rows) < len(codomain.reps)
     assert any(set(d_out[k[0]]) - set(pivot_rows) for k in keys)
     for key in keys:
-        monkeypatch.setattr(homology, "boundary_columns",
+        monkeypatch.setattr(homology, "orbit_columns",
                             corrupted_columns(5, key, lambda v: v + 1))
         with pytest.raises(HomologyInvariantError, match="boundary squared"):
             betti(2, 4, 1, 1)
 
 
 def test_betti_holds_d_in_once(monkeypatch):
-    # d_in (its 594 weight-0 columns here) streams into the echelon's
-    # integer rows, and d_out = d(C_2 -> C_1), 3 x 60 on weight 0, is the
-    # list of its columns: betti builds no SparseMatrixQ at all
+    # d_in (99 orbit sums of its 594 weight-0 words here) streams into the
+    # echelon's integer rows, and d_out = d(C_2 -> C_1) is 0 on orbit sums,
+    # as the 3 weight-0 words of C_1 lie in dropped orbits: betti builds no
+    # SparseMatrixQ at all
     shapes = []
     init = linalg.SparseMatrixQ.__init__
 
