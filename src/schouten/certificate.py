@@ -8,10 +8,13 @@ capital_phi(g(T) U); see the contraction module for the operators.
 
 Everything here runs on the int-word form of chains (see chains): per
 weight block (w, h), the block's Alphabet and an {int word: int} dict,
-over one common denominator.  parse_codes reads chain text into it,
-codes_to_text writes it back, boundary_codes is the boundary on it, and
-_certify_codes and _check_codes are the cores of certifying and of
-re-checking a certificate.  The final check of a certificate,
+over one common denominator.  parse_codes reads chain text into it
+(_parse_terms with no alphabet built, then _rank_blocks), codes_to_text
+writes it back, boundary_codes is the boundary on it, and _certify_codes
+and _check_codes are the cores of certifying and of re-checking a
+certificate.  The cores take the form of _parse_terms and refuse a term
+outside the one block they use before ranking that block, so they build
+no other alphabet.  The final check of a certificate,
 boundary(V) == U, is a fresh boundary_codes over V's int words, compared
 with U as exact integers; it shares no column with the pass.
 
@@ -22,7 +25,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .monomial import check_generator, format_coeff, parse_coeff, parse_factor
-from .words import WeightEscapeError, _word_boundary, alphabet, format_factor, place_factor
+from .words import (WeightEscapeError, _word_boundary, alphabet, factor_key, format_factor,
+                    place_factor)
 
 
 class CertificateError(RuntimeError):
@@ -47,20 +51,30 @@ def codes_to_text(gens, den, codes):
 
 def parse_codes(n, text):
     """The int-word form (den, blocks) of a chain in text form, as
-    encode_chain returns it for the chain: den is the least common
-    denominator and blocks maps each (w, h) to its Alphabet and the
-    {int word: int} dict of den times its terms, with no zero coefficient
-    and no empty block.  Accepts any factor order, blank lines and `#`
-    comments; repeated words add up.
+    encode_chain returns it for the chain: _parse_terms, ranked."""
+    den, blocks = _parse_terms(n, text)
+    return den, _rank_blocks(n, blocks)
+
+
+def _parse_terms(n, text):
+    """The form (den, blocks) of a chain in text form before any alphabet
+    is built: den is the least common denominator and blocks maps each
+    (w, h), in the order of its first line, to the {word: int} dict of den
+    times its terms, a word being the tuple of its factors' factor_keys in
+    factor order, with no zero coefficient and no empty block.  Accepts any
+    factor order, blank lines and `#` comments; repeated words add up.
 
     Each distinct coefficient text and each distinct factor text is parsed
     (and the factor validated) once per call.  A line's factors give its
-    block, and its word is canonicalized by place_factor on the ranks of
-    that block's alphabet, each factor text ranked once per block.
+    block, and place_factor puts them in order on their factor_keys, which
+    compare as their ranks in any alphabet do.  So a term outside the block
+    a command uses is refused without building the alphabet of its own
+    block, which can be far larger.
     """
     coeffs = {}
-    factors = {}  # factor text -> (generator, i, j)
-    blocks = {}  # (w, h) -> (alphabet, {int word: coefficient}, {factor text: rank})
+    factors = {}  # factor text -> (factor_key, i, j)
+    parity = {}  # factor_key -> g-degree mod 2
+    blocks = {}  # (w, h) -> {word: coefficient}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -78,44 +92,52 @@ def parse_codes(n, text):
             if f is None:
                 beta, alpha = parse_factor(part)
                 check_generator(n, alpha, beta)
-                f = factors[part] = ((alpha, beta), len(alpha) - 1, sum(beta) - 1)
+                key = factor_key((alpha, beta))
+                parity[key] = (len(alpha) - 1) & 1
+                f = factors[part] = (key, len(alpha) - 1, sum(beta) - 1)
             w += f[1]
             h += f[2]
-        block = blocks.get((w, h))
-        if block is None:
-            block = blocks[(w, h)] = (alphabet(n, w, h), {}, {})
-        A, codes, ranks = block
-        try:
-            rs = tuple([ranks[part] for part in parts])
-        except KeyError:
-            for part in parts:
-                if part not in ranks:
-                    ranks[part] = A.rank_of(factors[part][0])
-            rs = tuple([ranks[part] for part in parts])
-        if None in rs:
-            # every factor of a nonzero word lies in its block's alphabet
-            # (see Alphabet), so this word repeats an even factor and is 0
-            even = [factors[part][0] for part in parts if not factors[part][1] & 1]
-            if len(set(even)) == len(even):
-                raise ValueError("a factor of %r lies outside its block" % line)
-            continue
-        sign, word = 1, rs[:1]
-        for r in rs[1:]:
-            s, word = place_factor(word, len(word), r, A.parity)
+        codes = blocks.setdefault((w, h), {})
+        sign, word = 1, (factors[parts[0]][0],)
+        for part in parts[1:]:
+            s, word = place_factor(word, len(word), factors[part][0], parity)
             if not s:
-                break
+                break  # a repeated factor of even g-degree: the word is 0
             sign *= s
         else:
             c = coeff if sign > 0 else -coeff
-            prev = codes.get(word)
-            codes[word] = c if prev is None else prev + c
-    den = lcm(*[c.denominator for _, codes, _ in blocks.values() for c in codes.values()])
+            codes[word] = codes.get(word, 0) + c
+    den = lcm(*[c.denominator for codes in blocks.values() for c in codes.values()])
     form = {}
-    for key, (A, codes, _) in blocks.items():
+    for key, codes in blocks.items():
         ints = {word: c.numerator * (den // c.denominator) for word, c in codes.items() if c}
         if ints:
-            form[key] = (A, ints)
+            form[key] = ints
     return den, form
+
+
+def _rank_blocks(n, blocks):
+    """The int-word form of the blocks of _parse_terms: each (w, h) to its
+    Alphabet and the {int word: int} dict of its terms, each distinct
+    factor ranked once per block.  Every factor of a nonzero word lies in
+    its block's alphabet (see Alphabet), so one that does not is a
+    ValueError."""
+    out = {}
+    for (w, h), terms in blocks.items():
+        A = alphabet(n, w, h)
+        ranks = {}
+        codes = {}
+        for word, c in terms.items():
+            for key in word:
+                if key not in ranks:
+                    ranks[key] = A.rank_of(key[2:])
+            rs = tuple([ranks[key] for key in word])
+            if None in rs:
+                raise ValueError("a factor of %r lies outside its block"
+                                 % (tuple(key[2:] for key in word),))
+            codes[rs] = c
+        out[(w, h)] = (A, codes)
+    return out
 
 
 # --- the operators of the certificate on int words ----------------------------
@@ -132,19 +154,20 @@ def boundary_codes(A, codes):
     return {out: v for out, v in acc.items() if v}
 
 
-def _one_block(blocks, m):
-    """(w, A, codes) of the one (m, w, w) block of the int-word form
-    `blocks` (see encode_chain), w read off its first block; ValueError
-    naming the first term, block by block, outside it.  Reads the block
-    keys and the word lengths only."""
+def _one_block(n, blocks, m):
+    """(w, A, codes) of the one (m, w, w) block of the form `blocks` of
+    _parse_terms, w read off its first block, ranked in its alphabet A;
+    ValueError naming the first term, block by block, outside it, which
+    reads the block keys and the word lengths only and builds no
+    alphabet."""
     w = next(iter(blocks))[0]
-    for key, (_, codes) in blocks.items():
+    for key, words in blocks.items():
         other = key != (w, w)
-        for word in codes:
+        for word in words:
             if other or len(word) != m:
                 raise ValueError("term signature %r outside the (%d, %d, %d) block"
                                  % ((len(word),) + key, m, w, w))
-    return (w,) + blocks[(w, w)]
+    return (w,) + _rank_blocks(n, blocks)[(w, w)]
 
 
 def _shifts(A, r):
@@ -299,8 +322,9 @@ def _combine(pairs):
 # --- certify and check --------------------------------------------------------
 
 
-def _certify_codes(den, blocks):
-    """certify_exact on the int-word form (den, blocks) of a nonzero U.
+def _certify_codes(n, den, blocks):
+    """certify_exact on the form (den, blocks) of _parse_terms of a nonzero
+    U over R^n.
 
     U must be one (2, w, w) block (ValueError otherwise) and a cycle
     (CertificateError, with the text of its boundary, otherwise).  The
@@ -314,7 +338,7 @@ def _certify_codes(den, blocks):
     v)): p the annihilator (Fractions, constant first), u = den * U and
     v = vden * V as {int word: int} in A.
     """
-    w, A, u = _one_block(blocks, 2)
+    w, A, u = _one_block(n, blocks, 2)
     du = boundary_codes(A, u)
     if du:
         raise CertificateError("input is not a cycle; its boundary is:\n%s"
@@ -343,13 +367,13 @@ def _bounds(A, vden, v, uden, u):
 
 
 def _certify_form(n, form):
-    """certificate_to_dict(certify_exact(U)) for the U of the int-word form
-    (den, blocks) of parse_codes, with no Chain built: both chains are
-    written from their int words."""
+    """certificate_to_dict(certify_exact(U)) for the U of the form (den,
+    blocks) of _parse_terms, with no Chain built: both chains are written
+    from their int words."""
     den, blocks = form
     if not blocks:
         return _certificate_dict(n, 0, "", "", (Fraction(1),))
-    w, p, A, u, (vden, v) = _certify_codes(den, blocks)
+    w, p, A, u, (vden, v) = _certify_codes(n, den, blocks)
     return _certificate_dict(n, w, codes_to_text(A.gens, den, u),
                              codes_to_text(A.gens, vden, v), p)
 
@@ -364,8 +388,8 @@ def _certificate_dict(n, w, cycle, primitive, p):
 
 
 def _read_certificate(data):
-    """(n, w, U, V, p) of a certificate dict, U and V in the int-word form
-    of parse_codes; ValueError on a value that is not a JSON object, a
+    """(n, w, U, V, p) of a certificate dict, U and V in the form of
+    _parse_terms; ValueError on a value that is not a JSON object, a
     missing field or a malformed one."""
     if not isinstance(data, dict):
         raise ValueError("the certificate must be a JSON object")
@@ -382,25 +406,26 @@ def _read_certificate(data):
         if not isinstance(data[field], list) or any(type(x) is not str for x in data[field]):
             raise ValueError("%s must be a list of strings" % field)
     n, w = block
-    U = parse_codes(n, "\n".join(data["U"]))
-    V = parse_codes(n, "\n".join(data["V"]))
+    U = _parse_terms(n, "\n".join(data["U"]))
+    V = _parse_terms(n, "\n".join(data["V"]))
     p = tuple(parse_coeff(c) for c in data["p"])
     return n, w, U, V, p
 
 
-def _check_codes(w, p, U, V):
-    """check_certificate on the int-word forms (den, blocks) of the cycle
-    U and the primitive V: the block and arity checks read the block keys
-    and the word lengths, and boundary V = U is checked by _bounds."""
+def _check_codes(n, w, p, U, V):
+    """check_certificate on the forms (den, blocks) of _parse_terms of the
+    cycle U and the primitive V over R^n: the block and arity checks read
+    the block keys and the word lengths, and only then is the (w, w) block
+    ranked and boundary V = U checked by _bounds."""
     if not p or p[0] == 0 or p[-1] != 1:
         return False
     (uden, ublocks), (vden, vblocks) = U, V
     for blocks, m in ((ublocks, 2), (vblocks, 3)):
-        if any(key != (w, w) or any(len(word) != m for word in codes)
-               for key, (_, codes) in blocks.items()):
+        if any(key != (w, w) or any(len(word) != m for word in words)
+               for key, words in blocks.items()):
             return False
-    u = ublocks.get((w, w), (None, {}))[1]
     if not vblocks:
-        return not u
-    A, v = vblocks[(w, w)]
+        return not ublocks
+    A, v = _rank_blocks(n, vblocks)[(w, w)]
+    u = _rank_blocks(n, ublocks)[(w, w)][1] if ublocks else {}
     return _bounds(A, vden, v, uden, u)

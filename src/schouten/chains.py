@@ -41,7 +41,7 @@ from .counting import basis_dim, block_dims, dim_generators, max_arity, max_arit
 # the parser and the formatter of the int-word form live in the leaf module
 # certificate, the generator check and the coefficient text in the leaf
 # module monomial; re-exported here
-from .certificate import codes_to_text, parse_codes
+from .certificate import _rank_blocks, codes_to_text, parse_codes
 from .monomial import check_generator, format_coeff
 from .multivector import _Combination
 from .words import (Alphabet, BasisIndex, _class_multisets, _compositions, alphabet,
@@ -167,41 +167,35 @@ def encode_chain(chain):
     denominators, and blocks maps each (w, h) of the chain to its Alphabet
     and the {int word: int} dict of its words, each coefficient multiplied
     by scale: the int-word form, which parse_codes returns for chain text.
-    The weights (|alpha| - 1, |beta| - 1) of each distinct generator are
-    computed once per call, and its rank (Alphabet.rank_of) once per block,
-    after check_generator.  A factor outside its block's alphabet raises
-    ValueError: check_generator's for one that is no generator over R^n,
-    else one naming the word, which then repeats an even factor.
+    _chain_terms, ranked (certificate._rank_blocks).
     """
+    scale, blocks = _chain_terms(chain)
+    return scale, _rank_blocks(chain.n, blocks)
+
+
+def _chain_terms(chain):
+    """encode_chain before any alphabet is built: the form (scale, blocks)
+    of certificate._parse_terms, each word the tuple of its factors'
+    factor_keys.  The key and the weights (|alpha| - 1, |beta| - 1) of each
+    distinct generator are computed once per call, after check_generator,
+    whose ValueError a factor that is no generator over R^n raises."""
     n = chain.n
     scale = lcm(*[c.denominator for c in chain.terms.values()])
-    weights = {}
-    ranked = {}  # (w, h) -> (alphabet, {int word: int}, {generator: rank or None})
+    factors = {}  # generator -> (factor_key, i, j)
+    blocks = {}
     for word, c in chain.terms.items():
         w = h = 0
         for gen in word:
-            wh = weights.get(gen)
-            if wh is None:
+            f = factors.get(gen)
+            if f is None:
+                check_generator(n, *gen)
                 alpha, beta = gen
-                wh = weights[gen] = (len(alpha) - 1, sum(beta) - 1)
-            w += wh[0]
-            h += wh[1]
-        block = ranked.get((w, h))
-        if block is None:
-            block = ranked[(w, h)] = (alphabet(n, w, h), {}, {})
-        A, codes, ranks = block
-        try:
-            code = tuple([ranks[gen] for gen in word])
-        except KeyError:
-            for gen in word:
-                if gen not in ranks:
-                    check_generator(n, *gen)
-                    ranks[gen] = A.rank_of(gen)
-            code = tuple([ranks[gen] for gen in word])
-        if None in code:
-            raise ValueError("a factor of %r lies outside its block" % (word,))
-        codes[code] = c.numerator * (scale // c.denominator)
-    return scale, {key: (A, codes) for key, (A, codes, _) in ranked.items()}
+                f = factors[gen] = (factor_key(gen), len(alpha) - 1, sum(beta) - 1)
+            w += f[1]
+            h += f[2]
+        key_word = tuple([factors[gen][0] for gen in word])
+        blocks.setdefault((w, h), {})[key_word] = c.numerator * (scale // c.denominator)
+    return scale, blocks
 
 
 def decode_chain(n, blocks, factor=1):

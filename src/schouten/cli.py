@@ -24,12 +24,12 @@ the package besides cli (tests/test_hygiene.py pins the sets):
     verify dsq             counting verify words monomial certificate
                              multivector chains boundary linalg
     verify homotopy        counting verify words monomial certificate
-                             multivector chains boundary torus
+                             multivector chains boundary
     verify psi             counting verify words monomial certificate
                              record contraction
     verify all             counting verify words monomial certificate
                              multivector chains boundary linalg record
-                             contraction torus
+                             contraction
 
 verify all loads the union of its suites.
 
@@ -175,9 +175,9 @@ def _read_input(args):
 
 
 def cmd_certify(args):
-    from .certificate import CertificateError, _certify_form, parse_codes
+    from .certificate import CertificateError, _certify_form, _parse_terms
     try:
-        U = parse_codes(args.n, _read_input(args))
+        U = _parse_terms(args.n, _read_input(args))
     except (OSError, ValueError, KeyError) as e:
         sys.stderr.write("malformed input: %s\n" % e)
         return 2
@@ -197,7 +197,7 @@ def cmd_check_certificate(args):
     except (OSError, ValueError, KeyError, TypeError) as e:
         sys.stderr.write("malformed certificate: %s\n" % e)
         return 2
-    ok = _check_codes(w, p, U, V)
+    ok = _check_codes(n, w, p, U, V)
     if ok:
         text = "certificate valid: boundary(V) == U"
     else:

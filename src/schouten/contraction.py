@@ -23,8 +23,8 @@ The operators run on the int words of the block's Alphabet (see chains)
 with int coefficients.  psi, phi_op and capital_phi are Chain adapters
 for callers outside the package: phi_op and capital_phi are chains._on_codes
 over their kernels, and psi, structured_descent and annihilating_polynomial
-enter their (2, w, w) block through _block_codes.  encode_chain validates
-the factors of every adapter's input, so a factor that is no generator
+enter their (2, w, w) block through _block_codes.  chains._chain_terms
+validates the factors of every adapter's input, so a factor that is no generator
 raises check_generator's ValueError and a term outside the block a
 ValueError naming its signature.  Inside the package psi is
 applied one way, by _column_operator: each 2-word's column is computed
@@ -56,7 +56,8 @@ from fractions import Fraction
 from .certificate import (CertificateError, _bounds, _capital_phi_codes, _certificate_dict,
                           _certify_codes, _certify_form, _check_codes, _check_psi_image,
                           _column_operator, _combine, _content, _krylov_minimal_polynomial,
-                          _one_block, _read_certificate, _shifts, _t_codes, boundary_codes)
+                          _one_block, _rank_blocks, _read_certificate, _shifts, _t_codes,
+                          boundary_codes)
 from .record import Record
 from .words import enumerate_basis, place_factor
 
@@ -268,13 +269,14 @@ def annihilating_polynomial(U):
 
 def _block_codes(U):
     """(w, A, u, den) for a nonzero chain U of one (2, w, w) block: U's
-    factors checked by encode_chain and its block by _one_block (ValueError
-    either way), u = den * U as {int word: int} in the block's alphabet A,
-    den the lcm of U's denominators.  The one entry of the Chain adapters
-    psi, structured_descent and annihilating_polynomial into their block."""
-    from .chains import encode_chain
-    den, blocks = encode_chain(U)
-    return _one_block(blocks, 2) + (den,)
+    factors checked by chains._chain_terms and its block by _one_block
+    (ValueError either way), u = den * U as {int word: int} in the block's
+    alphabet A, den the lcm of U's denominators.  The one entry of the
+    Chain adapters psi, structured_descent and annihilating_polynomial
+    into their block."""
+    from .chains import _chain_terms
+    den, blocks = _chain_terms(U)
+    return _one_block(U.n, blocks, 2) + (den,)
 
 
 class ExactnessCertificate(Record):
@@ -293,14 +295,15 @@ def certify_exact(U):
     On cycles psi coincides with T = boundary . capital_phi, and every
     T^k U is a cycle, so one Krylov pass under T finds p(t) = p0 + t g(t)
     annihilating U and the powers that build V = -(1/p0) capital_phi(g(T) U).
-    A Chain adapter over _certify_codes, which runs on the int-word form of
-    U (its factors checked by encode_chain) and whose V is decoded once here.
+    A Chain adapter over _certify_codes, which runs on the int words of U
+    (its factors checked by chains._chain_terms) and whose V is decoded once
+    here.
     """
-    from .chains import Chain, decode_chain, encode_chain
+    from .chains import Chain, _chain_terms, decode_chain
     n = U.n
     if not U:
         return ExactnessCertificate(n, 0, U, Chain.zero(n), (Fraction(1),), ())
-    w, p, A, _, (vden, v) = _certify_codes(*encode_chain(U))
+    w, p, A, _, (vden, v) = _certify_codes(n, *_chain_terms(U))
     V = decode_chain(n, [(A, v)], Fraction(1, vden))
     return ExactnessCertificate(n, w, U, V, tuple(p), tuple(p[1:]))
 
@@ -318,7 +321,8 @@ def certificate_from_dict(data):
     a JSON object, a missing field or a malformed one."""
     from .chains import decode_chain
     n, w, U, V, p = _read_certificate(data)
-    U, V = [decode_chain(n, blocks.values(), Fraction(1, den)) for den, blocks in (U, V)]
+    U, V = [decode_chain(n, _rank_blocks(n, blocks).values(), Fraction(1, den))
+            for den, blocks in (U, V)]
     return ExactnessCertificate(n, w, U, V, p, p[1:])
 
 
@@ -332,15 +336,14 @@ def check_certificate(cert):
     Chain adapter over _check_codes; a chain with a factor that is no
     generator of its block's alphabet is no certificate.
     """
-    from .chains import encode_chain
+    from .chains import _chain_terms
     U, V = cert.cycle, cert.primitive
     if U.n != V.n:
         return False
     try:
-        U, V = encode_chain(U), encode_chain(V)
+        return _check_codes(U.n, cert.w, cert.annihilator, _chain_terms(U), _chain_terms(V))
     except ValueError:
         return False
-    return _check_codes(cert.w, cert.annihilator, U, V)
 
 
 def _psi_columns(n, w):

@@ -20,50 +20,23 @@ it needs no matrix at all.  betti checks the Euler-field brackets it relies
 on at run time, through words._bracket, the code that fills the bracket
 table its matrices are assembled from.
 
-Weight 0 is reduced further, to the sums over S_n orbits (Hochschild &
-Serre, Cohomology of group extensions, 1953).  GL_n(C) acts on every block
-by linear changes of coordinates, which keep |alpha|, |beta| and the
-bracket.  Its Lie algebra is spanned by the linear fields x_i d_j, of
-class (0, 0) and so in every block's alphabet, and acts by [x_i d_j, .],
-which Cartan's formula makes null-homotopic, as for the Euler fields.
-GL_n(C) is connected, so it acts trivially on homology, and so does the
-subgroup S_n of coordinate permutations, which keeps weight 0.  Over Q
-the average over S_n is a chain projection onto the invariants C_0^{S_n},
-so H(C_0^{S_n}) = H(C_0)^{S_n} = H(C_0): the Betti numbers b_k of the
-invariant weight-0 complex are those of the block.  Its basis is one
-average per orbit of weight-0 words (see torus.weight_zero_orbits), less
-the orbits on which a permutation that fixes a word negates it, whose
-averages are 0.  In that basis the column of an orbit is d of its
-representative folded into orbit coordinates, so each orbit costs one
-word boundary.  The weight-0 ranks that the report needs follow from the
-b_k: with d_1 = 0,
-
-    rank_0(d_k) = dim_0 C_{k-1} - rank_0(d_{k-1}) - b_{k-1}.
-
-The folding rests on d commuting with every coordinate permutation, and
-betti checks that at run time too (torus.equivariance_failure), on the
-bracket templates that _bracket evaluates.
-
-On the orbit sums the maps d_k, k = 2..m+1, are taken in order, each
-cleared by the one below it through d^2 = 0 ("clearing", Chen & Kerber,
-Persistent Homology Computation with a Twist, 2011): the rows of d_k at
-the pivot columns S_{k-1} of the cleared d_{k-1} are dropped before d_k
-is ranked, and each column of d_k is first checked against the pivot
-rows of the cleared d_{k-1}.  The echelon rows E_{k-1} of the cleared
-d_{k-1} are triangular on S_{k-1} with a nonzero diagonal and annihilate
-d_k, so the dropped rows are combinations of the kept ones; by induction
-on k (spelled out at betti) the rank of each cleared map is the rank of
-the map, and the check proves d_{k-1} . d_k = 0 in full.  d_2 needs no
-clearing, since C_1 has boundary 0.  Clearing makes the deep blocks
-cheap: their largest maps lose most of their rows before they are
-eliminated.  Every map comes column by column from torus.orbit_columns;
-those below m + 1 are held as lists of cleared columns, and d_{m+1} is
-streamed into the integer rows that linalg.pivot_columns ranks, so it is
-held once.  d^2 = 0 is thus proven on every invariant weight-0 column of
-C_2..C_{m+1}; elsewhere it rests on the tests and on `verify dsq`.
+Weight 0 is reduced further, to one coordinate per S_n orbit of weight-0
+words (torus.weight_zero_orbits), on which the invariant complex has the
+Betti numbers of the block (Hochschild & Serre, Cohomology of group
+extensions, 1953), and the weight-0 ranks follow from those.  betti checks
+at run time that d commutes with the coordinate permutations that the
+orbits are folded by (torus.equivariance_failure).  On the orbit sums the
+maps d_k, k = 2..m+1, are taken in order, each cleared by the one below it
+through d^2 = 0 ("clearing", Chen & Kerber, Persistent Homology
+Computation with a Twist, 2011) and each column checked against it, so
+d^2 = 0 is proven on every invariant weight-0 column of C_2..C_{m+1};
+elsewhere it rests on the tests and on `verify dsq`.  Every map comes
+column by column from words.boundary_columns, folded through the orbit
+coordinates.  The proofs of both reductions and of the clearing are
+spelled out at betti.
 
 betti runs on int words alone: this module takes the kernel from the leaf
-module words, through torus, not from chains or boundary, and is_poisson
+module words and torus, not from chains or boundary, and is_poisson
 imports the multivector module when it runs, so `betti` loads no Fraction
 arithmetic.
 """
@@ -74,7 +47,8 @@ from .counting import HomologyInvariantError, block_dims, dims_table, euler_char
 from .linalg import column_nonzero, pivot_columns
 from .record import Record
 from .torus import (Orbits, Relabeling, enumerate_weight_zero, equivariance_failure,
-                    euler_bracket_failure, orbit_columns, weight_zero_orbits)
+                    euler_bracket_failure, weight_zero_orbits)
+from .words import boundary_columns
 
 
 class HomologyReport(Record):
@@ -103,26 +77,27 @@ def betti(n, m, w, h):
 
     On weight 0 (none unless w = h), betti computes the Betti numbers
     b_1..b_m of the S_n-invariant subcomplex, after
-    torus.equivariance_failure has checked that d commutes with the
-    coordinate permutations.  Why they are those of the block: GL_n(C) is
-    connected and acts on the block by chain maps, and its Lie algebra,
-    the linear fields x_i d_j, acts by [x_i d_j, .] = d(x_i d_j ^^ .) +
-    x_i d_j ^^ d(.) (Cartan's formula), null-homotopically; so every
-    element of GL_n(C), and every coordinate permutation, acts as the
-    identity on homology.  Over Q the average R = (1/n!) sum_sigma sigma is
-    a chain map and a projection onto the invariants, so H(C_0^{S_n}) =
-    H(C_0)^{S_n} = H(C_0) (Hochschild & Serre 1953).  The averages R(r) of
-    the orbit representatives r of torus.weight_zero_orbits are a basis of
+    torus.equivariance_failure has checked that d commutes with every
+    coordinate permutation of the Relabeling tables that the orbits are
+    folded by.  Why they are those of the block: GL_n(C) is connected and
+    acts on the block by chain maps, and its Lie algebra, the linear fields
+    x_i d_j, acts by [x_i d_j, .] = d(x_i d_j ^^ .) + x_i d_j ^^ d(.)
+    (Cartan's formula), null-homotopically; so every element of GL_n(C),
+    and every coordinate permutation, acts as the identity on homology.
+    Over Q the average R = (1/n!) sum_sigma sigma is a chain map and a
+    projection onto the invariants, so H(C_0^{S_n}) = H(C_0)^{S_n} = H(C_0)
+    (Hochschild & Serre 1953).  The averages R(r) of the orbit
+    representatives r of torus.weight_zero_orbits are a basis of
     C_0^{S_n}, and R(u) = +-R(r) for u in the orbit of r, or 0 when the
     orbit is dropped; as dR = Rd, the column of R(r) is d(r) folded by that
-    rule, which torus.orbit_columns yields.  From the b_k and d_1 = 0 the
-    weight-0 ranks follow: rank_0(d_k) = dim_0 C_{k-1} - rank_0(d_{k-1}) -
-    b_{k-1}, checked to be at least the rank of d_k on the invariants and
-    at most dim_0 C_k.
+    rule, which words.boundary_columns yields with the orbits' fold map.
+    From the b_k and d_1 = 0 the weight-0 ranks follow: rank_0(d_k) =
+    dim_0 C_{k-1} - rank_0(d_{k-1}) - b_{k-1}, checked to be at least the
+    rank of d_k on the invariants and at most dim_0 C_k.
 
     On the invariants the maps d_k are taken in order, k = 2..m+1, each
     cleared by the one before it.  Their columns come one at a time from
-    orbit_columns, with the kept orbits of weight-0 words as rows, so a
+    boundary_columns, with the kept orbits of weight-0 words as rows, so a
     term of any other weight raises WeightEscapeError.  Each column of d_k
     is
     1. checked: d_{k-1} . column = 0 on the pivot rows of the cleared
@@ -150,11 +125,12 @@ def betti(n, m, w, h):
         raise HomologyInvariantError(
             "the Euler field x_%d d_%d does not scale %r by its weight %d (n=%d, w=%d, h=%d)"
             % (bad[0], bad[0], bad[1], bad[2], n, w, h))
-    bad = equivariance_failure(n, w, h)
+    relabeling = Relabeling(n, w, h)
+    bad = equivariance_failure(relabeling, w, h)
     if bad is not None:
         raise HomologyInvariantError(
-            "the bracket template of directions %r and %r does not commute with swapping "
-            "x_%d and x_%d (n=%d, w=%d, h=%d)" % (bad[1], bad[2], bad[0], bad[0] + 1, n, w, h))
+            "the bracket template of directions %r and %r does not commute with the "
+            "coordinate permutation %r (n=%d, w=%d, h=%d)" % (bad[1], bad[2], bad[0], n, w, h))
     dims = block_dims(n, w, h)
     dim = [dims[k] if k < len(dims) else 0 for k in range(m + 2)]
     # rank[k]: the rank of d_k: C_k -> C_{k-1}; d_1 = 0
@@ -162,7 +138,6 @@ def betti(n, m, w, h):
     nonzero = 0  # the rank of d_{k-1} on the weights v != 0
     zero = 0  # the rank of d_{k-1} on weight 0
     invariant = 0  # the rank of d_{k-1} on the orbit sums of weight 0
-    relabeling = Relabeling(n, w, h)
     lower = weight_zero_orbits(n, 1, w, h, relabeling)
     a_cols = None  # the columns of the cleared d_{k-1}, on its pivot rows only
     cleared = ()  # the pivot columns of the cleared d_{k-1}
@@ -181,8 +156,8 @@ def betti(n, m, w, h):
         if not (upper.reps and lower.reps):
             a_cols, cleared = None, ()
         else:
-            columns = _cleared(orbit_columns(relabeling.alphabet, upper.reps, lower.fold,
-                                             k, w, h),
+            columns = _cleared(boundary_columns(relabeling.alphabet, upper.reps, lower.fold,
+                                                k, w, h),
                                a_cols, cleared, k, (n, m, w, h))
             if k <= m:
                 columns = list(columns)

@@ -13,7 +13,7 @@ _Combination holds the arithmetic of a rational combination once;
 MultiVector and chains.Chain subclass it and differ only in what their
 constructors accept.  check_generator is the one test of a generator:
 MultiVector runs it on each term, chains on the factors of the chains it
-encodes, and certificate.parse_codes on the factors of chain text.
+encodes, and certificate._parse_terms on the factors of chain text.
 
 Text form of one monomial (bit-exact, used by the CLI and serialization):
     c * x[b1,...,bn] d[a1,...,am]      with c printed as p or p/q

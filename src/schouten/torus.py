@@ -16,25 +16,21 @@ weights and testing a sum for 0 are int operations.
 The coordinate permutations sigma in S_n act on every block and keep
 weight 0.  Relabeling is their table on the ranks of an alphabet, built
 lazily; weight_zero_orbits classifies the weight-0 words of one arity into
-orbits, dropping those whose sum is 0; orbit_columns yields the columns of
-d on the orbit sums, one word boundary per orbit; equivariance_failure
-checks the bracket templates on which d's commuting with S_n rests.
+orbits, dropping those whose sum is 0, and its fold map is what
+words.boundary_columns folds the columns of d on the orbit sums through,
+one word boundary per orbit; equivariance_failure checks, on Relabeling's
+tables, the bracket templates on which d's commuting with S_n rests.
 
-unrank_words builds the words of a block at given positions without
-building the block, for `verify homotopy`, which checks Cartan's formula
-for the Euler fields on a seeded sample of words.
-
-Only betti and verify homotopy load this module, so `dims` and `euler` do
-not compile it.
+Only betti loads this module, so `dims`, `euler` and `verify` do not
+compile it.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
-import math
 from operator import mul
 
 from .counting import HomologyInvariantError
-from .words import (BasisIndex, WeightEscapeError, _bracket, _class_multisets, _direction_id,
-                    _key_terms, _word_boundary, alphabet, place_factor)
+from .words import (BasisIndex, _bracket, _class_multisets, _direction_id, _key_terms, alphabet,
+                    place_factor)
 
 
 def torus_weight(gen):
@@ -157,12 +153,13 @@ class Relabeling:
     entries of the torus weight, so it keeps weight 0.  The key of the
     image (see words.Alphabet) is id(alpha') * span plus beta's exponents
     at the places of their images.  perms holds, for each permutation but
-    the identity, the image of every direction id as (id(alpha') * span,
-    sign) and the place of each exponent of beta.  of(r) is the image of
-    gens[r] under each permutation, as (rank, sign) pairs in the order of
-    perms, kept in images once built.  Both are built on first use, so
-    only ranks that occur in a classified word are ever relabeled, and a
-    block without weight-0 words builds nothing.
+    the identity, the permutation, the image of every direction id as
+    (id(alpha') * span, sign) and the place of each exponent of beta;
+    equivariance_failure checks d against these same tables.  of(r) is
+    the image of gens[r] under each permutation, as (rank, sign) pairs in
+    the order of perms, kept in images once built.  Both are built on
+    first use, so only ranks that occur in a classified word are ever
+    relabeled, and a block without weight-0 words builds nothing.
     """
 
     __slots__ = ("alphabet", "perms", "images")
@@ -172,17 +169,21 @@ class Relabeling:
         self.perms = None
         self.images = {}
 
+    def tables(self):
+        """perms, built on first use."""
+        if self.perms is None:
+            self.perms = _permutation_tables(self.alphabet)
+        return self.perms
+
     def of(self, r):
         out = self.images.get(r)
         if out is None:
             A = self.alphabet
-            if self.perms is None:
-                self.perms = _permutation_tables(A)
             d = A.keys[r] // A.span
             beta = A.gens[r][1]
             ranks = A.ranks
             out = []
-            for directions, places in self.perms:
+            for _, directions, places in self.tables():
                 head, sign = directions[d]
                 out.append((ranks[head + sum(map(mul, beta, places))], sign))
             out = self.images[r] = tuple(out)
@@ -191,8 +192,9 @@ class Relabeling:
 
 def _permutation_tables(A):
     """Relabeling.perms for the alphabet A: per permutation p of S_n but
-    the identity, p[l - 1] = sigma(l) - 1, the image of each direction id
-    as (id(alpha') * span, sign) and the place of each exponent."""
+    the identity, p[l - 1] = sigma(l) - 1, as (p, the image of each
+    direction id as (id(alpha') * span, sign), the place of each
+    exponent)."""
     n = A.n
     tables = []
     for p in list(permutations(range(n)))[1:]:
@@ -201,7 +203,7 @@ def _permutation_tables(A):
             image = [p[l] for l in range(n) if d >> l & 1]
             inversions = sum(x > y for x, y in combinations(image, 2))
             directions.append((sum(1 << l for l in image) * A.span, -1 if inversions & 1 else 1))
-        tables.append((directions, [A.places[p[l]] for l in range(n)]))
+        tables.append((p, directions, [A.places[p[l]] for l in range(n)]))
     return tables
 
 
@@ -272,40 +274,13 @@ def weight_zero_orbits(n, m, w, h, relabeling):
     return Orbits(len(basis.codes), reps, fold)
 
 
-def orbit_columns(A, reps, fold, m, w, h):
-    """The columns of d on the orbit representatives `reps` of C_m of the
-    (m, w, h) block, folded into the orbit coordinates `fold` of C_{m-1}
-    (see Orbits): one {row: nonzero int} per representative, in order.
-    Entry i sums the coefficients that d(rep) gives the words of orbit i,
-    each times its sign in the orbit sum; terms on dropped orbits are
-    skipped.  This is the matrix of d in the basis of averages R(rep) =
-    (1/n!) sum_sigma sigma(rep): d commutes with R, so d R(rep) =
-    R(d(rep)), and R(u) is R(reps[i]) times the sign of u in the sum of
-    orbit i, or 0 on a dropped orbit.  A term that is no weight-0 word, or
-    whose bracket is ranked beyond the alphabet A, raises
-    WeightEscapeError."""
-    for word in reps:
-        column = {}
-        try:
-            for out, c in _word_boundary(A, word).items():
-                if c:
-                    r = fold[out]
-                    if r is not None:
-                        if r < 0:
-                            r, c = ~r, -c
-                        column[r] = column.get(r, 0) + c
-        except (IndexError, KeyError):  # ranked beyond the alphabet, or no weight-0 word
-            raise WeightEscapeError("boundary of %r left block (m=%d, w=%d, h=%d)"
-                                    % (tuple(A.gens[f] for f in word), m, w, h)) from None
-        yield {r: c for r, c in column.items() if c}
-
-
-def equivariance_failure(n, w, h):
-    """The first (t, alpha_a, alpha_b) for which the bracket template of
-    the direction sets alpha_a and alpha_b does not go over into that of
-    their images under the swap tau of x_t and x_{t+1}, or None when every
-    template of the block (n; w, h) that a weight-0 word can use does, for
-    t = 1..n-1.  A w != h block has no weight-0 word and needs no check.
+def equivariance_failure(relabeling, w, h):
+    """The first (sigma, alpha_a, alpha_b) for which the bracket template
+    of the direction sets alpha_a and alpha_b does not go over into that of
+    their images under the table of the coordinate permutation sigma, given
+    as (sigma(1), ..., sigma(n)), or None when d commutes with every table
+    of relabeling: those that weight_zero_orbits folds by.  A w != h block
+    has no weight-0 word, needs no check and builds no table.
 
     The templates are words._key_terms, kept in the alphabet's templates,
     which _bracket evaluates.  A term (i, s_a, s_b, offset) of the pair
@@ -313,17 +288,23 @@ def equivariance_failure(n, w, h):
     beta_b[i] and the key k_a + k_b + offset, offset = (id(alpha) - a - b)
     * span - places[i]: exponent i lowered, directions alpha.  Each term is
     read back as (s_a, s_b, id(alpha), r), with r the remainder of offset +
-    places[i] modulo span, 0 for a term of that form.  tau takes x^beta
-    d_alpha to eps(alpha) x^(tau beta) d_(tau alpha), with eps(alpha) = -1
-    exactly when alpha holds t and t + 1, so [tau g_a, tau g_b] = tau [g_a,
-    g_b] for all exponents exactly when the terms of (tau a, tau b) are
-    those of (a, b) with i and the directions moved by tau and both signs
-    times eps(alpha_a) eps(alpha_b) eps(alpha).  The adjacent swaps
-    generate S_n, and d is the sum of brackets of factors put in place by
-    words.place_factor, so then d commutes with every coordinate
-    permutation.
+    places[i] modulo span, 0 for a term of that form.  A table takes
+    x^beta d_alpha to eps(alpha) x^beta' d_alpha', eps(alpha) and the id of
+    alpha' read from its direction entry and exponent i put at the place
+    of its places entry, so [T g_a, T g_b] = T [g_a, g_b] for all exponents
+    exactly when the terms of (T a, T b) are those of (a, b) with i and the
+    directions moved by T and both signs times eps(alpha_a) eps(alpha_b)
+    eps(alpha).  d is the sum of brackets of factors put in place by
+    words.place_factor, so then d commutes with T.
+
+    A table T_p that is the product T_q T_s of the checked tables of q = p
+    s and of the swap s of t and t + 1, t the first descent of p, commutes
+    with d as they do; every other table, the n - 1 swaps among them, has
+    its templates checked.  q and s precede p in the lexicographic order of
+    the tables, so correct tables cost one template check per swap.
     """
-    A = alphabet(n, w, h)
+    A = relabeling.alphabet
+    n = A.n
     if w != h or (0, 0) not in A.classes:
         return None
     sets = {_direction_id(alpha): alpha
@@ -338,73 +319,34 @@ def equivariance_failure(n, w, h):
             for i, s_a, s_b, offset in template:
                 q, r = divmod(offset + A.places[i], A.span)
                 out[i] = (s_a, s_b, a + b + q, r)
-    for t in range(1, n):
-        both = 3 << (t - 1)  # the bits of t and t + 1 in a direction id
+    index = {place: i for i, place in enumerate(A.places)}
+    checked = {}  # p -> (directions, the index of each exponent's place), once d commutes
+    for p, directions, places in relabeling.tables():
+        at = [index.get(place) for place in places]
+        t = next(t for t in range(n - 1) if p[t] > p[t + 1])
+        q = p[:t] + (p[t + 1], p[t]) + p[t + 2:]
+        s = tuple(range(t)) + (t + 1, t) + tuple(range(t + 2, n))
+        if q in checked and s in checked:
+            (q_dirs, q_at), (s_dirs, s_at) = checked[q], checked[s]
+            product = {}  # T_q T_s on the block's direction sets, which T_s keeps
+            for d in sets:
+                head, sign = s_dirs[d]
+                head, eps = q_dirs[head // A.span]
+                product[d] = (head, sign * eps)
+            if all(directions[d] == product[d] for d in sets) and [q_at[k] for k in s_at] == at:
+                checked[p] = (directions, at)
+                continue
+        moved = [(head // A.span, sign) for head, sign in directions]
         for (a, b), out in terms.items():
-            eps = -1 if (a & both == both) != (b & both == both) else 1
+            (a2, eps_a), (b2, eps_b) = moved[a], moved[b]
             image = {}
             for i, (s_a, s_b, c, r) in out.items():
-                e = -eps if c & both == both else eps
-                image[{t - 1: t, t: t - 1}.get(i, i)] = (e * s_a, e * s_b, _swapped(c, both), r)
-            if image != terms[(_swapped(a, both), _swapped(b, both))]:
-                return t, sets[a], sets[b]
+                c2, eps = moved[c]
+                e = eps_a * eps_b * eps
+                image[at[i]] = (e * s_a, e * s_b, c2, r)
+            if image != terms.get((a2, b2)):
+                return tuple(x + 1 for x in p), sets[a], sets[b]
+        # exponent i moves in the template of ({i + 1}, {i + 1}), so `at`
+        # holds no None now
+        checked[p] = (directions, at)
     return None
-
-
-def _swapped(x, both):
-    """The direction id x with its two bits in `both` exchanged."""
-    return x ^ both if x & both and x & both != both else x
-
-
-def unrank_words(n, m, w, h, positions):
-    """The words of C_m^{(w,h)} over R^n at the increasing `positions`, as
-    generator tuples, without building the block.
-
-    Positions count the words in the order enumerate_basis builds them
-    before its sort: class multiset by class multiset, and inside one the
-    picks of each class in lexicographic order, the last class fastest.  A
-    class of d generators taken k times holds comb(d, k) picks for even i
-    and comb(d + k - 1, k) for odd i, so a position is split over the
-    classes in mixed radix and each pick is unranked on its own.
-    """
-    A = alphabet(n, w, h)
-    positions = iter(positions)
-    pos = next(positions, None)
-    start = 0
-    for multiset in _class_multisets(n, m, w, h, (0, -1)):
-        if pos is None:
-            return
-        # (ranks, 1 if odd, d, k, comb(d, k)): the k-multisets of an odd
-        # class are its k-subsets of d = len(ranks) + k - 1, each slot t
-        # less t
-        parts = []
-        for (i, j), k in multiset:
-            ranks = A.classes[(i, j)]
-            odd = i % 2
-            d = len(ranks) + odd * (k - 1)
-            parts.append((ranks, odd, d, k, math.comb(d, k)))
-        end = start + math.prod(part[4] for part in parts)
-        while pos is not None and pos < end:
-            q = pos - start
-            picks = []
-            for ranks, odd, d, k, size in reversed(parts):
-                q, r = divmod(q, size)
-                picks.append([ranks[x - odd * t]
-                              for t, x in enumerate(_unrank_combination(d, k, r))])
-            yield tuple(A.gens[x] for pick in reversed(picks) for x in pick)
-            pos = next(positions, None)
-        start = end
-
-
-def _unrank_combination(d, k, q):
-    """The q-th k-subset of range(d) in lexicographic order, ascending.
-    The subsets whose least element is x number comb(d - x - 1, k - 1)."""
-    out = []
-    x = 0
-    for left in range(k, 0, -1):
-        while q >= math.comb(d - x - 1, left - 1):
-            q -= math.comb(d - x - 1, left - 1)
-            x += 1
-        out.append(x)
-        x += 1
-    return out

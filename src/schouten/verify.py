@@ -8,6 +8,8 @@ runs, so `verify jacobi` loads no chain module and only `verify psi` loads
 contraction.
 """
 
+import math
+
 HOMOTOPY_WORDS = 24  # words checked per arity by verify homotopy
 
 
@@ -92,13 +94,67 @@ def _verify_weights(args):
     return _verify_words(args, "weights", _weight_escapes)
 
 
+def unrank_words(n, m, w, h, positions):
+    """The words of C_m^{(w,h)} over R^n at the increasing `positions`, as
+    generator tuples, without building the block.
+
+    Positions count the words in the order enumerate_basis builds them
+    before its sort: class multiset by class multiset, and inside one the
+    picks of each class in lexicographic order, the last class fastest.  A
+    class of d generators taken k times holds comb(d, k) picks for even i
+    and comb(d + k - 1, k) for odd i, so a position is split over the
+    classes in mixed radix and each pick is unranked on its own.
+    """
+    from .words import _class_multisets, alphabet
+    A = alphabet(n, w, h)
+    positions = iter(positions)
+    pos = next(positions, None)
+    start = 0
+    for multiset in _class_multisets(n, m, w, h, (0, -1)):
+        if pos is None:
+            return
+        # (ranks, 1 if odd, d, k, comb(d, k)): the k-multisets of an odd
+        # class are its k-subsets of d = len(ranks) + k - 1, each slot t
+        # less t
+        parts = []
+        for (i, j), k in multiset:
+            ranks = A.classes[(i, j)]
+            odd = i % 2
+            d = len(ranks) + odd * (k - 1)
+            parts.append((ranks, odd, d, k, math.comb(d, k)))
+        end = start + math.prod(part[4] for part in parts)
+        while pos is not None and pos < end:
+            q = pos - start
+            picks = []
+            for ranks, odd, d, k, size in reversed(parts):
+                q, r = divmod(q, size)
+                picks.append([ranks[x - odd * t]
+                              for t, x in enumerate(_unrank_combination(d, k, r))])
+            yield tuple(A.gens[x] for pick in reversed(picks) for x in pick)
+            pos = next(positions, None)
+        start = end
+
+
+def _unrank_combination(d, k, q):
+    """The q-th k-subset of range(d) in lexicographic order, ascending.
+    The subsets whose least element is x number comb(d - x - 1, k - 1)."""
+    out = []
+    x = 0
+    for left in range(k, 0, -1):
+        while q >= math.comb(d - x - 1, left - 1):
+            q -= math.comb(d - x - 1, left - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return out
+
+
 def _homotopy_words(n, w, h, seed):
     """(m, words) for m = 1..max_arity: the words of C_m of the block, or a
     seeded sample of HOMOTOPY_WORDS of them where it holds more, each
-    built from its position, so no arity is built whole."""
+    built from its position (unrank_words), so no arity is built whole."""
     import random
     from .counting import basis_dim, max_arity
-    from .torus import unrank_words
     rng = random.Random(seed)
     for m in range(1, max_arity(n, w, h) + 1):
         dim = basis_dim(n, m, w, h)

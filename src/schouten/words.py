@@ -492,26 +492,26 @@ def _word_boundary(A, word):
     return terms
 
 
-def boundary_columns(A, codes, row_of, m, w, h):
+def boundary_columns(A, codes, fold, m, w, h):
     """The columns of d on the int words `codes` of the (m, w, h) block:
-    one {row: nonzero int} per word, in order, with row_of mapping each
-    word of the codomain to its row.  A term that is no word of row_of, or
-    whose bracket is ranked beyond the alphabet A, raises
-    WeightEscapeError."""
-    def escape(word):
-        return WeightEscapeError("boundary of %r left block (m=%d, w=%d, h=%d)"
-                                 % (tuple(A.gens[f] for f in word), m, w, h))
-
+    one {row: nonzero int} per word, in order.  fold maps each word of the
+    codomain to its row r, to ~r when it enters row r with sign -1, or to
+    None when it enters no row; a BasisIndex.index is such a map, and so is
+    torus.Orbits.fold, whose rows are orbit sums.  The entries that d(word)
+    gives the words of one row are summed, each times its sign, and zeros
+    are dropped.  A term that is no key of fold, or whose bracket is ranked
+    beyond the alphabet A, raises WeightEscapeError."""
     for word in codes:
-        try:
-            terms = _word_boundary(A, word)
-        except IndexError:  # a bracket term ranked beyond the alphabet
-            raise escape(word) from None
         column = {}
-        for out, c in terms.items():
-            if c:
-                r = row_of.get(out)
-                if r is None:
-                    raise escape(word)
-                column[r] = c
-        yield column
+        try:
+            for out, c in _word_boundary(A, word).items():
+                if c:
+                    r = fold[out]
+                    if r is not None:
+                        if r < 0:
+                            r, c = ~r, -c
+                        column[r] = column.get(r, 0) + c
+        except (IndexError, KeyError):  # ranked beyond the alphabet, or no word of fold
+            raise WeightEscapeError("boundary of %r left block (m=%d, w=%d, h=%d)"
+                                    % (tuple(A.gens[f] for f in word), m, w, h)) from None
+        yield {r: c for r, c in column.items() if c} if 0 in column.values() else column

@@ -600,6 +600,68 @@ def test_certify_factor_invalid_for_n_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err == "malformed input: direction out of range 1..2 in (3,)\n"
 
 
+def _limited_run(argv, stdin, limit=512 << 20):
+    """(exit code, stderr, stdout) of `python -m schouten.cli argv` with
+    stdin as input, in a child whose address space is capped at limit
+    bytes."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(chains.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", "import sys; from schouten import cli; "
+                          "sys.exit(cli.main(sys.argv[1:]))"] + argv,
+                         input=stdin, env=env, capture_output=True, text=True, preexec_fn=cap)
+    return out.returncode, out.stderr, out.stdout
+
+
+def test_certificate_commands_refuse_a_stray_term_before_building_its_alphabet():
+    """A 1-chain at n = 12 lies outside any (2, w, w) block; the alphabet of
+    its own (0, -1) block holds millions of generators.  certify and
+    check-certificate refuse it from its arity and (w, h) alone, within a
+    512 MB address space."""
+    line = "1 | x[%s] d[1]" % ",".join("0" * 12)
+    rc, err, _ = _limited_run(["certify", "--n", "12"], line + "\n")
+    assert (rc, err) == (
+        1, "certification failed: term signature (1, 0, -1) outside the (2, 0, 0) block\n")
+    cert = json.dumps({"block": [12, 0], "U": [line], "V": [], "p": ["1"]})
+    rc, err, out = _limited_run(["check-certificate"], cert)
+    assert (rc, err) == (1, "")
+    assert out.startswith("certificate INVALID")
+
+
+@pytest.mark.parametrize("stray", ["zero", "cancelling"])
+def test_certificate_commands_ignore_stray_lines_that_sum_to_zero(capsys, tmp_path, pipi_file,
+                                                                  stray):
+    """Lines of another block that sum to zero, a coefficient-0 line or two
+    that cancel with their factors in either order, leave no term: before a
+    cycle they fix no block, so certify writes the certificate of the
+    cycle alone, and in U or V of that certificate check-certificate still
+    accepts it."""
+    word = enumerate_basis(2, 2, 1, 1).words[3]
+    sign, _ = chains.canonicalize_word(word[::-1])
+    factors = [" ; ".join(format_factor(f) for f in order) for order in (word, word[::-1])]
+    lines = (["0 | " + factors[0]] if stray == "zero"
+             else ["2 | " + factors[0], "%d | %s" % (-2 * sign, factors[1])])
+    cycle = pipi_file.read_text()
+    alone, cert = tmp_path / "alone.json", tmp_path / "cert.json"
+    assert main(["certify", "--n", "2", "--input", str(pipi_file), "--output", str(alone)]) == 0
+    p = tmp_path / "stray.txt"
+    for text in ("\n".join(lines) + "\n" + cycle, lines[0] + "\n" + cycle + "\n".join(lines[1:])):
+        p.write_text(text)
+        assert main(["certify", "--n", "2", "--input", str(p), "--output", str(cert)]) == 0
+        assert cert.read_bytes() == alone.read_bytes()
+    data = json.loads(alone.read_text())
+    for field in ("U", "V"):
+        cert.write_text(json.dumps(dict(data, **{field: lines + data[field]})))
+        rc, out = run(capsys, "check-certificate", "--input", str(cert))
+        assert (rc, out.startswith("certificate valid")) == (0, True)
+
+
 def test_certificate_commands_build_no_chain(capsys, monkeypatch, tmp_path):
     """certify and check-certificate carry U and V as int words from the
     input text to the output text: no Chain is decoded or encoded."""

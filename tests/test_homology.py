@@ -23,8 +23,9 @@ from schouten.chains import (Chain, alphabet, basis_dim, block_dims, canonicaliz
                              enumerate_basis, max_arity)
 from schouten.linalg import pivot_columns, rank_exact
 from schouten.multivector import MultiVector, schouten_bracket
-from schouten.torus import (Relabeling, enumerate_weight_zero, orbit_columns, unrank_words,
-                            weight_zero_orbits)
+from schouten.torus import Relabeling, enumerate_weight_zero, weight_zero_orbits
+from schouten.verify import unrank_words
+from schouten.words import boundary_columns
 
 DATA = Path(__file__).parent / "data"
 # the module: `from schouten import boundary` gives the function
@@ -312,9 +313,9 @@ def test_betti_checks_the_euler_bracket_on_a_block_without_matrices(monkeypatch,
 def test_betti_rejects_a_bracket_that_breaks_coordinate_symmetry(monkeypatch, capsys):
     # one sign of the template of the direction sets (1, 2) and (1, 3)
     # negated: no bracket of an Euler field uses that template, so the
-    # Euler check passes, but the bracket no longer commutes with swapping
-    # x_1 and x_2, on which the orbit coordinates rest, so betti refuses
-    # the block
+    # Euler check passes, but the bracket no longer commutes with the
+    # coordinate permutations, on which the orbit coordinates rest, so
+    # betti refuses the block
     real = words._direction_terms
 
     def negated(alpha_a, alpha_b):
@@ -329,7 +330,8 @@ def test_betti_rejects_a_bracket_that_breaks_coordinate_symmetry(monkeypatch, ca
     monkeypatch.setattr(words, "_ALPHABETS", {})
     monkeypatch.setattr(words, "_direction_terms", negated)
     assert torus.euler_bracket_failure(3, 2, 1, 1) is None
-    with pytest.raises(HomologyInvariantError, match="does not commute with swapping x_1 and x_2"):
+    with pytest.raises(HomologyInvariantError,
+                       match="does not commute with the coordinate permutation"):
         betti(3, 2, 1, 1)
     rc = cli.main(["betti", "--n", "3", "--m", "2", "--w", "1", "--h", "1"])
     err = capsys.readouterr().err
@@ -339,11 +341,63 @@ def test_betti_rejects_a_bracket_that_breaks_coordinate_symmetry(monkeypatch, ca
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("block", [(3, 2, 2, 2), (3, 2, 1, 1), (3, 3, 1, 1)],
+                         ids="n{0[0]}-m{0[1]}-w{0[2]}-h{0[3]}".format)
+def test_betti_rejects_a_wrong_relabeling_table(monkeypatch, capsys, block):
+    # the sign of d_1 ^ d_2 negated in the tables of the two 3-cycles: the
+    # orbits are folded by a relabeling under which d is no chain map, and
+    # the equivariance check, which reads the same tables, refuses the block
+    real = torus._permutation_tables
+
+    def tampered(A):
+        tables = real(A)
+        for p, directions, _ in tables:
+            if all(p[l] != l for l in range(3)):
+                head, sign = directions[0b011]
+                directions[0b011] = (head, -sign)
+        return tables
+
+    monkeypatch.setattr(torus, "_permutation_tables", tampered)
+    rc = cli.main(["betti", "--n", "3", "--m", "%d" % block[1], "--w", "%d" % block[2],
+                   "--h", "%d" % block[3]])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal invariant violated: the bracket template of directions")
+    assert "does not commute with the coordinate permutation (" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [(1, 0, 2), (1, 2, 0)], ids=["swap", "cycle"])
+def test_betti_rejects_a_wrong_exponent_place_table(monkeypatch, capsys, p):
+    # the exponents of one table put at the places of another permutation:
+    # the directions and signs are right, and Relabeling.of folds by the
+    # wrong places; the equivariance check reads the same places and
+    # refuses the block, also on (3,1,1,1), where the fold alone raises no
+    # error
+    real = torus._permutation_tables
+    wrong = (p[1], p[2], p[0])
+
+    def tampered(A):
+        return [(q, directions, [A.places[wrong[l]] for l in range(3)] if q == p else places)
+                for q, directions, places in real(A)]
+
+    monkeypatch.setattr(torus, "_permutation_tables", tampered)
+    for block in ((3, 1, 1, 1), (3, 2, 2, 2)):
+        rc = cli.main(["betti", "--n", "3", "--m", "%d" % block[1], "--w", "%d" % block[2],
+                       "--h", "%d" % block[3]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("internal invariant violated: the bracket template of directions")
+        assert ("does not commute with the coordinate permutation %r" % (tuple(x + 1 for x in p),)
+                in err)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_betti_rejects_a_term_outside_the_weight_zero_words(monkeypatch, capsys):
     # a boundary term that is no weight-0 word of C_{m-1} (here the word
     # itself, of arity m) has no orbit row to fold into: WeightEscapeError,
     # exit 1 with one line
-    monkeypatch.setattr(torus, "_word_boundary", lambda A, word: {word: 1})
+    monkeypatch.setattr(words, "_word_boundary", lambda A, word: {word: 1})
     with pytest.raises(words.WeightEscapeError, match=r"left block \(m=3, w=1, h=1\)"):
         betti(2, 3, 1, 1)
     rc = cli.main(["betti", "--n", "2", "--m", "3", "--w", "1", "--h", "1"])
@@ -450,15 +504,15 @@ def weight_zero_columns(n, m, w, h):
     relabeling = Relabeling(n, w, h)
     domain = weight_zero_orbits(n, m, w, h, relabeling)
     codomain = weight_zero_orbits(n, m - 1, w, h, relabeling)
-    return domain, codomain, list(orbit_columns(relabeling.alphabet, domain.reps,
-                                                codomain.fold, m, w, h))
+    return domain, codomain, list(boundary_columns(relabeling.alphabet, domain.reps,
+                                                   codomain.fold, m, w, h))
 
 
 def corrupted_columns(m_in, key, change):
-    """orbit_columns with the entry key = (row, col) of the arity-m_in
+    """boundary_columns with the entry key = (row, col) of the arity-m_in
     stream replaced by change(entry)."""
     def columns(A, reps, fold, m, w, h):
-        for col, column in enumerate(orbit_columns(A, reps, fold, m, w, h)):
+        for col, column in enumerate(boundary_columns(A, reps, fold, m, w, h)):
             if m == m_in and col == key[1]:
                 column = dict(column)
                 column[key[0]] = change(column[key[0]])
@@ -473,7 +527,7 @@ def test_betti_rejects_nonzero_boundary_squared(monkeypatch, capsys):
     d_out = weight_zero_columns(2, 3, 1, 1)[2]
     d_in = weight_zero_columns(2, 4, 1, 1)[2]
     key = next((r, c) for c, column in enumerate(d_in) for r in column if d_out[r])
-    monkeypatch.setattr(homology, "orbit_columns", corrupted_columns(4, key, lambda v: -v))
+    monkeypatch.setattr(homology, "boundary_columns", corrupted_columns(4, key, lambda v: -v))
     with pytest.raises(HomologyInvariantError, match="boundary squared"):
         betti(2, 3, 1, 1)
     rc = cli.main(["betti", "--n", "2", "--m", "3", "--w", "1", "--h", "1"])
@@ -494,7 +548,7 @@ def test_betti_checks_every_map_of_the_tower(monkeypatch, capsys, k):
     d_below = weight_zero_columns(2, k - 1, 0, 0)[2]
     d_k = weight_zero_columns(2, k, 0, 0)[2]
     key = next((r, c) for c, column in enumerate(d_k) for r in column if d_below[r])
-    monkeypatch.setattr(homology, "orbit_columns", corrupted_columns(k, key, lambda v: -v))
+    monkeypatch.setattr(homology, "boundary_columns", corrupted_columns(k, key, lambda v: -v))
     with pytest.raises(HomologyInvariantError, match=r"d_%d \. d_%d is" % (k - 1, k)):
         betti(2, 5, 0, 0)
     rc = cli.main(["betti", "--n", "2", "--m", "5", "--w", "0", "--h", "0"])
@@ -540,7 +594,7 @@ def test_boundary_squared_check_on_pivot_rows_catches_corrupted_entries(monkeypa
     assert len(pivot_rows) < len(codomain.reps)
     assert any(set(d_out[k[0]]) - set(pivot_rows) for k in keys)
     for key in keys:
-        monkeypatch.setattr(homology, "orbit_columns",
+        monkeypatch.setattr(homology, "boundary_columns",
                             corrupted_columns(5, key, lambda v: v + 1))
         with pytest.raises(HomologyInvariantError, match="boundary squared"):
             betti(2, 4, 1, 1)

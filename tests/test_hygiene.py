@@ -24,6 +24,67 @@ def test_no_assert_statements_in_package():
     assert not found, "assert statements vanish under python -O: %s" % found
 
 
+# refusal -> (a script that breaks what betti checks, the start of its one
+# stderr line); each ends in cli.main on a block that runs the check
+REFUSALS = {
+    "euler": ("""
+real = torus._bracket
+def doubled(A, a, b):
+    out = real(A, a, b)
+    if A.gens[a] == ((1,), (1,) + (0,) * (A.n - 1)):
+        out = tuple((r, 2 * c) for r, c in out)
+    return out
+torus._bracket = doubled
+block = (3, 2, 1, 2)
+""", "the Euler field x_1 d_1 does not scale"),
+    "equivariance": ("""
+real = torus._permutation_tables
+def tampered(A):
+    tables = real(A)
+    for p, directions, _ in tables:
+        if all(p[l] != l for l in range(3)):
+            head, sign = directions[0b011]
+            directions[0b011] = (head, -sign)
+    return tables
+torus._permutation_tables = tampered
+block = (3, 2, 1, 1)
+""", "the bracket template of directions"),
+    "boundary-squared": ("""
+pivots = []
+real_pivots, real_columns = homology.pivot_columns, homology.boundary_columns
+def recording(columns, rows):
+    out = real_pivots(columns, rows)
+    pivots.append(out[0])
+    return out
+def corrupted(A, codes, fold, m, w, h):
+    for col, column in enumerate(real_columns(A, codes, fold, m, w, h)):
+        if m == 4 and col == 0:
+            # one more entry, in the row of a pivot column of d_3
+            column = dict(column)
+            column[pivots[-1][0]] = column.get(pivots[-1][0], 0) + 1
+        yield column
+homology.pivot_columns, homology.boundary_columns = recording, corrupted
+block = (2, 3, 1, 1)
+""", "boundary squared is nonzero"),
+}
+
+
+@pytest.mark.parametrize("refusal", list(REFUSALS))
+def test_betti_refusals_survive_python_O(refusal):
+    """Under python -O, which strips assert statements, each run-time check
+    of betti still refuses a block it cannot prove: exit 1 and one line on
+    stderr."""
+    script, start = REFUSALS[refusal]
+    code = ("import sys\nfrom schouten import cli, homology, torus\n" + script
+            + "sys.exit(cli.main(['betti'] + ['--%s=%d' % kv for kv in zip('nmwh', block)]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 1
+    assert out.stderr.startswith("internal invariant violated: " + start)
+    assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
+
+
 def test_boundary_module_has_no_memo():
     """The word boundary and the bracket kernel are computed fresh each
     time: no lru_cache or cache decorator anywhere in boundary.py,
@@ -246,7 +307,7 @@ def test_cli_counting_loads_neither_contraction_nor_dataclasses(argv):
     assert "schouten.cli" in new
     assert "schouten.contraction" not in new
     assert "dataclasses" not in new
-    # the weight split, which only betti and verify homotopy import
+    # the weight split, which only betti imports
     assert "schouten.torus" not in new
 
 
@@ -274,11 +335,11 @@ COMMAND_MODULES = {
     "verify-psi": (["verify", "psi", "--n", "1"],
                    ["certificate", "contraction", "monomial", "record", "verify", "words"]),
     "verify-homotopy": (["verify", "homotopy", "--n", "1"],
-                        ["boundary", "certificate", "chains", "monomial", "multivector", "torus",
+                        ["boundary", "certificate", "chains", "monomial", "multivector",
                          "verify", "words"]),
     "verify-all": (["verify", "all", "--n", "1"],
                    ["boundary", "certificate", "chains", "contraction", "linalg", "monomial",
-                    "multivector", "record", "torus", "verify", "words"]),
+                    "multivector", "record", "verify", "words"]),
 }
 
 
@@ -397,6 +458,30 @@ print(json.dumps({"names": names, "ok": ok, "dir": dir(schouten), "unknown": unk
     assert got["unknown"] == "AttributeError"
     assert got["from"] == ["schouten.homology", "boundary", "schouten.boundary"]
     assert got["module"] == "schouten.homology"
+
+
+def test_docs_name_only_what_exists():
+    """Every `module.name` reference to a module of the package, in
+    README.md and in the package's docstrings, names an attribute of that
+    module, so a rename or a deletion cannot leave a stale reference."""
+    import importlib
+    import re
+
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    texts = {"README.md": (SRC.parents[1] / "README.md").read_text()}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    texts["%s:%s" % (path.name, getattr(node, "name", ""))] = doc
+    reference = re.compile(r"(?<![\w.])(?:schouten\.)?(%s)\.([A-Za-z_]\w*)" % "|".join(modules))
+    found = [(where,) + m.groups() for where, text in texts.items()
+             for m in reference.finditer(text) if m.group(2) != "py"]
+    stale = [ref for ref in found
+             if not hasattr(importlib.import_module("schouten." + ref[1]), ref[2])]
+    assert len(found) >= 40
+    assert not stale
 
 
 def test_traced_functions_resolve():
