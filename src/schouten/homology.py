@@ -16,20 +16,20 @@ Eilenberg 1948; Fuks, Cohomology of Infinite-Dimensional Lie Algebras,
 less the weight-0 words of C_k, the rank of d: C_k -> C_{k-1} on v != 0 is
 0 at k = 1 and dim_{!=0}(k - 1) less the rank one arity down above it.  A
 w != h block has no weight-0 word, since the entries of v sum to h - w, so
-it needs no matrix at all.  betti checks the Euler-field brackets it relies
-on at run time, through words._bracket, the code that fills the bracket
-table its matrices are assembled from.
+it needs no matrix at all.  betti proves the Euler-field identity it
+relies on for every generator of the block, from the bracket templates
+that words._bracket evaluates (torus.template_failure).
 
 Weight 0 is reduced further, to one coordinate per S_n orbit of weight-0
 words (torus.weight_zero_orbits), on which the invariant complex has the
 Betti numbers of the block (Hochschild & Serre, Cohomology of group
-extensions, 1953), and the weight-0 ranks follow from those.  betti checks
-at run time that d commutes with the coordinate permutations that the
-orbits are folded by (torus.equivariance_failure).  On the orbit sums the
-maps d_k, k = 2..m+1, are taken in order, each cleared by the one below it
-through d^2 = 0 ("clearing", Chen & Kerber, Persistent Homology
-Computation with a Twist, 2011) and each column checked against it, so
-d^2 = 0 is proven on every invariant weight-0 column of C_2..C_{m+1};
+extensions, 1953), and the weight-0 ranks follow from those.  The same
+call checks that d commutes with the permutations the orbits are folded
+by.  On the orbit sums the maps d_k, k = 2..m+1, are taken in order, each
+cleared by the one below it through d^2 = 0 ("clearing", Chen & Kerber,
+Persistent Homology Computation with a Twist, 2011) and each column
+checked against it, so d^2 = 0 is proven on every invariant weight-0
+column of C_2..C_{m+1};
 elsewhere it rests on the tests and on `verify dsq`.  Every map comes
 column by column from words.boundary_columns, folded through the orbit
 coordinates.  The proofs of both reductions and of the clearing are
@@ -46,8 +46,7 @@ arithmetic.
 from .counting import HomologyInvariantError, block_dims, dims_table, euler_characteristic
 from .linalg import column_nonzero, pivot_columns
 from .record import Record
-from .torus import (Orbits, Relabeling, enumerate_weight_zero, equivariance_failure,
-                    euler_bracket_failure, weight_zero_orbits)
+from .torus import Orbits, Relabeling, enumerate_weight_zero, template_failure, weight_zero_orbits
 from .words import boundary_columns
 
 
@@ -73,15 +72,15 @@ def betti(n, m, w, h):
     by torus weight (see the module docstring).  On v != 0 they follow from
     the counts dim C_k less the weight-0 words of C_k, k = 1..m+1; each
     rank is checked to lie between 0 and the dimensions it maps between,
-    after torus.euler_bracket_failure has checked the identity they rest on.
+    after torus.template_failure has proven the identity they rest on.
 
     On weight 0 (none unless w = h), betti computes the Betti numbers
-    b_1..b_m of the S_n-invariant subcomplex, after
-    torus.equivariance_failure has checked that d commutes with every
-    coordinate permutation of the Relabeling tables that the orbits are
-    folded by.  Why they are those of the block: GL_n(C) is connected and
-    acts on the block by chain maps, and its Lie algebra, the linear fields
-    x_i d_j, acts by [x_i d_j, .] = d(x_i d_j ^^ .) + x_i d_j ^^ d(.)
+    b_1..b_m of the S_n-invariant subcomplex, after the same call has
+    checked that d commutes with every coordinate permutation of the
+    Relabeling tables that the orbits are folded by.  Why they are those
+    of the block: GL_n(C) is connected and acts on the block by chain
+    maps, and its Lie algebra, the linear fields x_i d_j, acts by
+    [x_i d_j, .] = d(x_i d_j ^^ .) + x_i d_j ^^ d(.)
     (Cartan's formula), null-homotopically; so every element of GL_n(C),
     and every coordinate permutation, acts as the identity on homology.
     Over Q the average R = (1/n!) sum_sigma sigma is a chain map and a
@@ -120,17 +119,10 @@ def betti(n, m, w, h):
     codomain has no kept orbit is 0, and the map after it is neither
     checked nor cleared.
     """
-    bad = euler_bracket_failure(n, m, w, h)
-    if bad is not None:
-        raise HomologyInvariantError(
-            "the Euler field x_%d d_%d does not scale %r by its weight %d (n=%d, w=%d, h=%d)"
-            % (bad[0], bad[0], bad[1], bad[2], n, w, h))
     relabeling = Relabeling(n, w, h)
-    bad = equivariance_failure(relabeling, w, h)
+    bad = template_failure(relabeling, w, h)
     if bad is not None:
-        raise HomologyInvariantError(
-            "the bracket template of directions %r and %r does not commute with the "
-            "coordinate permutation %r (n=%d, w=%d, h=%d)" % (bad[1], bad[2], bad[0], n, w, h))
+        raise HomologyInvariantError("%s (n=%d, w=%d, h=%d)" % (bad, n, w, h))
     dims = block_dims(n, w, h)
     dim = [dims[k] if k < len(dims) else 0 for k in range(m + 2)]
     # rank[k]: the rank of d_k: C_k -> C_{k-1}; d_1 = 0

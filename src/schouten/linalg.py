@@ -169,28 +169,20 @@ def pivot_columns(columns, rows):
     became the pivot rows.  Both number its rank, and the pivot rows span
     its row space.
 
-    The columns are read once, each entered in the integer rows of the
-    matrix as it comes and its nonzeros counted, so a generator of columns
-    is never held as a list.  The echelon then runs with the columns taken
-    in ascending order of nonzero count, ties by index: a static
-    Markowitz-style order, in which sparse columns are pivoted first and
-    the eliminations fill in less.  Each row is relabeled to that order in
-    turn, so the matrix is held once more by one row at most.
+    The columns are read once, so a generator of columns is never held as
+    a list: column c enters the integer rows as it comes, under the key
+    len(column) << 32 | c, and the low 32 bits of a pivot key give c back.
+    Keys order as (nonzero count, c), so the echelon takes the columns in
+    a static Markowitz-style order: sparse columns are pivoted first, and
+    the eliminations fill in less.
     """
     row_dicts = [{} for _ in range(rows)]
-    counts = []
     for c, column in enumerate(columns):
-        counts.append(len(column))
+        key = len(column) << 32 | c
         for r, v in column.items():
-            row_dicts[r][c] = v
-    order = sorted(range(len(counts)), key=counts.__getitem__)
-    position = [0] * len(order)
-    for p, c in enumerate(order):
-        position[c] = p
-    for i, row in enumerate(row_dicts):
-        row_dicts[i] = {position[c]: v for c, v in row.items()}
+            row_dicts[r][key] = v
     pivots, _, pivot_rows = echelon(row_dicts)
-    return [order[p] for p in pivots], pivot_rows
+    return [key & 0xFFFFFFFF for key in pivots], pivot_rows
 
 
 def column_nonzero(a_cols, column):

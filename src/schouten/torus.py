@@ -1,6 +1,6 @@
 """Torus weights and coordinate permutations: the weight-0 words of a
-block, the Euler-field brackets that make every other weight acyclic, and
-the S_n orbits of the weight-0 words, on whose sums homology.betti works.
+block, the S_n orbits of those words, on whose sums homology.betti works,
+and the check of the bracket templates that both reductions rest on.
 
 The generator x^beta d_alpha has torus weight v = beta - 1_alpha in Z^n.
 The bracket adds weights, so the boundary keeps the weight of a word (the
@@ -18,8 +18,8 @@ weight 0.  Relabeling is their table on the ranks of an alphabet, built
 lazily; weight_zero_orbits classifies the weight-0 words of one arity into
 orbits, dropping those whose sum is 0, and its fold map is what
 words.boundary_columns folds the columns of d on the orbit sums through,
-one word boundary per orbit; equivariance_failure checks, on Relabeling's
-tables, the bracket templates on which d's commuting with S_n rests.
+one word boundary per orbit.  template_failure proves, on the bracket
+templates, the Euler identity and that d commutes with those tables.
 
 Only betti loads this module, so `dims`, `euler` and `verify` do not
 compile it.
@@ -28,16 +28,9 @@ compile it.
 from itertools import combinations, combinations_with_replacement, permutations
 from operator import mul
 
-from .counting import HomologyInvariantError
-from .words import (BasisIndex, _bracket, _class_multisets, _direction_id, _key_terms, alphabet,
+from .counting import HomologyInvariantError, basis_dim
+from .words import (BasisIndex, _class_multisets, _direction_id, _template, alphabet,
                     place_factor)
-
-
-def torus_weight(gen):
-    """The torus weight beta - 1_alpha in Z^n of the generator x^beta
-    d_alpha."""
-    alpha, beta = gen
-    return tuple(b - (l in alpha) for l, b in enumerate(beta, start=1))
 
 
 def enumerate_weight_zero(n, m, w, h):
@@ -45,8 +38,9 @@ def enumerate_weight_zero(n, m, w, h):
     canonical order: those of words.enumerate_basis(n, m, w, h), without
     building any other.
 
-    A w != h block has none.  Otherwise each class multiset of the block
-    is expanded class by class: the picks of a class are grouped by summed
+    A w != h block has none, nor has an arity without words
+    (counting.basis_dim).  Otherwise each class multiset of the block is
+    expanded class by class: the picks of a class are grouped by summed
     weight, the sums that the classes after it reach are collected first,
     and a group is taken only when those can bring the running sum back to
     0, so every partial word that is built ends in a weight-0 word.  The
@@ -62,83 +56,57 @@ def enumerate_weight_zero(n, m, w, h):
     its digits: adding the ints adds the weights exactly, and a sum is 0
     exactly when its int is 0.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    if not basis_dim(n, m, w, h) or w != h:  # basis_dim raises ValueError unless n, m >= 1
+        return BasisIndex(n, m, w, h, alphabet(n, w, h), [])
     A = alphabet(n, w, h)
     codes = []
-    if w == h:
-        places = [(2 * m * (h + n + w + 2) + 1) ** l for l in range(n)]
-        # groups[((i, j), count)]: the picks of `count` generators of class
-        # (i, j), distinct for even i, as {summed weight: [int tuple]}
-        groups = {}
-        weight = {}  # rank -> the weight of its generator, as an int
-        for classes in _class_multisets(n, m, w, h, (0, -1)):
-            expansion = []
-            for (i, j), count in classes:
-                g = groups.get(((i, j), count))
-                if g is None:
-                    ranks = A.classes[(i, j)]
-                    for r in ranks:
-                        if r not in weight:
-                            weight[r] = sum(map(int.__mul__, torus_weight(A.gens[r]), places))
-                    g = groups[((i, j), count)] = {}
-                    picks = (combinations(ranks, count) if i % 2 == 0
-                             else combinations_with_replacement(ranks, count))
+    places = [(2 * m * (h + n + w + 2) + 1) ** l for l in range(n)]
+    # groups[((i, j), count)]: the picks of `count` generators of class
+    # (i, j), distinct for even i, as {summed weight: [int tuple]}
+    groups = {}
+    weight = {}  # rank -> the weight of its generator, as an int
+    for classes in _class_multisets(n, m, w, h, (0, -1)):
+        expansion = []
+        for (i, j), count in classes:
+            g = groups.get(((i, j), count))
+            if g is None:
+                ranks = A.classes[(i, j)]
+                for r in ranks:
+                    if r not in weight:  # the torus weight beta - 1_alpha
+                        alpha, beta = A.gens[r]
+                        weight[r] = sum([(b - (l in alpha)) * places[l - 1]
+                                         for l, b in enumerate(beta, start=1)])
+                g = groups[((i, j), count)] = {}
+                picks = (combinations(ranks, count) if i % 2 == 0
+                         else combinations_with_replacement(ranks, count))
+                for pick in picks:
+                    g.setdefault(sum(map(weight.__getitem__, pick)), []).append(pick)
+            expansion.append(g)
+        # reach[k]: the sums of the picks of classes k, k + 1, ...
+        reach = [{0}]
+        for g in reversed(expansion):
+            reach.append({u + v for u in g for v in reach[-1]})
+        reach.reverse()
+        if 0 not in reach[0]:
+            continue
+        last = len(expansion) - 1
+
+        def expand(k, prefix, need):
+            # need: the sum that the picks of classes k, k + 1, ... must make
+            if k == last:
+                for pick in expansion[k].get(need, ()):
+                    codes.append(prefix + pick)
+                return
+            ahead = reach[k + 1]
+            for v, picks in expansion[k].items():
+                rest = need - v
+                if rest in ahead:
                     for pick in picks:
-                        g.setdefault(sum(map(weight.__getitem__, pick)), []).append(pick)
-                expansion.append(g)
-            # reach[k]: the sums of the picks of classes k, k + 1, ...
-            reach = [{0}]
-            for g in reversed(expansion):
-                reach.append({u + v for u in g for v in reach[-1]})
-            reach.reverse()
-            if 0 not in reach[0]:
-                continue
-            last = len(expansion) - 1
+                        expand(k + 1, prefix + pick, rest)
 
-            def expand(k, prefix, need):
-                # need: the sum that the picks of classes k, k + 1, ... must make
-                if k == last:
-                    for pick in expansion[k].get(need, ()):
-                        codes.append(prefix + pick)
-                    return
-                ahead = reach[k + 1]
-                for v, picks in expansion[k].items():
-                    rest = need - v
-                    if rest in ahead:
-                        for pick in picks:
-                            expand(k + 1, prefix + pick, rest)
-
-            expand(0, (), 0)
+        expand(0, (), 0)
     codes.sort()
     return BasisIndex(n, m, w, h, A, codes)
-
-
-def euler_bracket_failure(n, m, w, h):
-    """The first (l, g, v_l(g)) for which [E_l, g] = v_l(g) g or [g, E_l] =
-    -v_l(g) g fails, or None when both hold for l = 1..n and every
-    generator g that a word of C_1..C_{m+1} of the block (n; m, w, h) can
-    hold: those of class (i, j) with j <= h + m, as each of the other
-    factors of such a word has j >= -1.
-
-    Both brackets come from words._bracket, the code that fills the
-    alphabet's bracket table, and are not stored.  An alphabet without the
-    Euler fields (h + n + w < 0) belongs to a block with no word at all,
-    which needs no check.
-    """
-    A = alphabet(n, w, h)
-    if (0, 0) not in A.classes:
-        return None
-    ranks = [r for (_, j), rs in A.classes.items() if j <= h + m for r in rs]
-    weights = [torus_weight(A.gens[r]) for r in ranks]
-    for l in range(1, n + 1):
-        e = A.rank_of(((l,), tuple(int(k == l) for k in range(1, n + 1))))
-        for r, weight in zip(ranks, weights):
-            v = weight[l - 1]
-            scaled, negated = (((r, v),), ((r, -v),)) if v else ((), ())
-            if _bracket(A, e, r) != scaled or _bracket(A, r, e) != negated:
-                return l, A.gens[r], v
-    return None
 
 
 class Relabeling:
@@ -155,7 +123,7 @@ class Relabeling:
     at the places of their images.  perms holds, for each permutation but
     the identity, the permutation, the image of every direction id as
     (id(alpha') * span, sign) and the place of each exponent of beta;
-    equivariance_failure checks d against these same tables.  of(r) is
+    template_failure checks d against these same tables.  of(r) is
     the image of gens[r] under each permutation, as (rank, sign) pairs in
     the order of perms, kept in images once built.  Both are built on
     first use, so only ranks that occur in a classified word are ever
@@ -274,51 +242,82 @@ def weight_zero_orbits(n, m, w, h, relabeling):
     return Orbits(len(basis.codes), reps, fold)
 
 
-def equivariance_failure(relabeling, w, h):
-    """The first (sigma, alpha_a, alpha_b) for which the bracket template
-    of the direction sets alpha_a and alpha_b does not go over into that of
-    their images under the table of the coordinate permutation sigma, given
-    as (sigma(1), ..., sigma(n)), or None when d commutes with every table
-    of relabeling: those that weight_zero_orbits folds by.  A w != h block
-    has no weight-0 word, needs no check and builds no table.
+def template_failure(relabeling, w, h):
+    """The first fault, as text, of the bracket templates of the block (n,
+    w, h), or None when betti may rest on them.  The templates are those
+    of words._template, which _bracket evaluates; the one of each pair of
+    the alphabet's direction sets is read once, and two identities are
+    proven on what is read: the Euler-field identity on every block, and,
+    on a w = h block, whose weight-0 words are folded into orbits, that d
+    commutes with every table of relabeling.
 
-    The templates are words._key_terms, kept in the alphabet's templates,
-    which _bracket evaluates.  A term (i, s_a, s_b, offset) of the pair
-    (a, b) of direction ids has the coefficient s_a beta_a[i] + s_b
-    beta_b[i] and the key k_a + k_b + offset, offset = (id(alpha) - a - b)
-    * span - places[i]: exponent i lowered, directions alpha.  Each term is
-    read back as (s_a, s_b, id(alpha), r), with r the remainder of offset +
-    places[i] modulo span, 0 for a term of that form.  A table takes
-    x^beta d_alpha to eps(alpha) x^beta' d_alpha', eps(alpha) and the id of
-    alpha' read from its direction entry and exponent i put at the place
-    of its places entry, so [T g_a, T g_b] = T [g_a, g_b] for all exponents
-    exactly when the terms of (T a, T b) are those of (a, b) with i and the
-    directions moved by T and both signs times eps(alpha_a) eps(alpha_b)
-    eps(alpha).  d is the sum of brackets of factors put in place by
-    words.place_factor, so then d commutes with T.
+    A term (i, s_a, s_b, offset) of the pair (a, b) of direction ids has
+    the coefficient s_a beta_a[i] + s_b beta_b[i] and the key k_a + k_b +
+    offset, offset = (id(alpha) - a - b) * span - places[i]: exponent i
+    lowered, directions alpha.  Each term is read back as (s_a, s_b,
+    id(alpha), r), with r the remainder of offset + places[i] modulo span,
+    0 for a term of that form; an id outside 0..2^n - 1 names no direction
+    set, and such a term is refused as leaving the alphabet.  The terms of
+    one exponent are kept together, so a template with two terms of one
+    exponent is read whole.
 
-    A table T_p that is the product T_q T_s of the checked tables of q = p
-    s and of the swap s of t and t + 1, t the first descent of p, commutes
-    with d as they do; every other table, the n - 1 swaps among them, has
-    its templates checked.  q and s precede p in the lexicographic order of
-    the tables, so correct tables cost one template check per swap.
+    The Euler field E_l = x_l d_l has directions {l} and exponents e_l.
+    For g = x^beta d_alpha, [E_l, g] comes from the template ({l}, alpha):
+    a term of exponent i has the coefficient s_a [i = l - 1] + s_b
+    beta[i].  Let its exponent l - 1 hold the one term (-[l in alpha], 1,
+    id(alpha), 0) and every other term have s_b = 0.  Then the first has
+    the coefficient beta_l - [l in alpha] = v_l(g) and the key offset
+    -key(E_l), so it is v_l(g) g, and every other term is 0: [E_l, g] =
+    v_l(g) g for every exponent vector beta.  Likewise [g, E_l] = -v_l(g) g
+    when the template (alpha, {l}) holds (-1, [l in alpha], id(alpha), 0)
+    at exponent l - 1 and s_a = 0 on every other term.  Both shapes are
+    checked for each l and each direction set of the alphabet, so the
+    identity holds for every generator; an alphabet without the Euler
+    fields (h + n + w < 0) belongs to a block with no word at all, which
+    needs no check.
+
+    A table takes x^beta d_alpha to eps(alpha) x^beta' d_alpha', eps(alpha)
+    and the id of alpha' read from its direction entry and exponent i put
+    at the place of its places entry, so [T g_a, T g_b] = T [g_a, g_b] for
+    all exponents exactly when the terms of (T a, T b) are those of (a, b)
+    with i and the directions moved by T and both signs times eps(alpha_a)
+    eps(alpha_b) eps(alpha); d, the sum of brackets of factors put in place
+    by words.place_factor, then commutes with T.  A table T_p that is the
+    product T_q T_s of the checked tables of q = p s and of the swap s of t
+    and t + 1, t the first descent of p, commutes with d as they do; every
+    other table, the n - 1 swaps among them, has its templates checked.  q
+    and s precede p in the lexicographic order of the tables, so correct
+    tables cost one template check per swap.
     """
     A = relabeling.alphabet
     n = A.n
-    if w != h or (0, 0) not in A.classes:
+    if (0, 0) not in A.classes:
         return None
     sets = {_direction_id(alpha): alpha
             for k in range(1, min(n, w + 1) + 1) for alpha in combinations(range(1, n + 1), k)}
-    terms = {}  # (a, b) -> {i: (s_a, s_b, id(alpha), r)}
+    terms = {}  # (a, b) -> {i: [(s_a, s_b, id(alpha), r), ...]}
     for a in sets:
         for b in sets:
-            template = A.templates.get(a << n | b)
-            if template is None:
-                template = A.templates[a << n | b] = _key_terms(A, sets[a], sets[b])
             terms[(a, b)] = out = {}
-            for i, s_a, s_b, offset in template:
+            for i, s_a, s_b, offset in _template(A, a << n | b, sets[a], sets[b]):
                 q, r = divmod(offset + A.places[i], A.span)
-                out[i] = (s_a, s_b, a + b + q, r)
+                if not 0 <= a + b + q < 1 << n:  # no direction set has that id
+                    return ("a term of the bracket template of directions %r and %r left "
+                            "the alphabet of block" % (sets[a], sets[b]))
+                out.setdefault(i, []).append((s_a, s_b, a + b + q, r))
+    for l in range(1, n + 1):
+        e = 1 << l - 1
+        for b in sets:
+            inside = b >> l - 1 & 1
+            # (side, template, signs of its term of exponent l - 1, sign 0 elsewhere)
+            for side, out, signs, zero in (("[x_%d d_%d, g]", terms[(e, b)], (-inside, 1), 1),
+                                           ("[g, x_%d d_%d]", terms[(b, e)], (-1, inside), 0)):
+                if out.get(l - 1) != [signs + (b, 0)] or any(
+                        t[zero] for i, ts in out.items() if i != l - 1 for t in ts):
+                    return ("the Euler field x_%d d_%d does not scale the generators g of "
+                            "directions %r by their weight in " + side) % (l, l, sets[b], l, l)
+    if w != h:
+        return None
     index = {place: i for i, place in enumerate(A.places)}
     checked = {}  # p -> (directions, the index of each exponent's place), once d commutes
     for p, directions, places in relabeling.tables():
@@ -340,12 +339,15 @@ def equivariance_failure(relabeling, w, h):
         for (a, b), out in terms.items():
             (a2, eps_a), (b2, eps_b) = moved[a], moved[b]
             image = {}
-            for i, (s_a, s_b, c, r) in out.items():
-                c2, eps = moved[c]
-                e = eps_a * eps_b * eps
-                image[at[i]] = (e * s_a, e * s_b, c2, r)
+            for i, ts in out.items():
+                for s_a, s_b, c, r in ts:
+                    c2, eps = moved[c]
+                    e = eps_a * eps_b * eps
+                    image.setdefault(at[i], []).append((e * s_a, e * s_b, c2, r))
             if image != terms.get((a2, b2)):
-                return tuple(x + 1 for x in p), sets[a], sets[b]
+                return ("the bracket template of directions %r and %r does not commute with "
+                        "the coordinate permutation %r" % (sets[a], sets[b],
+                                                           tuple(x + 1 for x in p)))
         # exponent i moves in the template of ({i + 1}, {i + 1}), so `at`
         # holds no None now
         checked[p] = (directions, at)

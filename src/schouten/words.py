@@ -30,8 +30,8 @@ for two ranks of an Alphabet through a template kept on the alphabet
 term's rank is found by one int addition and one lookup (see Alphabet).
 The boundary of a word is the pairwise Chevalley-Eilenberg sum that the
 boundary module describes; _word_boundary evaluates it on int words,
-filling the alphabet's bracket table through _bracket, and the Euler-field
-check of the torus module runs through the same _bracket.
+filling the alphabet's bracket table through _bracket, and the torus
+module checks the templates that _bracket evaluates (torus.template_failure).
 
 This module imports only the standard library and counting, so `basis`
 and `betti` run on it without loading the chain, multivector and boundary
@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from operator import mul, sub
 
-from .counting import HomologyInvariantError, dim_generators
+from .counting import HomologyInvariantError, basis_dim, dim_generators
 
 
 def factor_key(gen):
@@ -326,10 +326,11 @@ def enumerate_basis(n, m, w, h):
     A word is a multiset of generators with even-g-degree generators distinct
     and odd-g-degree generators free to repeat.  The words are built as int
     words of the block's alphabet and sorted as plain int tuples, which is
-    the canonical order.  The result may be empty.
+    the canonical order.  The result may be empty; an arity without words
+    (counting.basis_dim) is returned without a search for them.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    if not basis_dim(n, m, w, h):  # raises ValueError unless n, m >= 1
+        return BasisIndex(n, m, w, h, alphabet(n, w, h), [])
     A = alphabet(n, w, h)
     codes = []
     for classes in _class_multisets(n, m, w, h, (0, -1)):
@@ -430,6 +431,16 @@ def _key_terms(A, alpha_a, alpha_b):
                  for i, s_a, s_b, alpha in _direction_terms(alpha_a, alpha_b))
 
 
+def _template(A, pair, alpha_a, alpha_b):
+    """A.templates[pair], pair = (id(alpha_a) << n) | id(alpha_b), built by
+    _key_terms on first use: the one fill of what _bracket evaluates and
+    torus checks."""
+    terms = A.templates.get(pair)
+    if terms is None:
+        terms = A.templates[pair] = _key_terms(A, alpha_a, alpha_b)
+    return terms
+
+
 def _bracket(A, a, b):
     """[gens[a], gens[b]] of the alphabet A as (rank, int) pairs with nonzero
     ints: the template of their direction sets, kept in A.templates, gives
@@ -443,7 +454,7 @@ def _bracket(A, a, b):
     pair = (k_a // span) << A.n | k_b // span
     terms = A.templates.get(pair)
     if terms is None:
-        terms = A.templates[pair] = _key_terms(A, A.gens[a][0], A.gens[b][0])
+        terms = _template(A, pair, A.gens[a][0], A.gens[b][0])
     beta_a, beta_b = A.gens[a][1], A.gens[b][1]
     k = k_a + k_b
     ranks = A.ranks

@@ -218,9 +218,11 @@ def test_weight_zero_enumeration_filters_the_basis(block):
     assert zero.alphabet is basis.alphabet
 
 
-# every weight block (n, w, h) on which tier-1 runs betti, with the largest
-# g-degree j of a generator it checks: None for the whole alphabet, and for
-# the n = 4, 5 pins those of classes j <= h + m, as betti checks
+# every weight block (n, w, h) on which tier-1 runs betti, among them the
+# alphabets of the benchmark's homology blocks, with the largest g-degree j
+# of a generator that the MultiVector oracle checks: None for the whole
+# alphabet, and for the n = 4, 5 pins those of classes j <= h + m, which
+# the words of C_1..C_{m+1} can hold
 TIER1_ALPHABETS = {(n, w, h): None for n in (1, 2, 3) for w in (0, 1, 2) for h in (-1, 0, 1, 2)}
 TIER1_ALPHABETS.update({(4, 2, 2): 4, (5, 1, 1): 3})
 
@@ -237,6 +239,44 @@ def test_euler_fields_scale_generators_by_their_weight(nwh):
             v = torus_weight_of((gen,))[l - 1]
             assert schouten_bracket(E, g) == v * g
             assert schouten_bracket(g, E) == -v * g
+
+
+@pytest.mark.parametrize("nwh", sorted(TIER1_ALPHABETS), ids="n{0[0]}-w{0[1]}-h{0[2]}".format)
+def test_bracket_of_ranks_scales_by_the_euler_fields(nwh):
+    # betti proves [E_l, g] = v_l(g) g on the templates alone, trusting
+    # words._bracket to evaluate them; this checks that evaluation on every
+    # generator of the alphabet
+    A = alphabet(*nwh)
+    n = A.n
+    for l in range(1, n + 1):
+        e = A.rank_of(((l,), tuple(int(k == l) for k in range(1, n + 1))))
+        for r, gen in enumerate(A.gens):
+            v = torus_weight_of((gen,))[l - 1]
+            assert words._bracket(A, e, r) == (((r, v),) if v else ())
+            assert words._bracket(A, r, e) == (((r, -v),) if v else ())
+
+
+def test_enumeration_past_the_top_arity_searches_no_class_multiset(monkeypatch, capsys):
+    # an arity beyond the block's max arity has no word: enumerate_basis,
+    # enumerate_weight_zero, betti and the basis command answer from the
+    # count, without the long search for class multisets
+    real = words._class_multisets
+
+    def refusing(n, m, w, h, min_class):
+        # min_class (0, -1) is a search's first call; its recursive calls
+        # start later
+        if min_class == (0, -1) and m > max_arity(n, w, h):
+            raise AssertionError("class multisets searched at arity %d of (%d, %d, %d)"
+                                 % (m, n, w, h))
+        return real(n, m, w, h, min_class)
+
+    monkeypatch.setattr(words, "_class_multisets", refusing)
+    monkeypatch.setattr(torus, "_class_multisets", refusing)
+    assert max_arity(2, 0, 0) == 8
+    assert len(enumerate_basis(2, 12, 0, 0)) == len(enumerate_weight_zero(2, 12, 0, 0)) == 0
+    assert betti(2, 12, 0, 0).csv_row() == "2,12,0,0,0,0,0,0"
+    assert cli.main(["basis", "--n", "2", "--m", "60", "--w", "0", "--h", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "(empty block)"
 
 
 @pytest.mark.parametrize("n, w, h, top", [(2, 1, 1, None), (3, 0, 0, 3)])
@@ -290,24 +330,107 @@ def test_betti_rejects_a_wrong_euler_bracket(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def _negated_euler_sign(real):
+    """_direction_terms with the sign s_a of [x_1 d_1, x^beta d_1 ^ d_2]
+    at exponent 1 negated."""
+    def negated(alpha_a, alpha_b):
+        out = real(alpha_a, alpha_b)
+        if (alpha_a, alpha_b) == ((1,), (1, 2)):
+            out = tuple((i, -s_a if i == 0 else s_a, s_b, alpha) for i, s_a, s_b, alpha in out)
+        return out
+    return negated
+
+
+def _stray_euler_term(real):
+    """_direction_terms with a stray term of exponent 3, s_b = 1, in the
+    template of [x_1 d_1, x^beta d_2]."""
+    def stray(alpha_a, alpha_b):
+        out = real(alpha_a, alpha_b)
+        if (alpha_a, alpha_b) == ((1,), (2,)):
+            out += ((2, 0, 1, (2,)),)
+        return out
+    return stray
+
+
 def test_betti_checks_the_euler_bracket_on_a_block_without_matrices(monkeypatch, capsys):
     # the w != h block (3; 2, 1, 2) has no weight-0 word, so betti
-    # assembles nothing and rests every rank on the Euler identity; a
-    # doubled [E_1, g] from _bracket must still make it exit 1 with one line
-    real = words._bracket
+    # assembles nothing and rests every rank on the Euler identity; an
+    # Euler template of the wrong shape, a negated sign or a stray term,
+    # must make it and the w = h block (3; 2, 1, 1) exit 1 with one line
+    real = words._direction_terms
+    assert (0, -1, 1, (1, 2)) in real((1,), (1, 2))
+    assert [i for i, _, _, _ in real((1,), (2,))] == [0, 1]
+    for tamper, side, directions in ((_negated_euler_sign, "[x_1 d_1, g]", (1, 2)),
+                                     (_stray_euler_term, "[x_1 d_1, g]", (2,))):
+        # fresh alphabets, so that their templates are built through the tamper
+        monkeypatch.setattr(words, "_ALPHABETS", {})
+        monkeypatch.setattr(words, "_direction_terms", tamper(real))
+        for block in ((3, 2, 1, 2), (3, 2, 1, 1)):
+            rc = cli.main(["betti"] + ["--%s=%d" % kv for kv in zip("nmwh", block)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err == ("internal invariant violated: the Euler field x_1 d_1 does not scale "
+                           "the generators g of directions %r by their weight in %s "
+                           "(n=3, w=%d, h=%d)\n" % (directions, side, block[2], block[3]))
 
-    def doubled(A, a, b):
-        out = real(A, a, b)
-        if A.gens[a] == ((1,), (1,) + (0,) * (A.n - 1)):
-            out = tuple((r, 2 * c) for r, c in out)
+
+def test_betti_refuses_a_mirrored_euler_template(monkeypatch):
+    # the mirror [g, x_2 d_2] of a correct [x_2 d_2, g]: the template of
+    # ((1, 2), (2,)) with s_a and s_b exchanged
+    real = words._direction_terms
+
+    def swapped(alpha_a, alpha_b):
+        out = real(alpha_a, alpha_b)
+        if (alpha_a, alpha_b) == ((1, 2), (2,)):
+            out = tuple((i, s_b, s_a, alpha) for i, s_a, s_b, alpha in out)
         return out
 
-    monkeypatch.setattr(torus, "_bracket", doubled)
-    rc = cli.main(["betti", "--n", "3", "--m", "2", "--w", "1", "--h", "2"])
+    monkeypatch.setattr(words, "_ALPHABETS", {})
+    monkeypatch.setattr(words, "_direction_terms", swapped)
+    with pytest.raises(HomologyInvariantError,
+                       match=r"x_2 d_2 does not scale the generators g of directions \(1, 2\) "
+                             r"by their weight in \[g, x_2 d_2\] \(n=3, w=1, h=2\)"):
+        betti(3, 2, 1, 2)
+
+
+def test_betti_refuses_a_template_term_without_a_direction_set(monkeypatch, capsys):
+    # the offsets of one template that no Euler field uses, shifted past
+    # every direction set's id: the term's direction id indexes no
+    # permutation table, and betti refuses the block with one line
+    real = words._key_terms
+
+    def shifted(A, alpha_a, alpha_b):
+        out = real(A, alpha_a, alpha_b)
+        if (alpha_a, alpha_b) == ((1, 2), (1, 3)):
+            out = tuple((i, s_a, s_b, offset + (A.span << A.n)) for i, s_a, s_b, offset in out)
+        return out
+
+    monkeypatch.setattr(words, "_ALPHABETS", {})
+    monkeypatch.setattr(words, "_key_terms", shifted)
+    rc = cli.main(["betti", "--n", "3", "--m", "2", "--w", "2", "--h", "2"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("internal invariant violated: the Euler field x_1 d_1")
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err == ("internal invariant violated: a term of the bracket template of directions "
+                   "(1, 2) and (1, 3) left the alphabet of block (n=3, w=2, h=2)\n")
+
+
+@pytest.mark.parametrize("block", [(3, 2, 1, 2), (3, 1, 1, 2), (2, 3, 1, 2)],
+                         ids="n{0[0]}-m{0[1]}-w{0[2]}-h{0[3]}".format)
+def test_betti_on_a_w_ne_h_block_evaluates_no_bracket(monkeypatch, block):
+    # the Euler identity is proven on the templates, so a block without
+    # weight-0 words runs no bracket at all
+    assert not hasattr(torus, "_bracket")
+    calls = []
+    real = words._bracket
+
+    def counted(A, a, b):
+        calls.append((a, b))
+        return real(A, a, b)
+
+    monkeypatch.setattr(words, "_ALPHABETS", {})
+    monkeypatch.setattr(words, "_bracket", counted)
+    assert betti(*block).betti == 0
+    assert calls == []
 
 
 def test_betti_rejects_a_bracket_that_breaks_coordinate_symmetry(monkeypatch, capsys):
@@ -329,7 +452,7 @@ def test_betti_rejects_a_bracket_that_breaks_coordinate_symmetry(monkeypatch, ca
     # fresh alphabets, so that their templates are built through `negated`
     monkeypatch.setattr(words, "_ALPHABETS", {})
     monkeypatch.setattr(words, "_direction_terms", negated)
-    assert torus.euler_bracket_failure(3, 2, 1, 1) is None
+    assert torus.template_failure(Relabeling(3, 1, 2), 1, 2) is None
     with pytest.raises(HomologyInvariantError,
                        match="does not commute with the coordinate permutation"):
         betti(3, 2, 1, 1)

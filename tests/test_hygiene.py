@@ -28,14 +28,24 @@ def test_no_assert_statements_in_package():
 # stderr line); each ends in cli.main on a block that runs the check
 REFUSALS = {
     "euler": ("""
-real = torus._bracket
-def doubled(A, a, b):
-    out = real(A, a, b)
-    if A.gens[a] == ((1,), (1,) + (0,) * (A.n - 1)):
-        out = tuple((r, 2 * c) for r, c in out)
+real = words._direction_terms
+def negated(alpha_a, alpha_b):
+    out = real(alpha_a, alpha_b)
+    if (alpha_a, alpha_b) == ((1,), (1, 2)):
+        out = tuple((i, -s_a if i == 0 else s_a, s_b, alpha) for i, s_a, s_b, alpha in out)
     return out
-torus._bracket = doubled
+words._direction_terms = negated
 block = (3, 2, 1, 2)
+""", "the Euler field x_1 d_1 does not scale"),
+    "euler-weight-zero": ("""
+real = words._direction_terms
+def stray(alpha_a, alpha_b):
+    out = real(alpha_a, alpha_b)
+    if (alpha_a, alpha_b) == ((1,), (2,)):
+        out += ((2, 0, 1, (2,)),)
+    return out
+words._direction_terms = stray
+block = (3, 2, 1, 1)
 """, "the Euler field x_1 d_1 does not scale"),
     "equivariance": ("""
 real = torus._permutation_tables
@@ -48,6 +58,14 @@ def tampered(A):
     return tables
 torus._permutation_tables = tampered
 block = (3, 2, 1, 1)
+""", "the bracket template of directions"),
+    "exponent-place": ("""
+real = torus._permutation_tables
+def tampered(A):
+    return [(p, directions, [A.places[l] for l in (2, 0, 1)] if p == (1, 2, 0) else places)
+            for p, directions, places in real(A)]
+torus._permutation_tables = tampered
+block = (3, 1, 1, 1)
 """, "the bracket template of directions"),
     "boundary-squared": ("""
 pivots = []
@@ -75,7 +93,7 @@ def test_betti_refusals_survive_python_O(refusal):
     of betti still refuses a block it cannot prove: exit 1 and one line on
     stderr."""
     script, start = REFUSALS[refusal]
-    code = ("import sys\nfrom schouten import cli, homology, torus\n" + script
+    code = ("import sys\nfrom schouten import cli, homology, torus, words\n" + script
             + "sys.exit(cli.main(['betti'] + ['--%s=%d' % kv for kv in zip('nmwh', block)]))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
